@@ -19,12 +19,13 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from .corpus import GenderLabel, SourceSentence, StereotypeLists, Stereotype, assign_stereotype
 from .fileio import read_jsonl, write_jsonl
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -378,6 +379,11 @@ def _extract_path(payload: Any, path: str) -> Any:
 
 class _HttpTranslator:
     def __init__(self, config: BackendConfig) -> None:
+        # imported here, not at module level: every other backend and stage
+        # runs without loading requests
+        import requests
+
+        self._requests = requests
         self.config = config
         assert config.request_template is not None
         self.template = config.request_template
@@ -407,7 +413,7 @@ class _HttpTranslator:
     def session(self) -> requests.Session:
         # requests.Session is not thread-safe; keep one per worker thread
         if not hasattr(self._local, "session"):
-            self._local.session = requests.Session()
+            self._local.session = self._requests.Session()
         return self._local.session
 
     def translate(self, source: SourceSentence) -> TranslationRecord:
@@ -424,7 +430,7 @@ class _HttpTranslator:
                     headers=self.headers,
                     timeout=cfg.timeout_s,
                 )
-            except requests.RequestException as exc:
+            except self._requests.RequestException as exc:
                 reason = f"transport error: {exc.__class__.__name__}"
                 continue  # transient
             if 200 <= response.status_code < 300:

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .backends import TranslationRecord, TranslationStatus
 from .corpus import GenderLabel, SourceSentence
@@ -29,17 +30,38 @@ class ClassifyError(ValueError):
     """Raised when a batch references an unknown source id or a bad lexicon."""
 
 
+def _token_pattern(tokens: Iterable[str]) -> re.Pattern[str]:
+    """One regex whose matches are exactly the maximal \\w+ runs equal to a token.
+
+    Tokens that are not a single \\w+ word (a space, an apostrophe) can never
+    equal such a run, so they are left out and stay unmatchable. Alternatives
+    are grouped by first character and the left word boundary is checked just
+    after it, so the engine skips ahead to candidate characters instead of
+    testing a look-behind at every position.
+    """
+    words = sorted(t for t in tokens if _WORD.fullmatch(t))
+    if not words:
+        return re.compile(r"(?!)")
+    branches = []
+    for first, group in groupby(words, key=lambda w: w[0]):
+        rests = "|".join(re.escape(w[1:]) for w in group)
+        branches.append(rf"{re.escape(first)}(?<!\w.)(?:{rests})")
+    return re.compile(rf"(?:{'|'.join(branches)})(?!\w)")
+
+
 @dataclass(frozen=True)
 class PronounLexicon:
     """Gendered token sets used for detection; overridable per target language."""
 
     male_tokens: frozenset[str]
     female_tokens: frozenset[str]
+    pattern: re.Pattern[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         overlap = self.male_tokens & self.female_tokens
         if overlap:
             raise ClassifyError("pronoun sets overlap: " + ", ".join(sorted(overlap)))
+        object.__setattr__(self, "pattern", _token_pattern(self.male_tokens | self.female_tokens))
 
     @classmethod
     def default(cls) -> "PronounLexicon":
@@ -62,6 +84,9 @@ class PronounLexicon:
             raise ClassifyError(f"{path}: missing token list {exc.args[0]!r}") from None
 
 
+_DEFAULT_LEXICON = PronounLexicon.default()
+
+
 @dataclass(frozen=True)
 class ClassifiedRecord:
     source: SourceSentence
@@ -74,17 +99,10 @@ def classify_gender(
     target_text: str, lexicon: PronounLexicon | None = None
 ) -> tuple[GenderLabel, tuple[str, ...]]:
     """Label a translation by pronoun presence; returns matches in text order."""
-    lexicon = lexicon or PronounLexicon.default()
-    matched: list[str] = []
-    saw_male = saw_female = False
-    for match in _WORD.finditer(target_text.lower()):
-        token = match.group(0)
-        if token in lexicon.male_tokens:
-            saw_male = True
-            matched.append(token)
-        elif token in lexicon.female_tokens:
-            saw_female = True
-            matched.append(token)
+    lexicon = lexicon or _DEFAULT_LEXICON
+    matched = tuple(lexicon.pattern.findall(target_text.lower()))
+    saw_male = any(token in lexicon.male_tokens for token in matched)
+    saw_female = any(token in lexicon.female_tokens for token in matched)
     if saw_male and saw_female:
         label = GenderLabel.AMBIGUOUS
     elif saw_male:
@@ -93,7 +111,7 @@ def classify_gender(
         label = GenderLabel.FEMALE
     else:
         label = GenderLabel.NEUTRAL
-    return label, tuple(matched)
+    return label, matched
 
 
 def classify_batch(
@@ -105,7 +123,7 @@ def classify_batch(
 
     Raises ClassifyError if an Ok translation's source_id does not resolve.
     """
-    lexicon = lexicon or PronounLexicon.default()
+    lexicon = lexicon or _DEFAULT_LEXICON
     classified: list[ClassifiedRecord] = []
     excluded: list[TranslationRecord] = []
     for translation in translations:

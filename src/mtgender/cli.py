@@ -14,9 +14,10 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from itertools import chain
 from pathlib import Path
+from typing import Any, get_type_hints
 
 from .backends import (
     BackendError,
@@ -82,89 +83,89 @@ class CliError(ValueError):
 
 
 def _report_metrics_dict(report: TgbiReport | OtscReport | WinomtReport) -> dict:
-    if isinstance(report, WinomtReport):
-        return {
-            "acc": report.acc,
-            "delta_g": report.delta_g,
-            "delta_s": report.delta_s,
-            "n": report.n,
-            "f1_male": report.f1_male,
-            "f1_female": report.f1_female,
-            "macro_f1_pro": report.macro_f1_pro,
-            "macro_f1_anti": report.macro_f1_anti,
-            "total": report.total,
-            "excluded_unlisted": report.excluded_unlisted,
-        }
-    if isinstance(report, OtscReport):
-        return {
-            "quadrants": {
-                quadrant: {
-                    "p_m": stats.p_m,
-                    "p_w": stats.p_w,
-                    "p_n": stats.p_n,
-                    "true_rate": stats.true_rate,
-                    "count": stats.count,
-                }
-                for quadrant, stats in report.quadrants.items()
-            }
-        }
-    return {
-        "per_set": {
-            set_id: {
-                "p_m": balance.proportions.p_m,
-                "p_f": balance.proportions.p_f,
-                "p_n": balance.proportions.p_n,
-                "ps": balance.ps,
-                "count": balance.count,
-            }
-            for set_id, balance in report.per_set.items()
-        },
-        "tgbi": report.tgbi,
-    }
+    """The report's dataclass fields, with the per-set proportions flattened;
+    excluded_failed is stored under counts instead."""
+    metrics = asdict(report)
+    metrics.pop("excluded_failed", None)
+    for entry in metrics.get("per_set", {}).values():
+        entry.update(entry.pop("proportions"))
+    return metrics
 
 
-def report_from_dict(payload: dict) -> tuple[str, str, TgbiReport | OtscReport | WinomtReport]:
-    """Rebuild (suite, backend name, report) from a machine report file."""
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_FIELD_KINDS = {
+    float: ("a number", _is_number),
+    float | None: ("a number or null", lambda v: v is None or _is_number(v)),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    dict: ("an object", lambda v: isinstance(v, dict)),
+}
+
+
+def report_from_dict(
+    payload: Any, source: str
+) -> tuple[str, str, TgbiReport | OtscReport | WinomtReport]:
+    """Rebuild (suite, backend name, report) from a machine report file.
+
+    Raises CliError naming source and the field when a field is missing or
+    mistyped.
+    """
+
+    def get(*path: str, kind: Any = dict) -> Any:
+        """payload[path[0]][path[1]]..., checked against kind (a key of _FIELD_KINDS)."""
+        node = payload
+        for depth, key in enumerate(path):
+            if not isinstance(node, dict):
+                where = ".".join(path[:depth]) or "the report"
+                raise CliError(f"{source}: {where} must be an object, not {type(node).__name__}")
+            if key not in node:
+                raise CliError(f"{source}: report is missing {'.'.join(path[: depth + 1])}")
+            node = node[key]
+        expected, matches = _FIELD_KINDS[kind]
+        if not matches(node):
+            raise CliError(f"{source}: {'.'.join(path)} must be {expected}, not {node!r}")
+        return node
+
+    def fields_of(cls: type, *path: str, skip: tuple[str, ...] = ()) -> dict[str, Any]:
+        """The dataclass fields of cls, read from the object at path."""
+        hints = get_type_hints(cls)
+        return {f.name: get(*path, f.name, kind=hints[f.name])
+                for f in fields(cls) if f.name not in skip}
+
+    if not isinstance(payload, dict):
+        raise CliError(f"{source}: the report must be an object, not {type(payload).__name__}")
     suite = payload.get("suite")
     backend = payload.get("backend", "unknown")
-    metrics = payload.get("metrics", {})
-    counts = payload.get("counts", {})
+    counts = get("counts") if "counts" in payload else {}
+    failed = get("counts", "translated_failed", kind=int) if "translated_failed" in counts else 0
     if suite == "winomt":
         report: TgbiReport | OtscReport | WinomtReport = WinomtReport(
-            acc=metrics["acc"],
-            delta_g=metrics["delta_g"],
-            delta_s=metrics["delta_s"],
-            n=metrics["n"],
-            f1_male=metrics["f1_male"],
-            f1_female=metrics["f1_female"],
-            macro_f1_pro=metrics["macro_f1_pro"],
-            macro_f1_anti=metrics["macro_f1_anti"],
-            total=metrics["total"],
-            excluded_unlisted=metrics["excluded_unlisted"],
-            excluded_failed=counts.get("translated_failed", 0),
+            **fields_of(WinomtReport, "metrics", skip=("excluded_failed",)),
+            excluded_failed=failed,
         )
     elif suite == "otsc":
         report = OtscReport(
             quadrants={
-                quadrant: QuadrantStats(**stats)
-                for quadrant, stats in metrics["quadrants"].items()
+                quadrant: QuadrantStats(**fields_of(QuadrantStats, "metrics", "quadrants", quadrant))
+                for quadrant in get("metrics", "quadrants")
             },
-            excluded_failed=counts.get("translated_failed", 0),
+            excluded_failed=failed,
         )
     elif suite == "neutral":
         report = TgbiReport(
             per_set={
                 set_id: SetBalance(
-                    proportions=Proportions(entry["p_m"], entry["p_f"], entry["p_n"]),
-                    ps=entry["ps"],
-                    count=entry["count"],
+                    proportions=Proportions(**fields_of(Proportions, "metrics", "per_set", set_id)),
+                    **fields_of(SetBalance, "metrics", "per_set", set_id, skip=("proportions",)),
                 )
-                for set_id, entry in metrics["per_set"].items()
+                for set_id in get("metrics", "per_set")
             },
-            tgbi=metrics["tgbi"],
+            tgbi=get("metrics", "tgbi", kind=float),
         )
     else:
-        raise CliError(f"report has unknown suite {suite!r}")
+        raise CliError(f"{source}: report has unknown suite {suite!r}")
     return suite, backend, report
 
 
@@ -323,8 +324,13 @@ def _load_suite_sentences(path: str, suite: Suite):
 def cmd_evaluate(args: argparse.Namespace) -> int:
     suite = Suite(args.suite)
 
-    for path in (args.sentences, args.translations):
-        ok, message = verify_against_sidecar(path)
+    # each input is digested once: for the manifest check and for the report
+    inputs = {
+        "sentences": file_ref(args.sentences),
+        "translations": file_ref(args.translations),
+    }
+    for ref in inputs.values():
+        ok, message = verify_against_sidecar(ref["path"], ref["sha256"])
         if not ok:
             if args.no_verify:
                 logger.warning("%s (ignored by --no-verify)", message)
@@ -398,10 +404,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "stereotype_lists": stereotype_paths,
         "pronouns": args.pronouns,
     }
-    inputs = {
-        "sentences": file_ref(args.sentences),
-        "translations": file_ref(args.translations),
-    }
     run_id = derive_run_id({
         "command": "evaluate",
         "suite": suite.value,
@@ -457,7 +459,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"{path}: cannot read report ({exc})") from exc
-        suite, backend, report = report_from_dict(payload)
+        suite, backend, report = report_from_dict(payload, path)
         suites.add(suite)
         named_reports.append((backend, report))
     if len(suites) > 1:

@@ -76,8 +76,9 @@ def write_sidecar(manifest: RunManifest) -> Path:
     return path
 
 
-def verify_against_sidecar(path: str | Path) -> tuple[bool, str]:
-    """Check a pipeline file against its manifest digest.
+def verify_against_sidecar(path: str | Path, digest: str) -> tuple[bool, str]:
+    """Check a pipeline file's sha256 digest, computed by the caller, against
+    its manifest.
 
     Returns (ok, message): ok is False only on a digest mismatch; a file
     without a sidecar passes with a note, since externally produced corpora
@@ -90,9 +91,8 @@ def verify_against_sidecar(path: str | Path) -> tuple[bool, str]:
         recorded = json.loads(sidecar.read_text(encoding="utf-8"))["output"]["sha256"]
     except (json.JSONDecodeError, KeyError):
         return False, f"{sidecar}: malformed manifest"
-    actual = sha256_file(path)
-    if actual != recorded:
+    if digest != recorded:
         return False, (
-            f"{path}: digest {actual[:12]}... does not match manifest {recorded[:12]}..."
+            f"{path}: digest {digest[:12]}... does not match manifest {recorded[:12]}..."
         )
     return True, f"{path}: manifest digest ok"

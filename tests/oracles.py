@@ -1,10 +1,41 @@
-"""Brute-force metric oracles: recompute everything by direct enumeration over
-(gold, predicted) pairs, independent of the tally bookkeeping in mtgender.metrics."""
+"""Brute-force oracles: recompute metrics by direct enumeration over
+(gold, predicted) pairs, independent of the tally bookkeeping in mtgender.metrics,
+and classify by scanning every word, independent of the compiled lexicon regex."""
 
-from mtgender.classify import ClassifiedRecord
+import re
+
+from mtgender.classify import ClassifiedRecord, PronounLexicon
 from mtgender.corpus import GenderLabel, Stereotype
 
 GENDERED = (GenderLabel.MALE, GenderLabel.FEMALE)
+
+_WORD = re.compile(r"\w+")
+
+
+def oracle_classify_gender(
+    target_text: str, lexicon: PronounLexicon | None = None
+) -> tuple[GenderLabel, tuple[str, ...]]:
+    """Label a translation by pronoun presence; returns matches in text order."""
+    lexicon = lexicon or PronounLexicon.default()
+    matched: list[str] = []
+    saw_male = saw_female = False
+    for match in _WORD.finditer(target_text.lower()):
+        token = match.group(0)
+        if token in lexicon.male_tokens:
+            saw_male = True
+            matched.append(token)
+        elif token in lexicon.female_tokens:
+            saw_female = True
+            matched.append(token)
+    if saw_male and saw_female:
+        label = GenderLabel.AMBIGUOUS
+    elif saw_male:
+        label = GenderLabel.MALE
+    elif saw_female:
+        label = GenderLabel.FEMALE
+    else:
+        label = GenderLabel.NEUTRAL
+    return label, tuple(matched)
 
 
 def oracle_class_scores(records: list[ClassifiedRecord], cls: GenderLabel):

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mtgender.backends import MockSpec, TranslationRecord, mock_translate
@@ -14,6 +14,7 @@ from mtgender.classify import (
 from mtgender.corpus import GenderLabel
 
 from conftest import build_winomt_corpus
+from oracles import oracle_classify_gender
 
 
 class TestClassifyGender:
@@ -94,6 +95,51 @@ class TestClassifyGender:
     def test_overlapping_lexicon_rejected(self):
         with pytest.raises(ClassifyError, match="overlap"):
             PronounLexicon(frozenset({"x"}), frozenset({"x"}))
+
+
+# Pieces that put pronouns next to punctuation, case changes, digits, "_" and
+# non-ASCII letters, so word boundaries fall in every kind of place.
+_PRONOUN_PIECES = ["he", "him", "his", "she", "her", "hers", "He", "HIM", "Hers", "SHE"]
+_NEAR_MISSES = ["the", "here", "shed", "hero", "ushers", "therapist", "they"]
+_JOINERS = [" ", ".", ",", "'", "-", "\n", "_", "2", "é", "ß", "İ", "Σ", "\u0301", "ह"]
+_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(_PRONOUN_PIECES + _NEAR_MISSES + _JOINERS),
+        st.text(alphabet="hersimHERSIM_09 .é", max_size=4),
+    ),
+    max_size=20,
+).map("".join)
+_LEXICON_TOKENS = ["he", "him", "his", "she", "her", "hers", "o'neil", "he she",
+                   "elle", "él", "x", "", "ह", "HIS"]
+
+
+class TestOracleEquivalence:
+    """The compiled lexicon regex against the word-by-word scan it replaced."""
+
+    @pytest.mark.parametrize("lexicon", [None, PronounLexicon.strict()],
+                             ids=["default", "strict"])
+    @settings(max_examples=300)
+    @given(text=st.one_of(_TEXT, st.text(max_size=60)))
+    @example(text="_he")
+    @example(text="he2")
+    @example(text="éhe")
+    @example(text="HERS.")
+    @example(text="İhe")
+    def test_builtin_lexicons(self, lexicon, text):
+        assert classify_gender(text, lexicon) == oracle_classify_gender(text, lexicon)
+
+    @settings(max_examples=300)
+    @given(st.dictionaries(st.sampled_from(_LEXICON_TOKENS), st.booleans()), _TEXT)
+    @example({"o'neil": True, "he she": False, "he": True}, "o'neil said he she left")
+    def test_custom_lexicons(self, is_male, text):
+        """Tokens map to male (True) or female (False); multi-word and
+        apostrophe tokens never match, exactly as in the word scan."""
+        lexicon = PronounLexicon(
+            frozenset(t for t, male in is_male.items() if male),
+            frozenset(t for t, male in is_male.items() if not male),
+        )
+        text = text + " " + " ".join(is_male)
+        assert classify_gender(text, lexicon) == oracle_classify_gender(text, lexicon)
 
 
 class TestClassifyBatch:

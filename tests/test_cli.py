@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mtgender
 from mtgender.backends import TranslationStatus, read_translations, write_translations
 from mtgender.cli import EXIT_ABORTED, EXIT_OK, EXIT_PARTIAL, run
 from mtgender.corpus import write_sentences
@@ -356,8 +361,35 @@ class TestReport:
         assert run(["report", str(winomt_report), str(otsc_report)]) == EXIT_ABORTED
         assert "mix suites" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("metrics, complaint", [
+        ({"acc": 1}, "report is missing metrics.delta_g"),
+        ([], "metrics must be an object, not list"),
+    ])
+    def test_malformed_report_is_an_error_not_a_traceback(
+        self, tmp_path, backends_config, capsys, metrics, complaint
+    ):
+        path = self._make_reports(tmp_path, backends_config, ["echo-gold"])[0]
+        payload = read_report(path)
+        payload["metrics"] = metrics
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["report", str(path)]) == EXIT_ABORTED
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err and complaint in err
+
     def test_out_file(self, tmp_path, backends_config):
         paths = self._make_reports(tmp_path, backends_config, ["echo-gold"])
         out = tmp_path / "table.txt"
         assert run(["report", str(paths[0]), "--out", str(out)]) == EXIT_OK
         assert "Acc" in out.read_text(encoding="utf-8")
+
+
+def test_cli_import_leaves_requests_unloaded():
+    """Only the HTTP backend needs requests; the CLI starts without it."""
+    src = str(Path(mtgender.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, mtgender.cli; print(sorted(m for m in sys.modules if m.startswith('requests')))"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"
