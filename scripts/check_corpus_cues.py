@@ -5,7 +5,7 @@ gender cue matching its gold label, and none of the opposite gender?"""
 import argparse
 import sys
 
-from mtgender.corpus import load_winomt_corpus
+from mtgender.corpus import Suite, read_sentences
 from mtgender.resources import data_path
 from mtgender.templates import CueInventory, validate_gender_cues
 
@@ -21,7 +21,7 @@ def main():
 
     cues = CueInventory.from_file(args.cues) if args.cues else CueInventory.from_file(
         data_path("cue_inventory.json"))
-    corpus = load_winomt_corpus(args.corpus)
+    corpus = read_sentences(args.corpus, Suite.WINOMT)
     warnings = 0
     for record in corpus:
         result = validate_gender_cues(record, cues)

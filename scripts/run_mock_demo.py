@@ -8,7 +8,7 @@ from pathlib import Path
 
 from mtgender.backends import BackendConfig, BackendKind, MockSpec, translate_batch
 from mtgender.classify import classify_batch
-from mtgender.corpus import load_neutral_sets, load_occupations, load_winomt_corpus
+from mtgender.corpus import Suite, load_occupations, read_sentences
 from mtgender.metrics import compute_otsc, compute_tgbi_report, compute_winomt
 from mtgender.resources import data_path
 from mtgender.tables import format_otsc_table, format_tgbi_table, format_winomt_table
@@ -39,11 +39,8 @@ def main():
     occupations_path = Path(args.occupations) if args.occupations else data_path(
         "occupations_sample.txt")
     otsc_corpus = expand_otsc(load_occupations(occupations_path))
-    winomt_corpus = load_winomt_corpus(data_path("winomt_sample.jsonl"))
-    neutral_corpus = [
-        s for sentences in load_neutral_sets(data_path("neutral_sample.jsonl")).values()
-        for s in sentences
-    ]
+    winomt_corpus = read_sentences(data_path("winomt_sample.jsonl"), Suite.WINOMT)
+    neutral_corpus = read_sentences(data_path("neutral_sample.jsonl"), Suite.NEUTRAL)
 
     print(f"# OTSC ({len(otsc_corpus)} sentences)")
     otsc_reports = [

@@ -14,9 +14,8 @@ from .corpus import (
     Stereotype,
     Suite,
     assign_stereotype,
-    load_neutral_sets,
     load_occupations,
-    load_winomt_corpus,
+    read_sentences,
 )
 from .templates import CueInventory, OtscTemplate, expand_otsc, render_template, validate_gender_cues
 from .backends import BackendConfig, MockSpec, TranslationRecord, mock_translate, translate_batch
@@ -41,7 +40,7 @@ from .metrics import (
 __all__ = [
     "__version__",
     "GenderLabel", "SourceSentence", "StereotypeLists", "Stereotype", "Suite",
-    "assign_stereotype", "load_neutral_sets", "load_occupations", "load_winomt_corpus",
+    "assign_stereotype", "load_occupations", "read_sentences",
     "CueInventory", "OtscTemplate", "expand_otsc", "render_template", "validate_gender_cues",
     "BackendConfig", "MockSpec", "TranslationRecord", "mock_translate", "translate_batch",
     "ClassifiedRecord", "PronounLexicon", "classify_batch", "classify_gender",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import json
 import logging
+import math
 import os
 import random
 import threading
@@ -22,7 +23,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from .corpus import GenderLabel, SourceSentence, StereotypeLists, Stereotype, assign_stereotype
-from .fileio import read_jsonl, write_jsonl
+from .fileio import from_record, parse_record, to_record, write_jsonl
 
 if TYPE_CHECKING:
     import requests
@@ -42,9 +43,9 @@ class TranslationStatus(enum.Enum):
 @dataclass(frozen=True)
 class TranslationRecord:
     source_id: str
-    target_text: str
-    backend: str
-    status: TranslationStatus
+    target_text: str = ""
+    backend: str = "unknown"
+    status: TranslationStatus = TranslationStatus.OK
     reason: str | None = None
 
     @classmethod
@@ -58,45 +59,29 @@ class TranslationRecord:
         return cls(source_id, "", backend, TranslationStatus.FAILED, reason)
 
 
-def translation_to_record(t: TranslationRecord) -> dict:
-    record: dict = {
-        "source_id": t.source_id,
-        "target_text": t.target_text,
-        "backend": t.backend,
-        "status": t.status.value,
-    }
-    if t.reason is not None:
-        record["reason"] = t.reason
-    return record
-
-
-def translation_from_record(record: Mapping, *, where: str = "") -> TranslationRecord:
-    ctx = f"{where}: " if where else ""
-    try:
-        status = TranslationStatus(record.get("status", "ok"))
-    except ValueError:
-        raise BackendError(f"{ctx}bad status token {record.get('status')!r}") from None
-    source_id = record.get("source_id")
-    if not source_id:
-        raise BackendError(f"{ctx}missing source_id")
-    return TranslationRecord(
-        source_id=source_id,
-        target_text=record.get("target_text", ""),
-        backend=record.get("backend", "unknown"),
-        status=status,
-        reason=record.get("reason"),
-    )
-
-
 def write_translations(path: str | Path, records: Iterable[TranslationRecord]) -> int:
-    return write_jsonl(path, (translation_to_record(r) for r in records))
+    return write_jsonl(path, (to_record(r) for r in records))
 
 
-def read_translations(path: str | Path) -> list[TranslationRecord]:
-    return [
-        translation_from_record(record, where=f"{path}: line {lineno}")
-        for lineno, record in read_jsonl(path)
-    ]
+def read_translations(path: str | Path, lenient: bool = False) -> list[TranslationRecord]:
+    """Read a translations file. With lenient, an unreadable line (such as the
+    last line of an interrupted run's journal, torn mid-write, perhaps inside
+    a character) is logged and skipped instead of aborting the read."""
+    records = []
+    with open(path, encoding="utf-8", errors="replace" if lenient else "strict") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"{path}: line {lineno}"
+            try:
+                record = parse_record(line, where)
+                records.append(from_record(TranslationRecord, record, BackendError, where))
+            except ValueError as exc:
+                if not lenient:
+                    raise
+                logger.warning("%s; line skipped", exc)
+    return records
 
 
 # --------------------------------------------------------------------------
@@ -239,6 +224,22 @@ class BackendConfig:
                 raise BackendError(f"backend {self.name!r}: mock kind requires a mock spec")
 
 
+_JSON_KINDS = {"a number": (int, float), "a string": (str,), "an object": (dict,)}
+
+
+def _option(raw: Mapping[str, Any], key: str, default: Any, expected: str = "a number") -> Any:
+    """raw[key], or default when absent, checked to be what expected names
+    (a key of _JSON_KINDS); null is accepted only where the default is None,
+    and JSON's NaN and Infinity are not numbers here."""
+    value = raw.get(key, default)
+    if value is None and default is None:
+        return None
+    if (isinstance(value, bool) or not isinstance(value, _JSON_KINDS[expected])
+            or (isinstance(value, float) and not math.isfinite(value))):
+        raise BackendError(f"{key} must be {expected}, not {value!r}")
+    return value
+
+
 def backend_config_from_dict(raw: Mapping[str, Any], *, base_dir: Path | None = None) -> BackendConfig:
     """Build a BackendConfig from one entry of the backends config file.
 
@@ -260,42 +261,41 @@ def backend_config_from_dict(raw: Mapping[str, Any], *, base_dir: Path | None = 
         raise BackendError(f"backend {name!r}: unknown kind {raw.get('kind')!r}") from None
 
     mock = None
-    if raw.get("mock") is not None:
-        mock_raw = dict(raw["mock"])
+    mock_raw = _option(raw, "mock", None, "an object")
+    if mock_raw is not None:
         lists = None
-        if "male_list" in mock_raw or "female_list" in mock_raw:
-            try:
-                male_list = resolve(mock_raw.pop("male_list"))
-                female_list = resolve(mock_raw.pop("female_list"))
-            except KeyError:
+        male_list = _option(mock_raw, "male_list", None, "a string")
+        female_list = _option(mock_raw, "female_list", None, "a string")
+        if male_list is not None or female_list is not None:
+            if male_list is None or female_list is None:
                 raise BackendError(
                     f"backend {name!r}: stereotype mock needs both male_list and female_list"
-                ) from None
-            lists = StereotypeLists.from_files(male_list, female_list)
+                )
+            lists = StereotypeLists.from_files(resolve(male_list), resolve(female_list))
         mock = MockSpec(
             kind=mock_raw.get("spec", ""),
-            seed=int(mock_raw.get("seed", 0)),
-            p_male=float(mock_raw.get("p_male", 0.5)),
+            seed=int(_option(mock_raw, "seed", 0)),
+            p_male=float(_option(mock_raw, "p_male", 0.5)),
             lists=lists,
         )
 
-    retry_raw = raw.get("retry", {})
+    retry_raw = _option(raw, "retry", {}, "an object")
     return BackendConfig(
         name=name,
         kind=kind,
-        endpoint=raw.get("endpoint"),
-        auth_env=raw.get("auth_env"),
-        request_template=raw.get("request_template"),
-        replay_path=resolve(raw.get("replay_path")),
+        endpoint=_option(raw, "endpoint", None, "a string"),
+        auth_env=_option(raw, "auth_env", None, "a string"),
+        request_template=_option(raw, "request_template", None, "an object"),
+        replay_path=resolve(_option(raw, "replay_path", None, "a string")),
         mock=mock,
-        batch_size=int(raw.get("batch_size", 32)),
-        max_concurrency=int(raw.get("max_concurrency", 1)),
+        batch_size=int(_option(raw, "batch_size", 32)),
+        max_concurrency=int(_option(raw, "max_concurrency", 1)),
         retry=RetryPolicy(
-            max_attempts=int(retry_raw.get("max_attempts", 3)),
-            backoff_base_ms=int(retry_raw.get("backoff_base_ms", 250)),
+            max_attempts=int(_option(retry_raw, "max_attempts", 3)),
+            backoff_base_ms=int(_option(retry_raw, "backoff_base_ms", 250)),
         ),
-        rate_limit=raw.get("rate_limit"),
-        timeout_s=float(raw.get("timeout_s", 30.0)),
+        rate_limit=_option(raw, "rate_limit", None),
+        timeout_s=float(_option(raw, "timeout_s", 30.0)),
     )
 
 
@@ -308,9 +308,9 @@ def find_backend_entry(path: str | Path, name: str) -> dict[str, Any]:
         raise BackendError(f"{path}: no such config file") from None
     except json.JSONDecodeError as exc:
         raise BackendError(f"{path}: invalid JSON ({exc.msg})") from exc
-    entries = raw.get("backends")
-    if not isinstance(entries, list) or not entries:
-        raise BackendError(f"{path}: config must contain a non-empty 'backends' list")
+    entries = raw.get("backends") if isinstance(raw, dict) else None
+    if not entries or not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise BackendError(f"{path}: config needs a 'backends' list of one or more objects")
     for entry in entries:
         if entry.get("name") == name:
             return entry
@@ -319,8 +319,12 @@ def find_backend_entry(path: str | Path, name: str) -> dict[str, Any]:
 
 
 def load_backend_config(path: str | Path, name: str) -> BackendConfig:
-    """Pick one backend definition by name from a config file."""
-    return backend_config_from_dict(find_backend_entry(path, name), base_dir=Path(path).parent)
+    """Pick one backend definition by name from a config file; errors name the file."""
+    entry = find_backend_entry(path, name)
+    try:
+        return backend_config_from_dict(entry, base_dir=Path(path).parent)
+    except BackendError as exc:
+        raise BackendError(f"{path}: {exc}") from None
 
 
 # --------------------------------------------------------------------------
@@ -463,14 +467,11 @@ def load_replay_map(path: str | Path) -> dict[str, str]:
     if not path.exists():
         raise BackendError(f"{path}: no such replay file")
     replay: dict[str, str] = {}
-    for lineno, record in read_jsonl(path):
-        if record.get("status", "ok") != "ok":
-            continue
-        source_id = record.get("source_id")
-        target = record.get("target_text")
-        if not source_id or not isinstance(target, str):
-            raise BackendError(f"{path}: line {lineno}: needs source_id and target_text")
-        replay[source_id] = target
+    for record in read_translations(path):
+        if record.status is TranslationStatus.OK:
+            if not record.target_text:
+                raise BackendError(f"{path}: record {record.source_id!r}: missing target_text")
+            replay[record.source_id] = record.target_text
     return replay
 
 

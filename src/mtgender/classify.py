@@ -74,14 +74,21 @@ class PronounLexicon:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PronounLexicon":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
         try:
-            return cls(
-                male_tokens=frozenset(t.lower() for t in raw["male_tokens"]),
-                female_tokens=frozenset(t.lower() for t in raw["female_tokens"]),
-            )
-        except KeyError as exc:
-            raise ClassifyError(f"{path}: missing token list {exc.args[0]!r}") from None
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ClassifyError(f"{path}: invalid JSON ({exc.msg})") from None
+        if not isinstance(raw, dict):
+            raise ClassifyError(f"{path}: lexicon must be an object, not {type(raw).__name__}")
+        token_sets = {}
+        for key in ("male_tokens", "female_tokens"):
+            if key not in raw:
+                raise ClassifyError(f"{path}: missing token list {key!r}")
+            tokens = raw[key]
+            if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+                raise ClassifyError(f"{path}: {key} must be a list of strings")
+            token_sets[key] = frozenset(t.lower() for t in tokens)
+        return cls(**token_sets)
 
 
 _DEFAULT_LEXICON = PronounLexicon.default()

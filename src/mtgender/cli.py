@@ -15,18 +15,15 @@ import json
 import logging
 import sys
 from dataclasses import asdict, fields, replace
-from itertools import chain
 from pathlib import Path
 from typing import Any, get_type_hints
 
 from .backends import (
-    BackendError,
     TranslationStatus,
-    backend_config_from_dict,
     find_backend_entry,
+    load_backend_config,
     read_translations,
     translate_batch,
-    translation_to_record,
     write_translations,
 )
 from .classify import ClassifyError, PronounLexicon, classify_batch
@@ -35,14 +32,11 @@ from .corpus import (
     StereotypeLists,
     Suite,
     assign_stereotype,
-    load_neutral_sets,
     load_occupations,
-    load_otsc_corpus,
-    load_winomt_corpus,
     read_sentences,
     write_sentences,
 )
-from .fileio import atomic_write_text, dumps_record, sha256_text
+from .fileio import atomic_write_text, dumps_record, sha256_text, to_record
 from .manifest import (
     RunManifest,
     derive_run_id,
@@ -219,48 +213,27 @@ def cmd_generate(args: argparse.Namespace) -> int:
 # translate
 
 
-def _read_journal(path: Path):
-    """Lenient read of an interrupted run's journal: a torn final line (crash
-    mid-write) is skipped rather than fatal."""
-    if not path.exists():
-        return []
-    from .backends import translation_from_record
-
-    records = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            records.append(translation_from_record(json.loads(line)))
-        except (json.JSONDecodeError, BackendError):
-            logger.warning("%s: line %d is unreadable, retranslating that item", path, lineno)
-    return records
-
-
 def cmd_translate(args: argparse.Namespace) -> int:
     default_suite = Suite(args.suite) if args.suite else None
     sentences = read_sentences(args.sentences, default_suite)
-    entry = find_backend_entry(args.config, args.backend)
-    config = backend_config_from_dict(entry, base_dir=Path(args.config).parent)
-    config_hash = sha256_text(dumps_record(entry))[:16]
+    config = load_backend_config(args.config, args.backend)
+    config_hash = sha256_text(dumps_record(find_backend_entry(args.config, args.backend)))[:16]
 
     out = Path(args.out)
     journal = Path(str(out) + ".partial")
     if args.fresh:
         journal.unlink(missing_ok=True)
 
-    done = {}
+    previous = []
     if not args.fresh:
         if out.exists():
-            for record in read_translations(out):
-                if record.status is TranslationStatus.OK:
-                    done[record.source_id] = record
-        for record in _read_journal(journal):
-            if record.status is TranslationStatus.OK:
-                done[record.source_id] = record
+            previous = read_translations(out)
+        if journal.exists():
+            # a crash mid-write can leave the journal's last line torn
+            previous += read_translations(journal, lenient=True)
     known_ids = {s.id for s in sentences}
-    done = {sid: rec for sid, rec in done.items() if sid in known_ids}
+    done = {r.source_id: r for r in previous
+            if r.status is TranslationStatus.OK and r.source_id in known_ids}
 
     pending = [s for s in sentences if s.id not in done]
     fresh_records = {}
@@ -269,7 +242,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
 
             def flush(batch):
                 for record in batch:
-                    journal_fh.write(dumps_record(translation_to_record(record)) + "\n")
+                    journal_fh.write(dumps_record(to_record(record)) + "\n")
                 journal_fh.flush()
 
             results = translate_batch(pending, config, on_batch=flush)
@@ -313,14 +286,6 @@ def cmd_translate(args: argparse.Namespace) -> int:
 # evaluate
 
 
-def _load_suite_sentences(path: str, suite: Suite):
-    if suite is Suite.OTSC:
-        return load_otsc_corpus(path)
-    if suite is Suite.WINOMT:
-        return load_winomt_corpus(path)
-    return list(chain.from_iterable(load_neutral_sets(path).values()))
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     suite = Suite(args.suite)
 
@@ -339,7 +304,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         else:
             logger.info(message)
 
-    sentences = _load_suite_sentences(args.sentences, suite)
+    sentences = read_sentences(args.sentences, suite)
     translations = read_translations(args.translations)
 
     sentence_ids = {s.id for s in sentences}

@@ -17,9 +17,9 @@ import enum
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .fileio import contains_devanagari, read_jsonl, write_jsonl
+from .fileio import contains_devanagari, from_record, read_jsonl, to_record, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -40,13 +40,6 @@ class GenderLabel(enum.Enum):
     @property
     def initial(self) -> str:
         return {"male": "M", "female": "F"}[self.value]
-
-    @classmethod
-    def from_token(cls, token: str) -> "GenderLabel":
-        try:
-            return cls(token)
-        except ValueError:
-            raise CorpusError(f"unknown gender token {token!r}") from None
 
 
 #: Gold labels carried by corpus files; Neutral/Ambiguous exist only as
@@ -158,90 +151,30 @@ def validate_sentence(sentence: SourceSentence, *, where: str = "") -> None:
             )
 
 
-def sentence_to_record(sentence: SourceSentence) -> dict:
-    """Serialize to the line-delimited record form; None fields are omitted."""
-    record: dict = {
-        "id": sentence.id,
-        "text": sentence.text,
-        "suite": sentence.suite.value,
-        "set_id": sentence.set_id,
-    }
-    if sentence.gold_gender is not None:
-        record["gold_gender"] = sentence.gold_gender.value
-    if sentence.speaker_gender is not None:
-        record["speaker_gender"] = sentence.speaker_gender.value
-    if sentence.occupation is not None:
-        record["occupation"] = sentence.occupation
-    if sentence.stereotype is not None:
-        record["stereotype"] = sentence.stereotype.value
-    if sentence.referenced_entity is not None:
-        record["referenced_entity"] = sentence.referenced_entity.value
-    return record
-
-
-def sentence_from_record(
-    record: Mapping, *, default_suite: Suite | None = None, where: str = ""
-) -> SourceSentence:
-    ctx = f"{where}: " if where else ""
-
-    def required(key: str) -> str:
-        value = record.get(key)
-        if value is None or value == "":
-            raise CorpusError(f"{ctx}record {record.get('id', '?')!r}: missing field {key!r}")
-        if not isinstance(value, str):
-            raise CorpusError(f"{ctx}record {record.get('id', '?')!r}: field {key!r} must be a string")
-        return value
-
-    suite_token = record.get("suite")
-    if suite_token is None:
-        if default_suite is None:
-            raise CorpusError(f"{ctx}record {record.get('id', '?')!r}: missing field 'suite'")
-        suite = default_suite
-    else:
-        try:
-            suite = Suite(suite_token)
-        except ValueError:
-            raise CorpusError(f"{ctx}unknown suite token {suite_token!r}") from None
-        if default_suite is not None and suite is not default_suite:
-            raise CorpusError(
-                f"{ctx}record {record.get('id', '?')!r}: suite {suite.value!r} does not "
-                f"match expected {default_suite.value!r}"
-            )
-
-    def enum_field(key: str, parse):
-        token = record.get(key)
-        if token is None:
-            return None
-        try:
-            return parse(token)
-        except (ValueError, CorpusError):
-            raise CorpusError(
-                f"{ctx}record {record.get('id', '?')!r}: bad {key} token {token!r}"
-            ) from None
-
-    return SourceSentence(
-        id=required("id"),
-        text=required("text"),
-        suite=suite,
-        set_id=required("set_id"),
-        gold_gender=enum_field("gold_gender", GenderLabel),
-        speaker_gender=enum_field("speaker_gender", GenderLabel),
-        occupation=record.get("occupation"),
-        stereotype=enum_field("stereotype", Stereotype),
-        referenced_entity=enum_field("referenced_entity", ReferencedEntity),
-    )
-
-
 def write_sentences(path: str | Path, sentences: Iterable[SourceSentence]) -> int:
-    return write_jsonl(path, (sentence_to_record(s) for s in sentences))
+    return write_jsonl(path, (to_record(s) for s in sentences))
 
 
-def _read_validated(path: str | Path, default_suite: Suite | None) -> list[SourceSentence]:
+def read_sentences(path: str | Path, suite: Suite | None = None) -> list[SourceSentence]:
+    """Read and validate a sentence file of any suite.
+
+    Records may carry their suite inline (generated files always do); suite,
+    when given, supplies it for records without one and rejects records of
+    another suite. Neutral set ids outside the canonical S1..S7 are accepted
+    with one warning per set.
+    """
     sentences: list[SourceSentence] = []
     seen_ids: dict[str, int] = {}
     for lineno, record in read_jsonl(path):
         where = f"{path}: line {lineno}"
-        sentence = sentence_from_record(record, default_suite=default_suite, where=where)
+        if suite is not None and record.get("suite") is None:
+            record["suite"] = suite.value
+        sentence = from_record(SourceSentence, record, CorpusError, where)
+        if suite is not None and sentence.suite is not suite:
+            raise CorpusError(
+                f"{where}: record {sentence.id!r}: suite {sentence.suite.value!r} does not "
+                f"match expected {suite.value!r}"
+            )
         validate_sentence(sentence, where=where)
         if sentence.id in seen_ids:
             raise CorpusError(
@@ -250,47 +183,12 @@ def _read_validated(path: str | Path, default_suite: Suite | None) -> list[Sourc
             )
         seen_ids[sentence.id] = lineno
         sentences.append(sentence)
-    return sentences
-
-
-def read_sentences(path: str | Path, default_suite: Suite | None = None) -> list[SourceSentence]:
-    """Suite-agnostic reader for pipeline sentence files.
-
-    Records may carry their suite inline (generated files always do); for
-    hand-authored files without one, default_suite supplies it.
-    """
-    sentences = _read_validated(path, default_suite)
     if not sentences:
         raise CorpusError(f"{path}: no records found")
+    for set_id in dict.fromkeys(s.set_id for s in sentences if s.suite is Suite.NEUTRAL):
+        if set_id not in NEUTRAL_SET_IDS:
+            logger.warning("%s: set id %r is outside the canonical S1..S7", path, set_id)
     return sentences
-
-
-def load_winomt_corpus(path: str | Path) -> list[SourceSentence]:
-    """Load and validate a WinoMT-style challenge corpus; record count is preserved."""
-    return read_sentences(path, Suite.WINOMT)
-
-
-def load_otsc_corpus(path: str | Path) -> list[SourceSentence]:
-    """Load a generated OTSC sentence file (output of the generate stage)."""
-    return read_sentences(path, Suite.OTSC)
-
-
-def load_neutral_sets(path: str | Path) -> dict[str, list[SourceSentence]]:
-    """Load gender-neutral sentence sets, keyed by set_id.
-
-    Set ids outside the canonical S1..S7 are accepted with a warning. Records
-    carrying a gold gender are rejected.
-    """
-    sets: dict[str, list[SourceSentence]] = {}
-    for sentence in _read_validated(path, Suite.NEUTRAL):
-        if sentence.set_id not in NEUTRAL_SET_IDS and sentence.set_id not in sets:
-            logger.warning(
-                "%s: set id %r is outside the canonical S1..S7", path, sentence.set_id
-            )
-        sets.setdefault(sentence.set_id, []).append(sentence)
-    if not sets:
-        raise CorpusError(f"{path}: no sets found")
-    return sets
 
 
 def load_occupations(path: str | Path) -> list[str]:

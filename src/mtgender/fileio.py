@@ -1,14 +1,20 @@
-"""Shared file plumbing: JSONL records, atomic writes, digests, Devanagari helpers."""
+"""Shared file plumbing: JSONL records and their dataclass codec, atomic writes,
+digests, Devanagari helpers."""
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+import functools
 import hashlib
 import json
 import os
 import re
 import tempfile
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, TypeVar, get_args, get_type_hints
+
+T = TypeVar("T")
 
 # Devanagari block minus punctuation (danda, double danda, abbreviation sign).
 _DEVANAGARI_WORD = re.compile(r"[ऀ-ॣ०-९ॱ-ॿ]+")
@@ -24,24 +30,81 @@ def devanagari_tokens(text: str) -> list[str]:
     return _DEVANAGARI_WORD.findall(text)
 
 
-def read_jsonl(path: str | os.PathLike) -> Iterator[tuple[int, dict[str, Any]]]:
-    """Yield (line_number, record) for every non-blank line of a JSONL file.
+def parse_record(line: str, where: str) -> dict[str, Any]:
+    """Parse one JSONL line; raises ValueError naming where on malformed JSON
+    or a non-object line."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: invalid JSON ({exc.msg})") from exc
+    if not isinstance(record, dict):
+        raise ValueError(f"{where}: expected a JSON object")
+    return record
 
-    Raises ValueError with the offending line number on malformed JSON or
-    non-object lines.
-    """
+
+def read_jsonl(path: str | os.PathLike) -> Iterator[tuple[int, dict[str, Any]]]:
+    """Yield (line_number, record) for every non-blank line of a JSONL file."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
-                continue
+            if line:
+                yield lineno, parse_record(line, f"{path}: line {lineno}")
+
+
+@functools.cache
+def _fields_plan(cls: type) -> tuple[tuple[str, type, dict | None, bool], ...]:
+    """(name, type, enum members by token or None, required) per field of a flat
+    dataclass, whose fields are each a str or an enum, optionally "| None"."""
+    hints = get_type_hints(cls)
+    plan = []
+    for f in dataclasses.fields(cls):
+        kind = next((a for a in get_args(hints[f.name]) if a is not type(None)), hints[f.name])
+        members = {m.value: m for m in kind} if issubclass(kind, enum.Enum) else None
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        plan.append((f.name, kind, members, required))
+    return tuple(plan)
+
+
+def to_record(obj: Any) -> dict[str, Any]:
+    """A flat dataclass as a JSON object: enums as their value, None fields left out."""
+    record = {}
+    for name, _, members, _ in _fields_plan(type(obj)):
+        value = getattr(obj, name)
+        if value is not None:
+            record[name] = value if members is None else value.value
+    return record
+
+
+def from_record(cls: type[T], record: dict[str, Any], error: type[Exception], where: str) -> T:
+    """Build the flat dataclass cls from a JSON object, checked against its annotations.
+
+    A required field (one without a default) that is absent, null or "" is
+    missing; an enum field is parsed from its token; any other field must be
+    an instance of its type. An absent or null optional field takes its
+    default. Raises error naming where and the record by its first field.
+    """
+    plan = _fields_plan(cls)
+    values = {}
+    for name, kind, members, required in plan:
+        value = record.get(name)
+        if value is None or (required and value == ""):
+            if required:
+                problem = f"missing field {name!r}"
+                break
+            continue
+        if members is not None:
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(record, dict):
-                raise ValueError(f"{path}: line {lineno}: expected a JSON object")
-            yield lineno, record
+                value = members[value]
+            except (KeyError, TypeError):
+                problem = f"bad {name} token {value!r}"
+                break
+        elif not isinstance(value, kind):
+            problem = f"field {name!r} must be a {kind.__name__}"
+            break
+        values[name] = value
+    else:
+        return cls(**values)
+    raise error(f"{where}: record {record.get(plan[0][0], '?')!r}: {problem}")
 
 
 def dumps_record(record: dict[str, Any]) -> str:

@@ -10,7 +10,7 @@ and reports byte-reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -50,20 +50,6 @@ class RunManifest:
         default_factory=lambda: datetime.now(timezone.utc).isoformat(timespec="seconds")
     )
 
-    def to_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "tool": self.tool,
-            "version": self.version,
-            "command": self.command,
-            "suite": self.suite,
-            "created_utc": self.created_utc,
-            "backend": self.backend,
-            "inputs": self.inputs,
-            "output": self.output,
-            "counts": self.counts,
-        }
-
 
 def sidecar_path(output_path: str | Path) -> Path:
     return Path(str(output_path) + ".manifest.json")
@@ -71,7 +57,7 @@ def sidecar_path(output_path: str | Path) -> Path:
 
 def write_sidecar(manifest: RunManifest) -> Path:
     path = sidecar_path(manifest.output["path"])
-    atomic_write_text(path, json.dumps(manifest.to_dict(), ensure_ascii=False, indent=2,
+    atomic_write_text(path, json.dumps(asdict(manifest), ensure_ascii=False, indent=2,
                                        sort_keys=True) + "\n")
     return path
 

@@ -18,12 +18,11 @@ from mtgender.backends import (
     mock_translate,
     read_translations,
     translate_batch,
-    translation_from_record,
-    translation_to_record,
     write_translations,
 )
 from mtgender.classify import classify_gender
 from mtgender.corpus import GenderLabel, SourceSentence, Suite
+from mtgender.fileio import from_record, to_record
 from mtgender.templates import expand_otsc
 
 from conftest import FEMALE_OCC, MALE_OCC, build_winomt_corpus
@@ -281,7 +280,8 @@ class TestTranslationRecordSerialization:
             TranslationRecord.ok("a", "He is here.", "x"),
             TranslationRecord.failed("b", "x", "HTTP 500"),
         ]
-        assert [translation_from_record(translation_to_record(r)) for r in records] == records
+        assert [from_record(TranslationRecord, to_record(r), BackendError, "test")
+                for r in records] == records
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "tr.jsonl"

@@ -92,6 +92,20 @@ class TestClassifyGender:
         lexicon = PronounLexicon.from_file(path)
         assert classify_gender("elle est partie", lexicon)[0] is GenderLabel.FEMALE
 
+    @pytest.mark.parametrize("content, complaint", [
+        ('{"male_tokens": ["he", 5], "female_tokens": ["she"]}', "male_tokens must be a list of strings"),
+        ('{"male_tokens": ["he"], "female_tokens": "she"}', "female_tokens must be a list of strings"),
+        ('[["he"], ["she"]]', "lexicon must be an object, not list"),
+        ('{"male_tokens": ["he"]', "invalid JSON"),
+        ('{"male_tokens": ["he"]}', "missing token list 'female_tokens'"),
+    ])
+    def test_malformed_lexicon_file_names_the_file(self, tmp_path, content, complaint):
+        path = tmp_path / "pronouns.json"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(ClassifyError) as excinfo:
+            PronounLexicon.from_file(path)
+        assert str(excinfo.value).startswith(f"{path}: ") and complaint in str(excinfo.value)
+
     def test_overlapping_lexicon_rejected(self):
         with pytest.raises(ClassifyError, match="overlap"):
             PronounLexicon(frozenset({"x"}), frozenset({"x"}))

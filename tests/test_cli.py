@@ -156,6 +156,22 @@ class TestTranslate:
         assert not journal.exists()
         assert out.read_bytes() == clean.read_bytes()
 
+    def test_journal_torn_inside_a_character_is_reused(self, tmp_path, otsc_setup,
+                                                       backends_config, capsys):
+        _, sentences = otsc_setup
+        clean = tmp_path / "clean.jsonl"
+        assert run(["translate", "--sentences", str(sentences), "--config",
+                    str(backends_config), "--backend", "echo-gold", "--out", str(clean)]) == EXIT_OK
+        out = tmp_path / "tr.jsonl"
+        journal = tmp_path / "tr.jsonl.partial"
+        torn = '{"source_id": "otsc-डॉक्टर'.encode("utf-8")[:-1]  # cut inside a character
+        journal.write_bytes(b"".join(clean.read_bytes().splitlines(keepends=True)[:5]) + torn)
+        code = run(["translate", "--sentences", str(sentences), "--config",
+                    str(backends_config), "--backend", "echo-gold", "--out", str(out)])
+        assert code == EXIT_OK
+        assert "5 reused" in capsys.readouterr().out
+        assert out.read_bytes() == clean.read_bytes()
+
     def test_malformed_sentences_abort(self, tmp_path, backends_config, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"id": "x1", "text": \n', encoding="utf-8")
@@ -180,6 +196,31 @@ class TestTranslate:
         assert run(["translate", "--sentences", str(sentences), "--config",
                     str(backends_config), "--backend", "nope", "--out",
                     str(out)]) == EXIT_ABORTED
+
+    @pytest.mark.parametrize("config, complaint", [
+        ({"backends": [{"name": "m", "kind": "mock", "mock": {"spec": "echo_gold"},
+                        "rate_limit": "5"}]}, "rate_limit must be a number, not '5'"),
+        ({"backends": [{"name": "m", "kind": "mock", "mock": {"spec": "echo_gold"},
+                        "timeout_s": None}]}, "timeout_s must be a number, not None"),
+        ({"backends": [{"name": "m", "kind": "mock", "mock": {"spec": "echo_gold"},
+                        "retry": []}]}, "retry must be an object, not []"),
+        ({"backends": [{"name": "m", "kind": "mock", "mock": {"spec": "echo_gold"},
+                        "batch_size": float("inf")}]}, "batch_size must be a number, not inf"),
+        ({"backends": [{"name": "m", "kind": "file_replay", "replay_path": 5}]},
+         "replay_path must be a string, not 5"),
+        ({"backends": ["m"]}, "config needs a 'backends' list of one or more objects"),
+        ([{"name": "m"}], "config needs a 'backends' list of one or more objects"),
+    ])
+    def test_malformed_config_is_an_error_not_a_traceback(
+        self, tmp_path, otsc_setup, capsys, config, complaint
+    ):
+        _, sentences = otsc_setup
+        path = tmp_path / "bad-config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert run(["translate", "--sentences", str(sentences), "--config", str(path),
+                    "--backend", "m", "--out", str(tmp_path / "tr.jsonl")]) == EXIT_ABORTED
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and complaint in err
 
     def test_winomt_sample_needs_suite_flag(self, tmp_path, backends_config):
         out = tmp_path / "tr.jsonl"
@@ -304,6 +345,37 @@ class TestEvaluate:
         assert run(["evaluate", "--sentences", str(sentences), "--translations",
                     str(translations), "--suite", "otsc", "--out", str(tmp_path / "r.json"),
                     "--male-stereotypes", "x.txt"]) == EXIT_ABORTED
+
+    @pytest.mark.parametrize("edit, field", [
+        ("translations", "target_text"),
+        ("translations", "backend"),
+        ("sentences", "occupation"),
+    ])
+    def test_mistyped_field_is_an_error_not_a_traceback(
+        self, tmp_path, backends_config, capsys, edit, field
+    ):
+        sentences = tmp_path / "winomt.jsonl"
+        write_sentences(sentences, build_winomt_corpus(8))
+        translations = self._translate(sentences, backends_config, tmp_path,
+                                        backend="echo-gold", suite="winomt")
+        target = sentences if edit == "sentences" else translations
+        lines = target.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[2])
+        record[field] = ["x"] if field == "occupation" else 5
+        lines[2] = json.dumps(record, ensure_ascii=False)
+        target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        male_list = tmp_path / "male.txt"
+        female_list = tmp_path / "female.txt"
+        male_list.write_text("मैकेनिक\n", encoding="utf-8")
+        female_list.write_text("नर्स\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["evaluate", "--sentences", str(sentences), "--translations",
+                    str(translations), "--suite", "winomt", "--out", str(tmp_path / "r.json"),
+                    "--no-verify", "--male-stereotypes", str(male_list),
+                    "--female-stereotypes", str(female_list)]) == EXIT_ABORTED
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {target}: line 3: record ")
+        assert f"field {field!r} must be a str" in err
 
     def test_table_file_written(self, tmp_path, otsc_setup, backends_config):
         _, sentences = otsc_setup

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,17 +13,13 @@ from mtgender.corpus import (
     StereotypeLists,
     Suite,
     assign_stereotype,
-    load_neutral_sets,
     load_occupations,
-    load_otsc_corpus,
-    load_winomt_corpus,
     read_sentences,
-    sentence_from_record,
-    sentence_to_record,
     validate_sentence,
     write_sentences,
 )
-from mtgender.fileio import dumps_record
+from mtgender.backends import TranslationRecord, TranslationStatus
+from mtgender.fileio import dumps_record, from_record, to_record
 from mtgender.resources import data_path
 
 from conftest import build_winomt_corpus, dev_digits
@@ -80,7 +78,7 @@ class TestLoadOccupations:
 
 class TestLoadWinomt:
     def test_bundled_sample(self):
-        records = load_winomt_corpus(data_path("winomt_sample.jsonl"))
+        records = read_sentences(data_path("winomt_sample.jsonl"), Suite.WINOMT)
         assert len(records) == 20
         assert all(r.suite is Suite.WINOMT for r in records)
         assert sum(1 for r in records if r.gold_gender is GenderLabel.FEMALE) == 10
@@ -90,7 +88,7 @@ class TestLoadWinomt:
         lists = StereotypeLists.from_files(
             data_path("stereotypes_male.txt"), data_path("stereotypes_female.txt")
         )
-        for record in load_winomt_corpus(data_path("winomt_sample.jsonl")):
+        for record in read_sentences(data_path("winomt_sample.jsonl"), Suite.WINOMT):
             assert record.stereotype is assign_stereotype(
                 record.occupation, record.gold_gender, lists
             )
@@ -110,7 +108,7 @@ class TestLoadWinomt:
                 "set_id": "main",
             }))
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        assert len(load_winomt_corpus(path)) == 704
+        assert len(read_sentences(path, Suite.WINOMT)) == 704
 
     def test_neutral_gold_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -120,7 +118,7 @@ class TestLoadWinomt:
             "referenced_entity": "entity1", "set_id": "main",
         }) + "\n", encoding="utf-8")
         with pytest.raises(CorpusError, match="male or female"):
-            load_winomt_corpus(path)
+            read_sentences(path, Suite.WINOMT)
 
     @pytest.mark.parametrize("missing", ["id", "text", "gold_gender", "stereotype",
                                           "occupation", "referenced_entity", "set_id"])
@@ -134,7 +132,7 @@ class TestLoadWinomt:
         path = tmp_path / "bad.jsonl"
         path.write_text(dumps_record(record) + "\n", encoding="utf-8")
         with pytest.raises(CorpusError):
-            load_winomt_corpus(path)
+            read_sentences(path, Suite.WINOMT)
 
     def test_bad_stereotype_token(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -144,7 +142,7 @@ class TestLoadWinomt:
             "referenced_entity": "entity1", "set_id": "main",
         }) + "\n", encoding="utf-8")
         with pytest.raises(CorpusError, match="bad stereotype token"):
-            load_winomt_corpus(path)
+            read_sentences(path, Suite.WINOMT)
 
     def test_duplicate_id(self, tmp_path):
         record = {
@@ -156,7 +154,7 @@ class TestLoadWinomt:
         path.write_text(dumps_record(record) + "\n" + dumps_record(record) + "\n",
                         encoding="utf-8")
         with pytest.raises(CorpusError, match="duplicate id"):
-            load_winomt_corpus(path)
+            read_sentences(path, Suite.WINOMT)
 
     def test_error_carries_line_number(self, tmp_path):
         good = dumps_record({
@@ -168,7 +166,7 @@ class TestLoadWinomt:
         path = tmp_path / "bad.jsonl"
         path.write_text(good + "\n" + bad + "\n", encoding="utf-8")
         with pytest.raises(CorpusError, match="line 2"):
-            load_winomt_corpus(path)
+            read_sentences(path, Suite.WINOMT)
 
     def test_text_without_devanagari_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -178,7 +176,7 @@ class TestLoadWinomt:
             "referenced_entity": "entity1", "set_id": "main",
         }) + "\n", encoding="utf-8")
         with pytest.raises(CorpusError, match="no Devanagari"):
-            load_winomt_corpus(path)
+            read_sentences(path, Suite.WINOMT)
 
 
 # --------------------------------------------------------------------------
@@ -195,14 +193,13 @@ class TestLoadNeutralSets:
         path = tmp_path / "neutral.jsonl"
         lines = [_neutral_line(f"S{k}", i) for k in range(1, 8) for i in range(10)]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        sets = load_neutral_sets(path)
-        assert sorted(sets) == [f"S{k}" for k in range(1, 8)]
-        assert all(len(v) == 10 for v in sets.values())
-        assert all(s.gold_gender is None for v in sets.values() for s in v)
+        sentences = read_sentences(path, Suite.NEUTRAL)
+        assert Counter(s.set_id for s in sentences) == {f"S{k}": 10 for k in range(1, 8)}
+        assert all(s.gold_gender is None for s in sentences)
 
     def test_bundled_sample(self):
-        sets = load_neutral_sets(data_path("neutral_sample.jsonl"))
-        assert sorted(sets) == [f"S{k}" for k in range(1, 8)]
+        sentences = read_sentences(data_path("neutral_sample.jsonl"), Suite.NEUTRAL)
+        assert sorted({s.set_id for s in sentences}) == [f"S{k}" for k in range(1, 8)]
 
     def test_gold_gender_rejected(self, tmp_path):
         path = tmp_path / "neutral.jsonl"
@@ -210,20 +207,20 @@ class TestLoadNeutralSets:
             "id": "n1", "set_id": "S1", "text": "वह ठीक है", "gold_gender": "male",
         }) + "\n", encoding="utf-8")
         with pytest.raises(CorpusError, match="n1"):
-            load_neutral_sets(path)
+            read_sentences(path, Suite.NEUTRAL)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "neutral.jsonl"
         path.write_text("", encoding="utf-8")
-        with pytest.raises(CorpusError, match="no sets found"):
-            load_neutral_sets(path)
+        with pytest.raises(CorpusError, match="no records found"):
+            read_sentences(path, Suite.NEUTRAL)
 
     def test_noncanonical_set_warned_but_kept(self, tmp_path, caplog):
         path = tmp_path / "neutral.jsonl"
         path.write_text(_neutral_line("S9", 0) + "\n", encoding="utf-8")
         with caplog.at_level("WARNING"):
-            sets = load_neutral_sets(path)
-        assert list(sets) == ["S9"]
+            sentences = read_sentences(path, Suite.NEUTRAL)
+        assert [s.set_id for s in sentences] == ["S9"]
         assert any("S9" in m for m in caplog.messages)
 
 
@@ -253,24 +250,24 @@ class TestAssignStereotype:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("name,loader", [
-        ("winomt_sample.jsonl", load_winomt_corpus),
-        ("neutral_sample.jsonl", lambda p: [s for v in load_neutral_sets(p).values() for s in v]),
+    @pytest.mark.parametrize("name,suite", [
+        ("winomt_sample.jsonl", Suite.WINOMT),
+        ("neutral_sample.jsonl", Suite.NEUTRAL),
     ])
-    def test_bundled_files_round_trip(self, tmp_path, name, loader):
-        original = loader(data_path(name))
+    def test_bundled_files_round_trip(self, tmp_path, name, suite):
+        original = read_sentences(data_path(name), suite)
         out = tmp_path / "copy.jsonl"
         write_sentences(out, original)
         assert read_sentences(out) == original
 
     def test_loader_determinism(self):
         path = data_path("winomt_sample.jsonl")
-        assert load_winomt_corpus(path) == load_winomt_corpus(path)
+        assert read_sentences(path, Suite.WINOMT) == read_sentences(path, Suite.WINOMT)
 
     def test_synthetic_corpus_round_trip(self, tmp_path, winomt_corpus_400):
         out = tmp_path / "syn.jsonl"
         write_sentences(out, winomt_corpus_400)
-        assert load_winomt_corpus(out) == winomt_corpus_400
+        assert read_sentences(out, Suite.WINOMT) == winomt_corpus_400
 
     def test_otsc_loader_accepts_generated_records(self, tmp_path):
         sentence = SourceSentence(
@@ -284,7 +281,7 @@ class TestRoundTrip:
         )
         out = tmp_path / "otsc.jsonl"
         write_sentences(out, [sentence])
-        assert load_otsc_corpus(out) == [sentence]
+        assert read_sentences(out, Suite.OTSC) == [sentence]
 
     def test_otsc_quadrant_consistency_enforced(self):
         sentence = SourceSentence(
@@ -319,10 +316,22 @@ def winomt_sentences(draw):
     )
 
 
+@st.composite
+def translation_records(draw):
+    status = draw(st.sampled_from(list(TranslationStatus)))
+    return TranslationRecord(
+        source_id=draw(st.text(min_size=1, max_size=8)),
+        target_text=draw(st.text(max_size=20)),
+        backend=draw(st.text(min_size=1, max_size=8)),
+        status=status,
+        reason=draw(st.text(min_size=1, max_size=8)) if status is TranslationStatus.FAILED else None,
+    )
+
+
 @settings(max_examples=50)
-@given(winomt_sentences())
-def test_record_round_trip_property(sentence):
-    assert sentence_from_record(sentence_to_record(sentence)) == sentence
+@given(st.one_of(winomt_sentences(), translation_records()))
+def test_record_round_trip_property(record):
+    assert from_record(type(record), to_record(record), ValueError, "round trip") == record
 
 
 def test_build_winomt_corpus_is_valid():

@@ -14,7 +14,7 @@ from mtgender.templates import (
     render_template,
     validate_gender_cues,
 )
-from mtgender.corpus import load_winomt_corpus
+from mtgender.corpus import Suite, read_sentences
 
 # Hand-rendered from the bundled template before the expansion engine existed.
 GOLDEN_MM = "मैं उसे काफी समय से जानता हूँ, मेरा दोस्त डॉक्टर का काम करता है।"
@@ -169,7 +169,7 @@ class TestExpandOtsc:
 
 class TestCueValidation:
     def test_pass_on_gold_cue(self):
-        corpus = load_winomt_corpus(data_path("winomt_sample.jsonl"))
+        corpus = read_sentences(data_path("winomt_sample.jsonl"), Suite.WINOMT)
         cues = CueInventory.default()
         for record in corpus:
             result = validate_gender_cues(record, cues)
@@ -177,7 +177,7 @@ class TestCueValidation:
             assert result.matched_gold
 
     def test_both_genders_warn(self):
-        corpus = load_winomt_corpus(data_path("winomt_sample.jsonl"))
+        corpus = read_sentences(data_path("winomt_sample.jsonl"), Suite.WINOMT)
         record = corpus[1]  # gold male
         cues = CueInventory(frozenset({"पूछता"}), frozenset({"मदद"}))
         result = validate_gender_cues(record, cues)
@@ -186,7 +186,7 @@ class TestCueValidation:
         assert "पूछता" in result.matched_gold
 
     def test_no_cue_warns(self):
-        corpus = load_winomt_corpus(data_path("winomt_sample.jsonl"))
+        corpus = read_sentences(data_path("winomt_sample.jsonl"), Suite.WINOMT)
         cues = CueInventory(frozenset({"क़ख़"}), frozenset({"ग़घ़"}))
         result = validate_gender_cues(corpus[0], cues)
         assert not result.ok
