@@ -20,13 +20,11 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .corpus import GenderLabel, SourceSentence, StereotypeLists, Stereotype, assign_stereotype
 from .fileio import from_record, parse_record, to_record, write_jsonl
-
-if TYPE_CHECKING:
-    import requests
+from .manifest import tool_version
 
 logger = logging.getLogger(__name__)
 
@@ -280,12 +278,16 @@ def backend_config_from_dict(raw: Mapping[str, Any], *, base_dir: Path | None = 
         )
 
     retry_raw = _option(raw, "retry", {}, "an object")
+    template = _option(raw, "request_template", None, "an object")
+    if template is not None:
+        _option(template, "headers", {}, "an object")
+        _option(template, "response_path", "", "a string")
     return BackendConfig(
         name=name,
         kind=kind,
         endpoint=_option(raw, "endpoint", None, "a string"),
         auth_env=_option(raw, "auth_env", None, "a string"),
-        request_template=_option(raw, "request_template", None, "an object"),
+        request_template=template,
         replay_path=resolve(_option(raw, "replay_path", None, "a string")),
         mock=mock,
         batch_size=int(_option(raw, "batch_size", 32)),
@@ -381,15 +383,21 @@ def _extract_path(payload: Any, path: str) -> Any:
     return node
 
 
-class _HttpTranslator:
-    def __init__(self, config: BackendConfig) -> None:
-        # imported here, not at module level: every other backend and stage
-        # runs without loading requests
-        import requests
+def _retry_after_s(value: str | None) -> float:
+    """A Retry-After header in seconds; 0 for none, an HTTP-date or anything
+    unparsable, which leaves the wait to the backoff."""
+    value = (value or "").strip()
+    return float(value) if value.isascii() and value.isdigit() else 0.0
 
-        self._requests = requests
+
+class _HttpTranslator:
+    def __init__(self, config: BackendConfig, sleep: Callable[[float], None] = time.sleep) -> None:
+        # imported here, not at module level: every other backend and stage
+        # runs without loading http.client and ssl
+        from .transport import KeepAliveClient
+
         self.config = config
-        assert config.request_template is not None
+        assert config.request_template is not None and config.endpoint is not None
         self.template = config.request_template
         self.credential = None
         if config.auth_env:
@@ -399,7 +407,7 @@ class _HttpTranslator:
                     f"backend {config.name!r}: environment variable {config.auth_env!r} "
                     "is not set"
                 )
-        self.headers = {}
+        custom = {}
         for key, value in dict(self.template.get("headers", {})).items():
             value = str(value)
             if "{credential}" in value:
@@ -409,37 +417,40 @@ class _HttpTranslator:
                         "but auth_env is not configured"
                     )
                 value = value.replace("{credential}", self.credential)
-            self.headers[key] = value
-        self.limiter = _RateLimiter(config.rate_limit)
-        self._local = threading.local()
-
-    @property
-    def session(self) -> requests.Session:
-        # requests.Session is not thread-safe; keep one per worker thread
-        if not hasattr(self._local, "session"):
-            self._local.session = self._requests.Session()
-        return self._local.session
+            custom[key] = value
+        # header names are case-insensitive: a template header replaces a default
+        overridden = {key.lower() for key in custom}
+        defaults = {"Content-Type": "application/json", "User-Agent": f"mtgender/{tool_version()}"}
+        headers = {k: v for k, v in defaults.items() if k.lower() not in overridden} | custom
+        try:
+            json.dumps(self.template["body"], allow_nan=False)
+            self.client = KeepAliveClient(config.endpoint, config.timeout_s, headers)
+        except ValueError as exc:
+            raise BackendError(f"backend {config.name!r}: {exc}") from None
+        self._sleep = sleep
+        self.limiter = _RateLimiter(config.rate_limit, sleep=sleep)
 
     def translate(self, source: SourceSentence) -> TranslationRecord:
         cfg = self.config
+        body = json.dumps(_substitute_text(self.template["body"], source.text),
+                          allow_nan=False).encode("utf-8")
         reason = "no attempts made"
+        retry_after = 0.0
         for attempt in range(1, cfg.retry.max_attempts + 1):
             if attempt > 1:
-                time.sleep(cfg.retry.backoff_base_ms * 2 ** (attempt - 2) / 1000.0)
+                backoff = cfg.retry.backoff_base_ms * 2 ** (attempt - 2) / 1000.0
+                self._sleep(max(backoff, retry_after))
             self.limiter.wait()
             try:
-                response = self.session.post(
-                    cfg.endpoint,
-                    json=_substitute_text(self.template["body"], source.text),
-                    headers=self.headers,
-                    timeout=cfg.timeout_s,
-                )
-            except self._requests.RequestException as exc:
+                response = self.client.post(body)
+            except self.client.ERRORS as exc:
                 reason = f"transport error: {exc.__class__.__name__}"
+                retry_after = 0.0
                 continue  # transient
-            if 200 <= response.status_code < 300:
+            status = response.status
+            if 200 <= status < 300:
                 try:
-                    target = _extract_path(response.json(), self.template["response_path"])
+                    target = _extract_path(json.loads(response.body), self.template["response_path"])
                 except (ValueError, KeyError, IndexError):
                     return TranslationRecord.failed(
                         source.id, cfg.name,
@@ -450,11 +461,12 @@ class _HttpTranslator:
                         source.id, cfg.name, "extracted translation is not a string"
                     )
                 return TranslationRecord.ok(source.id, target, cfg.name)
-            if 400 <= response.status_code < 500:
-                return TranslationRecord.failed(
-                    source.id, cfg.name, f"HTTP {response.status_code}"
-                )
-            reason = f"HTTP {response.status_code}"  # 5xx: transient
+            reason = f"HTTP {status}"
+            # 408 and 429 ask the client to come back later; 5xx is transient
+            # too; any other status (a 3xx redirect included) is permanent
+            if status < 500 and status not in (408, 429):
+                return TranslationRecord.failed(source.id, cfg.name, reason)
+            retry_after = _retry_after_s(response.retry_after)
         return TranslationRecord.failed(
             source.id, cfg.name, f"{reason} after {cfg.retry.max_attempts} attempts"
         )
@@ -495,6 +507,7 @@ def translate_batch(
         raise BackendError("no sources to translate")
 
     per_item: Callable[[SourceSentence], TranslationRecord]
+    translator = None
     if config.kind is BackendKind.MOCK:
         assert config.mock is not None
         spec = config.mock
@@ -513,7 +526,8 @@ def translate_batch(
             return TranslationRecord.ok(source.id, target, config.name)
 
     else:
-        per_item = _HttpTranslator(config).translate
+        translator = _HttpTranslator(config)
+        per_item = translator.translate
 
     results: list[TranslationRecord] = []
     pool = None
@@ -531,4 +545,6 @@ def translate_batch(
     finally:
         if pool is not None:
             pool.shutdown()
+        if translator is not None:
+            translator.client.close()
     return results

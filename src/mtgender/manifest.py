@@ -75,7 +75,9 @@ def verify_against_sidecar(path: str | Path, digest: str) -> tuple[bool, str]:
         return True, f"{path}: no manifest sidecar"
     try:
         recorded = json.loads(sidecar.read_text(encoding="utf-8"))["output"]["sha256"]
-    except (json.JSONDecodeError, KeyError):
+    except (ValueError, LookupError, TypeError):  # not UTF-8 JSON, or not shaped like a manifest
+        recorded = None
+    if not isinstance(recorded, str):
         return False, f"{sidecar}: malformed manifest"
     if digest != recorded:
         return False, (

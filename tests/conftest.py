@@ -1,5 +1,7 @@
 import json
+import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -112,16 +114,46 @@ class _ServerState:
         self.in_flight = 0
         self.max_in_flight = 0
         self.require_token = None
+        self.connections = 0  # opened so far
+        self.open_connections = 0
+        self.close_after_reply = False  # without saying Connection: close
+        self.paths = []  # request targets, CONNECT included
+        self.last_headers = None
+        self.last_body = None
 
 
 class _Handler(BaseHTTPRequestHandler):
     def log_message(self, *args):  # keep test output clean
         pass
 
+    def setup(self):
+        super().setup()
+        # headers and body leave in two writes; without this a kept-alive
+        # connection waits for the client's delayed ACK between them
+        self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        state = self.server.state
+        with state.lock:
+            state.connections += 1
+            state.open_connections += 1
+
+    def finish(self):
+        try:
+            super().finish()
+        finally:
+            state = self.server.state
+            with state.lock:
+                state.open_connections -= 1
+
+    def do_CONNECT(self):
+        with self.server.state.lock:
+            self.server.state.paths.append(self.path)
+        self._reply(403, {"error": "no tunnels here"})
+
     def do_POST(self):
         state: _ServerState = self.server.state  # type: ignore[attr-defined]
         length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length))
+        raw = self.rfile.read(length)
+        body = json.loads(raw)
         text = body.get("q", "")
         with state.lock:
             state.total_requests += 1
@@ -129,6 +161,9 @@ class _Handler(BaseHTTPRequestHandler):
             attempt = state.seen_texts[text]
             state.in_flight += 1
             state.max_in_flight = max(state.max_in_flight, state.in_flight)
+            state.paths.append(self.path)
+            state.last_headers = self.headers
+            state.last_body = raw
         try:
             if state.require_token is not None:
                 if self.headers.get("Authorization") != f"Bearer {state.require_token}":
@@ -138,6 +173,23 @@ class _Handler(BaseHTTPRequestHandler):
                 self._reply(500, {"error": "boom"})
             elif "FLAKY" in text and attempt == 1:
                 self._reply(503, {"error": "try again"})
+            elif "THROTTLE" in text and attempt == 1:
+                self._reply(429, {"error": "slow down"}, {"Retry-After": "2"})
+            elif "RATELIMITED" in text:
+                self._reply(429, {"error": "slow down"})
+            elif "TIMEOUT408" in text and attempt == 1:
+                self._reply(408, {"error": "request timeout"})
+            elif "TRUNCATED" in text and attempt == 1:
+                self.send_response(200)
+                self.send_header("Content-Length", "100")
+                self.end_headers()
+                self.wfile.write(b'{"data": ')
+                self.close_connection = True
+            elif "SLOW" in text:
+                time.sleep(0.5)
+                self._reply(200, {"data": {"translations": [{"translatedText": "He waited."}]}})
+            elif "REDIRECT" in text:
+                self._reply(301, {"error": "moved"}, {"Location": "/elsewhere"})
             elif "NOTFOUND" in text:
                 self._reply(404, {"error": "no such model"})
             elif "EMPTY" in text:
@@ -153,20 +205,28 @@ class _Handler(BaseHTTPRequestHandler):
             with state.lock:
                 state.in_flight -= 1
 
-    def _reply(self, status, payload):
+    def _reply(self, status, payload, headers=None):
         raw = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(raw)))
+        for key, value in (headers or {}).items():
+            self.send_header(key, value)
         self.end_headers()
         self.wfile.write(raw)
+        if self.server.state.close_after_reply:
+            self.close_connection = True
 
 
-@pytest.fixture
-def http_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+class _KeepAliveHandler(_Handler):
+    protocol_version = "HTTP/1.1"
+
+
+def _serve(handler):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     server.state = _ServerState()  # type: ignore[attr-defined]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                              daemon=True)
     thread.start()
     url = f"http://127.0.0.1:{server.server_address[1]}/translate"
     try:
@@ -174,6 +234,18 @@ def http_server():
     finally:
         server.shutdown()
         server.server_close()
+
+
+@pytest.fixture
+def http_server():
+    """An HTTP/1.0 translation server: one connection per request."""
+    yield from _serve(_Handler)
+
+
+@pytest.fixture
+def http11_server():
+    """The same server speaking HTTP/1.1, so connections are kept alive."""
+    yield from _serve(_KeepAliveHandler)
 
 
 # --------------------------------------------------------------------------

@@ -1,8 +1,16 @@
+import gc
 import json
+import os
+import subprocess
+import sys
+import time
+import warnings
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import mtgender
 from mtgender.backends import (
     BackendConfig,
     BackendError,
@@ -11,7 +19,9 @@ from mtgender.backends import (
     RetryPolicy,
     TranslationRecord,
     TranslationStatus,
+    _HttpTranslator,
     _RateLimiter,
+    _retry_after_s,
     backend_config_from_dict,
     load_backend_config,
     load_replay_map,
@@ -21,7 +31,7 @@ from mtgender.backends import (
     write_translations,
 )
 from mtgender.classify import classify_gender
-from mtgender.corpus import GenderLabel, SourceSentence, Suite
+from mtgender.corpus import GenderLabel, SourceSentence, Suite, write_sentences
 from mtgender.fileio import from_record, to_record
 from mtgender.templates import expand_otsc
 
@@ -402,6 +412,214 @@ class TestHttpBackend:
         records = translate_batch([plain_source(0, "वाक्य")], config)
         assert records[0].status is TranslationStatus.FAILED
         assert "transport error" in records[0].reason
+
+
+def translate_with_fake_sleep(config, sources):
+    """Translate one by one through a translator whose backoff only records."""
+    sleeps = []
+    translator = _HttpTranslator(config, sleep=sleeps.append)
+    try:
+        return [translator.translate(s) for s in sources], sleeps
+    finally:
+        translator.client.close()
+
+
+class TestHttpRetryPolicy:
+    def test_429_waits_for_retry_after(self, http_server):
+        url, state = http_server
+        records, sleeps = translate_with_fake_sleep(http_config(url),
+                                                    [plain_source(0, "वाक्य THROTTLE")])
+        assert records[0].status is TranslationStatus.OK
+        assert state.total_requests == 2
+        assert sleeps == [2.0]  # Retry-After outweighs the 1 ms backoff
+
+    def test_429_on_every_attempt_fails_after_the_attempts(self, http_server):
+        url, state = http_server
+        records, sleeps = translate_with_fake_sleep(http_config(url),
+                                                    [plain_source(0, "वाक्य RATELIMITED")])
+        assert records[0].status is TranslationStatus.FAILED
+        assert records[0].reason == "HTTP 429 after 3 attempts"
+        assert state.total_requests == 3
+        assert sleeps == pytest.approx([0.001, 0.002])  # no Retry-After: the backoff alone
+
+    def test_408_is_retried(self, http_server):
+        url, state = http_server
+        records, _ = translate_with_fake_sleep(http_config(url),
+                                               [plain_source(0, "वाक्य TIMEOUT408")])
+        assert records[0].status is TranslationStatus.OK
+        assert state.total_requests == 2
+
+    def test_redirect_is_permanent(self, http_server):
+        url, state = http_server
+        records, sleeps = translate_with_fake_sleep(http_config(url),
+                                                    [plain_source(0, "वाक्य REDIRECT")])
+        assert records[0].reason == "HTTP 301"
+        assert state.total_requests == 1 and sleeps == []
+
+    @pytest.mark.parametrize("value, seconds", [
+        ("2", 2.0), (" 7 ", 7.0), ("0", 0.0), (None, 0.0), ("", 0.0), ("-1", 0.0),
+        ("1.5", 0.0), ("soon", 0.0), ("Wed, 21 Oct 2015 07:28:00 GMT", 0.0), ("²", 0.0),
+    ])
+    def test_retry_after_seconds(self, value, seconds):
+        assert _retry_after_s(value) == seconds
+
+
+class TestHttpTransport:
+    def test_request_bytes_and_default_headers(self, http_server):
+        url, state = http_server
+        records = translate_batch([plain_source(0, "वाक्य")], http_config(url))
+        assert records[0].status is TranslationStatus.OK
+        body = {"q": "वाक्य", "source": "hi", "target": "en"}
+        assert state.last_body == json.dumps(body, allow_nan=False).encode("utf-8")
+        assert state.last_headers.get_all("Content-Type") == ["application/json"]
+        assert state.last_headers["User-Agent"] == f"mtgender/{mtgender.__version__}"
+
+    def test_template_header_replaces_default_in_any_case(self, http_server):
+        url, state = http_server
+        config = http_config(url, headers={"content-TYPE": "application/json; charset=utf-8"})
+        translate_batch([plain_source(0, "वाक्य")], config)
+        assert state.last_headers.get_all("Content-Type") == ["application/json; charset=utf-8"]
+
+    @pytest.mark.parametrize("concurrency, count", [(2, 30), (8, 200)])
+    def test_one_keep_alive_connection_per_worker(self, http11_server, concurrency, count):
+        url, state = http11_server
+        sources = [plain_source(i, f"वाक्य {i}") for i in range(count)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the workers as often as possible
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                records = translate_batch(sources, http_config(url, max_concurrency=concurrency,
+                                                               batch_size=10))
+                gc.collect()
+        finally:
+            sys.setswitchinterval(interval)
+        # a socket left for the garbage collector to close warns
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert [r.status for r in records] == [TranslationStatus.OK] * count
+        assert 1 <= state.connections <= concurrency
+        assert state.total_requests == count
+        deadline = time.monotonic() + 5
+        while state.open_connections and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert state.open_connections == 0  # translate_batch closed what it opened
+
+    def test_connection_closed_by_server_is_replaced_without_an_attempt(self, http11_server):
+        url, state = http11_server
+        state.close_after_reply = True  # but no Connection: close header
+        sources = [plain_source(i, f"वाक्य {i}") for i in range(5)]
+        config = http_config(url, retry=RetryPolicy(max_attempts=1, backoff_base_ms=1))
+        records = translate_batch(sources, config)
+        assert [r.status for r in records] == [TranslationStatus.OK] * 5
+        assert state.total_requests == 5 and state.connections == 5
+
+    def test_truncated_response_is_a_transient_transport_error(self, http11_server):
+        url, state = http11_server
+        config = http_config(url, retry=RetryPolicy(max_attempts=1, backoff_base_ms=1))
+        records = translate_batch([plain_source(0, "वाक्य TRUNCATED")], config)
+        assert records[0].reason == "transport error: IncompleteRead after 1 attempts"
+        records = translate_batch([plain_source(1, "वाक्य 1 TRUNCATED")], http_config(url))
+        assert records[0].status is TranslationStatus.OK  # second attempt, new connection
+        assert state.total_requests == 3 and state.connections == 3
+
+    def test_timeout_is_a_transport_error(self, http_server):
+        url, _ = http_server
+        config = http_config(url, retry=RetryPolicy(max_attempts=1, backoff_base_ms=1),
+                             timeout_s=0.1)
+        records = translate_batch([plain_source(0, "वाक्य SLOW")], config)
+        assert records[0].reason == "transport error: TimeoutError after 1 attempts"
+
+    @pytest.mark.parametrize("endpoint, complaint", [
+        ("ftp://127.0.0.1/translate", "endpoint must be an http:// or https:// URL"),
+        ("127.0.0.1:8080/translate", "endpoint must be an http:// or https:// URL"),
+        ("http://127.0.0.1:99999/translate", "out of range"),
+    ])
+    def test_unusable_endpoint_aborts_before_requests(self, endpoint, complaint):
+        with pytest.raises(BackendError, match=complaint):
+            translate_batch([plain_source(0, "वाक्य")], http_config(endpoint))
+
+    def test_body_template_that_is_not_json_aborts(self, http_server):
+        url, state = http_server
+        config = BackendConfig(name="nan", kind=BackendKind.HTTP, endpoint=url,
+                               request_template={"body": {"q": "{text}", "t": float("nan")},
+                                                 "response_path": "x"})
+        with pytest.raises(BackendError, match="backend 'nan'"):
+            translate_batch([plain_source(0, "वाक्य")], config)
+        assert state.total_requests == 0
+
+
+_PROXY_VARS = ("http_proxy", "HTTP_PROXY", "https_proxy", "HTTPS_PROXY", "no_proxy", "NO_PROXY")
+
+
+class TestHttpProxy:
+    @pytest.fixture(autouse=True)
+    def no_proxy_settings(self, monkeypatch):
+        for name in _PROXY_VARS:
+            monkeypatch.delenv(name, raising=False)
+
+    def test_http_proxy_gets_absolute_form(self, http_server, monkeypatch):
+        url, state = http_server
+        proxy = url.rsplit("/", 1)[0].replace("http://", "http://user:p%40ss@")
+        monkeypatch.setenv("HTTP_PROXY", proxy)
+        records = translate_batch([plain_source(0, "वाक्य")],
+                                  http_config("http://mt.invalid/translate"))
+        assert records[0].status is TranslationStatus.OK
+        assert state.paths == ["http://mt.invalid/translate"]
+        assert state.last_headers["Host"] == "mt.invalid"
+        assert state.last_headers["Proxy-Authorization"] == "Basic dXNlcjpwQHNz"  # user:p@ss
+
+    def test_no_proxy_host_goes_direct(self, http_server, monkeypatch):
+        url, state = http_server
+        monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")  # nothing listens there
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        records = translate_batch([plain_source(0, "वाक्य")], http_config(url))
+        assert records[0].status is TranslationStatus.OK
+        assert state.paths == ["/translate"]
+
+    def test_https_goes_through_a_tunnel(self, http_server, monkeypatch):
+        url, state = http_server
+        monkeypatch.setenv("HTTPS_PROXY", url.rsplit("/", 1)[0])
+        config = http_config("https://mt.invalid/translate",
+                             retry=RetryPolicy(max_attempts=1, backoff_base_ms=1))
+        records = translate_batch([plain_source(0, "वाक्य")], config)
+        # the test server refuses the tunnel, but the CONNECT reached it
+        assert records[0].reason == "transport error: OSError after 1 attempts"
+        assert state.paths == ["mt.invalid:443"]
+
+    def test_https_to_a_plain_http_server_fails_the_handshake(self, http_server):
+        url, state = http_server
+        config = http_config(url.replace("http://", "https://"),
+                             retry=RetryPolicy(max_attempts=1, backoff_base_ms=1))
+        records = translate_batch([plain_source(0, "वाक्य")], config)
+        assert records[0].reason.startswith("transport error: SSL")
+        assert state.total_requests == 0
+
+
+def test_translate_runs_without_requests(http_server, tmp_path):
+    """The http backend needs nothing outside the standard library."""
+    url, state = http_server
+    sentences = tmp_path / "sentences.jsonl"
+    write_sentences(sentences, build_winomt_corpus(8))
+    config = tmp_path / "backends.json"
+    config.write_text(json.dumps({"backends": [{
+        "name": "mt", "kind": "http", "endpoint": url,
+        "request_template": {"body": {"q": "{text}"},
+                             "response_path": "data.translations.0.translatedText"},
+    }]}), encoding="utf-8")
+    out = tmp_path / "translations.jsonl"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k not in _PROXY_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = ("import sys; sys.modules['requests'] = None; from mtgender.cli import run; "
+             "sys.exit(run(sys.argv[1:]))")
+    result = subprocess.run(
+        [sys.executable, "-c", probe, "translate", "--sentences", str(sentences), "--config",
+         str(config), "--backend", "mt", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert [r.status for r in read_translations(out)] == [TranslationStatus.OK] * 8
+    assert state.total_requests == 8
 
 
 class TestRateLimiter:

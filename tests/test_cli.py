@@ -210,6 +210,12 @@ class TestTranslate:
          "replay_path must be a string, not 5"),
         ({"backends": ["m"]}, "config needs a 'backends' list of one or more objects"),
         ([{"name": "m"}], "config needs a 'backends' list of one or more objects"),
+        ({"backends": [{"name": "m", "kind": "http", "endpoint": "http://127.0.0.1:9/",
+                        "request_template": {"body": {}, "response_path": "a", "headers": 5}}]},
+         "headers must be an object, not 5"),
+        ({"backends": [{"name": "m", "kind": "http", "endpoint": "http://127.0.0.1:9/",
+                        "request_template": {"body": {}, "response_path": ["a"]}}]},
+         "response_path must be a string, not ['a']"),
     ])
     def test_malformed_config_is_an_error_not_a_traceback(
         self, tmp_path, otsc_setup, capsys, config, complaint
@@ -310,6 +316,19 @@ class TestEvaluate:
         assert run(["evaluate", "--sentences", str(sentences), "--translations",
                     str(translations), "--suite", "otsc", "--out", str(report_path),
                     "--no-verify"]) == EXIT_OK
+
+    @pytest.mark.parametrize("sidecar", ["[]", '{"output": "x"}', '{"output": {"sha256": 5}}'])
+    def test_sidecar_of_the_wrong_shape_is_malformed(self, tmp_path, otsc_setup,
+                                                      backends_config, capsys, sidecar):
+        _, sentences = otsc_setup
+        translations = self._translate(sentences, backends_config, tmp_path)
+        Path(f"{sentences}.manifest.json").write_text(sidecar, encoding="utf-8")
+        capsys.readouterr()
+        assert run(["evaluate", "--sentences", str(sentences), "--translations",
+                    str(translations), "--suite", "otsc", "--out",
+                    str(tmp_path / "r.json")]) == EXIT_ABORTED
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "malformed manifest" in err
 
     def test_suite_mismatch_aborts(self, tmp_path, otsc_setup, backends_config):
         _, sentences = otsc_setup
