@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .corpus import GenderLabel, SourceSentence, StereotypeLists, Stereotype, assign_stereotype
-from .fileio import from_record, parse_record, to_record, write_jsonl
+from .fileio import line_encoder, parse_record, record_decoder, write_jsonl
 from .manifest import tool_version
 
 logger = logging.getLogger(__name__)
@@ -57,24 +57,25 @@ class TranslationRecord:
         return cls(source_id, "", backend, TranslationStatus.FAILED, reason)
 
 
-def write_translations(path: str | Path, records: Iterable[TranslationRecord]) -> int:
-    return write_jsonl(path, (to_record(r) for r in records))
+def write_translations(
+    path: str | Path, records: Iterable[TranslationRecord], digest: Any = None
+) -> int:
+    """Write a translations file; digest, a hashlib object, when given, takes its bytes."""
+    return write_jsonl(path, map(line_encoder(TranslationRecord), records), digest)
 
 
 def read_translations(path: str | Path, lenient: bool = False) -> list[TranslationRecord]:
     """Read a translations file. With lenient, an unreadable line (such as the
     last line of an interrupted run's journal, torn mid-write, perhaps inside
     a character) is logged and skipped instead of aborting the read."""
+    decode = record_decoder(TranslationRecord, BackendError)
     records = []
     with open(path, encoding="utf-8", errors="replace" if lenient else "strict") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}: line {lineno}"
             try:
-                record = parse_record(line, where)
-                records.append(from_record(TranslationRecord, record, BackendError, where))
+                record = parse_record(line, path, lineno)
+                if record is not None:
+                    records.append(decode(record, path, lineno))
             except ValueError as exc:
                 if not lenient:
                     raise
@@ -238,6 +239,13 @@ def _option(raw: Mapping[str, Any], key: str, default: Any, expected: str = "a n
     return value
 
 
+def _check_header(backend: str, key: str, value: str) -> None:
+    """Reject a header name or value holding CR, LF or NUL: HTTP allows none of
+    them in a header, and CR or LF would end the header line and start another."""
+    if any(c in key or c in value for c in "\r\n\0"):
+        raise BackendError(f"backend {backend!r}: header {key!r} holds a CR, LF or NUL character")
+
+
 def backend_config_from_dict(raw: Mapping[str, Any], *, base_dir: Path | None = None) -> BackendConfig:
     """Build a BackendConfig from one entry of the backends config file.
 
@@ -280,7 +288,8 @@ def backend_config_from_dict(raw: Mapping[str, Any], *, base_dir: Path | None = 
     retry_raw = _option(raw, "retry", {}, "an object")
     template = _option(raw, "request_template", None, "an object")
     if template is not None:
-        _option(template, "headers", {}, "an object")
+        for key, value in _option(template, "headers", {}, "an object").items():
+            _check_header(name, key, str(value))
         _option(template, "response_path", "", "a string")
     return BackendConfig(
         name=name,
@@ -417,6 +426,7 @@ class _HttpTranslator:
                         "but auth_env is not configured"
                     )
                 value = value.replace("{credential}", self.credential)
+            _check_header(config.name, key, value)
             custom[key] = value
         # header names are case-insensitive: a template header replaces a default
         overridden = {key.lower() for key in custom}

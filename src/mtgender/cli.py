@@ -11,6 +11,7 @@ Exit codes: 0 all ok, 3 completed with per-item failures, 1 aborted.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import logging
 import sys
@@ -19,6 +20,7 @@ from pathlib import Path
 from typing import Any, get_type_hints
 
 from .backends import (
+    TranslationRecord,
     TranslationStatus,
     find_backend_entry,
     load_backend_config,
@@ -36,7 +38,7 @@ from .corpus import (
     read_sentences,
     write_sentences,
 )
-from .fileio import atomic_write_text, dumps_record, sha256_text, to_record
+from .fileio import atomic_write_text, dumps_record, line_encoder, sha256_text
 from .manifest import (
     RunManifest,
     derive_run_id,
@@ -180,7 +182,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     occupations = load_occupations(args.occupations)
     template = OtscTemplate.from_file(template_path)
     sentences = expand_otsc(occupations, template)
-    write_sentences(args.out, sentences)
+    digest = hashlib.sha256()
+    write_sentences(args.out, sentences, digest)
 
     per_quadrant: dict[str, int] = {}
     for sentence in sentences:
@@ -200,7 +203,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         command="generate",
         suite=Suite.OTSC.value,
         inputs=inputs,
-        output={**file_ref(args.out), "records": len(sentences)},
+        output={"path": str(args.out), "sha256": digest.hexdigest(), "records": len(sentences)},
         counts=counts,
     ))
     print(f"generated {len(sentences)} sentences from {len(occupations)} occupations")
@@ -238,18 +241,28 @@ def cmd_translate(args: argparse.Namespace) -> int:
     pending = [s for s in sentences if s.id not in done]
     fresh_records = {}
     if pending:
-        with open(journal, "a", encoding="utf-8") as journal_fh:
+        # opened at the first finished batch, so a run that aborts before
+        # translating anything leaves no journal behind
+        journal_fh = None
+        encode = line_encoder(TranslationRecord)
 
-            def flush(batch):
-                for record in batch:
-                    journal_fh.write(dumps_record(to_record(record)) + "\n")
-                journal_fh.flush()
+        def flush(batch):
+            nonlocal journal_fh
+            if journal_fh is None:
+                journal_fh = open(journal, "a", encoding="utf-8")
+            journal_fh.write("".join(map(encode, batch)))
+            journal_fh.flush()
 
+        try:
             results = translate_batch(pending, config, on_batch=flush)
+        finally:
+            if journal_fh is not None:
+                journal_fh.close()
         fresh_records = {r.source_id: r for r in results}
 
     merged = [fresh_records.get(s.id) or done[s.id] for s in sentences]
-    write_translations(out, merged)
+    digest = hashlib.sha256()
+    write_translations(out, merged, digest)
     journal.unlink(missing_ok=True)
 
     failed = sum(1 for r in merged if r.status is TranslationStatus.FAILED)
@@ -271,7 +284,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
         command="translate",
         suite=default_suite.value if default_suite else None,
         inputs=inputs,
-        output={**file_ref(out), "records": len(merged)},
+        output={"path": str(out), "sha256": digest.hexdigest(), "records": len(merged)},
         counts=counts,
         backend={"name": config.name, "config_hash": config_hash},
     ))

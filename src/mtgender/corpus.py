@@ -17,9 +17,9 @@ import enum
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Any, Iterable
 
-from .fileio import contains_devanagari, from_record, read_jsonl, to_record, write_jsonl
+from .fileio import contains_devanagari, line_encoder, read_jsonl, record_decoder, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -39,7 +39,10 @@ class GenderLabel(enum.Enum):
 
     @property
     def initial(self) -> str:
-        return {"male": "M", "female": "F"}[self.value]
+        return _INITIALS[self]
+
+
+_INITIALS = {GenderLabel.MALE: "M", GenderLabel.FEMALE: "F"}
 
 
 #: Gold labels carried by corpus files; Neutral/Ambiguous exist only as
@@ -101,58 +104,57 @@ class StereotypeLists:
         )
 
 
-def validate_sentence(sentence: SourceSentence, *, where: str = "") -> None:
+def validate_sentence(sentence: SourceSentence) -> None:
     """Check the per-suite invariants; raises CorpusError on the first violation."""
-    ctx = f"{where}: " if where else ""
     if not sentence.id:
-        raise CorpusError(f"{ctx}empty id")
+        raise CorpusError("empty id")
     if not sentence.text:
-        raise CorpusError(f"{ctx}record {sentence.id!r}: empty text")
+        raise CorpusError(f"record {sentence.id!r}: empty text")
     if not contains_devanagari(sentence.text):
-        raise CorpusError(f"{ctx}record {sentence.id!r}: text contains no Devanagari")
-    if sentence.gold_gender is not None and sentence.gold_gender not in GOLD_GENDERS:
+        raise CorpusError(f"record {sentence.id!r}: text contains no Devanagari")
+    gold, speaker = sentence.gold_gender, sentence.speaker_gender
+    if gold is not None and gold not in GOLD_GENDERS:
         raise CorpusError(
-            f"{ctx}record {sentence.id!r}: gold gender must be male or female, "
-            f"got {sentence.gold_gender.value!r}"
+            f"record {sentence.id!r}: gold gender must be male or female, got {gold.value!r}"
         )
-    if sentence.speaker_gender is not None and sentence.speaker_gender not in GOLD_GENDERS:
-        raise CorpusError(
-            f"{ctx}record {sentence.id!r}: speaker gender must be male or female"
-        )
+    if speaker is not None and speaker not in GOLD_GENDERS:
+        raise CorpusError(f"record {sentence.id!r}: speaker gender must be male or female")
 
     if sentence.suite is Suite.OTSC:
         if sentence.set_id not in OTSC_QUADRANTS:
             raise CorpusError(
-                f"{ctx}record {sentence.id!r}: OTSC set_id must be one of "
+                f"record {sentence.id!r}: OTSC set_id must be one of "
                 f"{'/'.join(OTSC_QUADRANTS)}, got {sentence.set_id!r}"
             )
         for name in ("gold_gender", "speaker_gender", "occupation"):
             if getattr(sentence, name) is None:
-                raise CorpusError(f"{ctx}record {sentence.id!r}: OTSC requires {name}")
-        assert sentence.speaker_gender is not None and sentence.gold_gender is not None
-        if sentence.set_id[0] != sentence.speaker_gender.initial:
+                raise CorpusError(f"record {sentence.id!r}: OTSC requires {name}")
+        if sentence.set_id[0] != _INITIALS[speaker]:
             raise CorpusError(
-                f"{ctx}record {sentence.id!r}: set_id {sentence.set_id} does not match "
-                f"speaker gender {sentence.speaker_gender.value}"
+                f"record {sentence.id!r}: set_id {sentence.set_id} does not match "
+                f"speaker gender {speaker.value}"
             )
-        if sentence.set_id[1] != sentence.gold_gender.initial:
+        if sentence.set_id[1] != _INITIALS[gold]:
             raise CorpusError(
-                f"{ctx}record {sentence.id!r}: set_id {sentence.set_id} does not match "
-                f"friend gender {sentence.gold_gender.value}"
+                f"record {sentence.id!r}: set_id {sentence.set_id} does not match "
+                f"friend gender {gold.value}"
             )
     elif sentence.suite is Suite.WINOMT:
         for name in ("gold_gender", "stereotype", "referenced_entity", "occupation"):
             if getattr(sentence, name) is None:
-                raise CorpusError(f"{ctx}record {sentence.id!r}: WinoMT requires {name}")
+                raise CorpusError(f"record {sentence.id!r}: WinoMT requires {name}")
     elif sentence.suite is Suite.NEUTRAL:
-        if sentence.gold_gender is not None:
+        if gold is not None:
             raise CorpusError(
-                f"{ctx}record {sentence.id!r}: neutral records must not carry a gold gender"
+                f"record {sentence.id!r}: neutral records must not carry a gold gender"
             )
 
 
-def write_sentences(path: str | Path, sentences: Iterable[SourceSentence]) -> int:
-    return write_jsonl(path, (to_record(s) for s in sentences))
+def write_sentences(
+    path: str | Path, sentences: Iterable[SourceSentence], digest: Any = None
+) -> int:
+    """Write a sentence file; digest, a hashlib object, when given, takes its bytes."""
+    return write_jsonl(path, map(line_encoder(SourceSentence), sentences), digest)
 
 
 def read_sentences(path: str | Path, suite: Suite | None = None) -> list[SourceSentence]:
@@ -163,25 +165,27 @@ def read_sentences(path: str | Path, suite: Suite | None = None) -> list[SourceS
     another suite. Neutral set ids outside the canonical S1..S7 are accepted
     with one warning per set.
     """
+    decode = record_decoder(SourceSentence, CorpusError)
     sentences: list[SourceSentence] = []
     seen_ids: dict[str, int] = {}
     for lineno, record in read_jsonl(path):
-        where = f"{path}: line {lineno}"
         if suite is not None and record.get("suite") is None:
             record["suite"] = suite.value
-        sentence = from_record(SourceSentence, record, CorpusError, where)
-        if suite is not None and sentence.suite is not suite:
-            raise CorpusError(
-                f"{where}: record {sentence.id!r}: suite {sentence.suite.value!r} does not "
-                f"match expected {suite.value!r}"
-            )
-        validate_sentence(sentence, where=where)
-        if sentence.id in seen_ids:
-            raise CorpusError(
-                f"{where}: duplicate id {sentence.id!r} (first seen on line "
-                f"{seen_ids[sentence.id]})"
-            )
-        seen_ids[sentence.id] = lineno
+        sentence = decode(record, path, lineno)
+        try:
+            if suite is not None and sentence.suite is not suite:
+                raise CorpusError(
+                    f"record {sentence.id!r}: suite {sentence.suite.value!r} does not "
+                    f"match expected {suite.value!r}"
+                )
+            validate_sentence(sentence)
+            first = seen_ids.setdefault(sentence.id, lineno)
+            if first != lineno:
+                raise CorpusError(
+                    f"duplicate id {sentence.id!r} (first seen on line {first})"
+                )
+        except CorpusError as exc:
+            raise CorpusError(f"{path}: line {lineno}: {exc}") from None
         sentences.append(sentence)
     if not sentences:
         raise CorpusError(f"{path}: no records found")

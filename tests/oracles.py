@@ -1,8 +1,13 @@
 """Brute-force oracles: recompute metrics by direct enumeration over
 (gold, predicted) pairs, independent of the tally bookkeeping in mtgender.metrics,
-and classify by scanning every word, independent of the compiled lexicon regex."""
+classify by scanning every word, independent of the compiled lexicon regex, and
+encode and decode pipeline records field by field through a dict and json.dumps,
+independent of the record codec in mtgender.fileio."""
 
+import dataclasses
+import enum
 import re
+from typing import Any, get_args, get_type_hints
 
 from mtgender.classify import ClassifiedRecord, PronounLexicon
 from mtgender.corpus import GenderLabel, Stereotype
@@ -84,3 +89,58 @@ def oracle_winomt(records: list[ClassifiedRecord]):
         "macro_f1_anti": macro_anti,
         "delta_s": delta_s,
     }
+
+
+def _oracle_fields(cls):
+    """(name, type, enum members by token or None, required) per field of a
+    flat dataclass whose fields are each a str or an enum, optionally "| None"."""
+    hints = get_type_hints(cls)
+    plan = []
+    for f in dataclasses.fields(cls):
+        kind = next((a for a in get_args(hints[f.name]) if a is not type(None)), hints[f.name])
+        members = {m.value: m for m in kind} if issubclass(kind, enum.Enum) else None
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        plan.append((f.name, kind, members, required))
+    return plan
+
+
+def oracle_to_record(obj) -> dict[str, Any]:
+    """A flat dataclass as a JSON object: enums as their value, None fields left out."""
+    record = {}
+    for name, _, members, _ in _oracle_fields(type(obj)):
+        value = getattr(obj, name)
+        if value is not None:
+            record[name] = value if members is None else value.value
+    return record
+
+
+def oracle_from_record(cls, record: dict[str, Any], error: type[Exception], where: str):
+    """Build the flat dataclass cls from a JSON object through its __init__.
+
+    A required field (one without a default) that is absent, null or "" is
+    missing; an enum field is parsed from its token; any other field must be
+    an instance of its type. An absent or null optional field takes its
+    default. Raises error naming where and the record by its first field.
+    """
+    plan = _oracle_fields(cls)
+    values = {}
+    for name, kind, members, required in plan:
+        value = record.get(name)
+        if value is None or (required and value == ""):
+            if required:
+                problem = f"missing field {name!r}"
+                break
+            continue
+        if members is not None:
+            try:
+                value = members[value]
+            except (KeyError, TypeError):
+                problem = f"bad {name} token {value!r}"
+                break
+        elif not isinstance(value, kind):
+            problem = f"field {name!r} must be a {kind.__name__}"
+            break
+        values[name] = value
+    else:
+        return cls(**values)
+    raise error(f"{where}: record {record.get(plan[0][0], '?')!r}: {problem}")

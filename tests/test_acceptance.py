@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v`; the terminal summary prints one
 PASS/FAIL line per criterion (see conftest.pytest_terminal_summary).
 """
 
+import hashlib
 import json
 import random
 import subprocess
@@ -13,8 +14,10 @@ import time
 import pytest
 
 from mtgender.backends import MockSpec, TranslationRecord, mock_translate
+from mtgender.cli import run
 from mtgender.classify import ClassifiedRecord, classify_batch, classify_gender
 from mtgender.corpus import GenderLabel, SourceSentence, Stereotype, Suite
+from mtgender.resources import data_path
 from mtgender.metrics import (
     Proportions,
     class_f1,
@@ -213,3 +216,100 @@ def test_c9_end_to_end_determinism(occupations_1071, tmp_path):
     assert artifacts[0][2] == artifacts[1][2]
     payload = json.loads(artifacts[0][2].decode("utf-8"))
     assert payload["counts"]["sources"] == 4284
+
+
+# sha256 of every file and stdout of the golden pipeline below, as written by
+# mtgender 0.1 (commit ef9b183); any change to an output byte fails this test
+GOLDEN_SHA256 = {
+    "generate.stdout":
+        "56482ec302d94bd53b91afbe9ca1c451ee019ac2b865bf810a463ab7d6c66b91",
+    "translate_otsc.stdout":
+        "1cb07ec2eb37dfe06d8618bc4b25de330838ab625a630a8e965da545b12c4345",
+    "translate_winomt_coin.stdout":
+        "c52ea7b3d66a60040a74b5b4f4d9d0a220e52ccd051ce5895c1b267eefd808b3",
+    "translate_winomt_gold.stdout":
+        "375d8116357a85c592647dd11528a57d584a032ec15f28011cc767c0129417f5",
+    "evaluate_otsc.stdout":
+        "f785602fc1975ee947f76ca98ec63d3bca5e4063d5ccce058c53d4c7b7821ca1",
+    "evaluate_winomt_coin.stdout":
+        "0de346c89bcaa329e39825442a0f371dfafc9f557ef770c11201347f59367a01",
+    "evaluate_winomt_strict.stdout":
+        "0de346c89bcaa329e39825442a0f371dfafc9f557ef770c11201347f59367a01",
+    "evaluate_winomt_gold.stdout":
+        "850882656311ba9301880897875bc89d4b1d9f882f98af6121ffdefd6a941e68",
+    "report.stdout":
+        "da3b720e8928e5d9277121e09d29438bcae46acebea1d7aeada6392048726d1c",
+    "otsc.jsonl":
+        "37cadae38437627959e06363d055c77f81a3304241c8128680be31273a3167e4",
+    "otsc_coin.jsonl":
+        "91eb51d01b378f92faa047062dea2bb64fbd12dd4f24e813d47155d7db879d74",
+    "otsc_report.json":
+        "5eee3642f7ff424ecbcc86bfefc52b1584b29af40311f90f9d0f2f21aa533947",
+    "otsc_table.txt":
+        "f785602fc1975ee947f76ca98ec63d3bca5e4063d5ccce058c53d4c7b7821ca1",
+    "w_coin.json":
+        "477f7970739089f4a8983d984b46665f2cf391977f48a6e3af49cf1fa6be3d9d",
+    "w_coin.jsonl":
+        "aba606edc2a37258827e7ff3bec8409c3bbd0f426715f71058450579fd2d8485",
+    "w_coin_strict.json":
+        "7361d158d8da7e69de69821babced0f96de5a595f1bb723673a94eee50bc25a5",
+    "w_gold.json":
+        "8810fb69682241112126c932377ab3375bfc1c754df80920a757c0417e35086d",
+    "w_gold.jsonl":
+        "3a4da170fbb44fc5c70569981df418b8d852c1eeae458f13e7e8c70067334737",
+    "w_table.txt":
+        "da3b720e8928e5d9277121e09d29438bcae46acebea1d7aeada6392048726d1c",
+}
+
+
+def golden_pipeline(tmp_path, capsys) -> dict[str, str]:
+    """generate on the bundled occupations, translate with coin_flip and
+    echo_gold mocks, evaluate otsc and winomt (default, and --strict with
+    stereotype lists), report; the sha256 of each output file and stdout.
+    Runs in tmp_path, which must be the working directory."""
+    config = tmp_path / "backends.json"
+    config.write_text(json.dumps({"backends": [
+        {"name": "coin", "kind": "mock", "mock": {"spec": "coin_flip", "seed": 7, "p_male": 0.5}},
+        {"name": "gold", "kind": "mock", "mock": {"spec": "echo_gold"}},
+    ]}), encoding="utf-8")
+    winomt = data_path("winomt_sample.jsonl")
+    # the report records the list paths: relative ones keep it the same everywhere
+    lists = []
+    for gender in ("male", "female"):
+        name = f"stereotypes_{gender}.txt"
+        (tmp_path / name).write_bytes(data_path(name).read_bytes())
+        lists += [f"--{gender}-stereotypes", name]
+    steps = {
+        "generate": ["generate", "--occupations", data_path("occupations_sample.txt"),
+                     "--out", "otsc.jsonl"],
+        "translate_otsc": ["translate", "--sentences", "otsc.jsonl", "--config", config,
+                           "--backend", "coin", "--out", "otsc_coin.jsonl"],
+        "translate_winomt_coin": ["translate", "--sentences", winomt, "--suite", "winomt",
+                                  "--config", config, "--backend", "coin", "--out", "w_coin.jsonl"],
+        "translate_winomt_gold": ["translate", "--sentences", winomt, "--suite", "winomt",
+                                  "--config", config, "--backend", "gold", "--out", "w_gold.jsonl"],
+        "evaluate_otsc": ["evaluate", "--sentences", "otsc.jsonl", "--translations",
+                          "otsc_coin.jsonl", "--suite", "otsc", "--out", "otsc_report.json",
+                          "--table", "otsc_table.txt"],
+        "evaluate_winomt_coin": ["evaluate", "--sentences", winomt, "--translations",
+                                 "w_coin.jsonl", "--suite", "winomt", "--out", "w_coin.json"],
+        "evaluate_winomt_strict": ["evaluate", "--sentences", winomt, "--translations",
+                                   "w_coin.jsonl", "--suite", "winomt", "--strict", *lists,
+                                   "--out", "w_coin_strict.json"],
+        "evaluate_winomt_gold": ["evaluate", "--sentences", winomt, "--translations",
+                                 "w_gold.jsonl", "--suite", "winomt", "--out", "w_gold.json"],
+        "report": ["report", "w_coin.json", "w_gold.json", "--out", "w_table.txt"],
+    }
+    digests = {}
+    for name, argv in steps.items():
+        assert run([str(arg) for arg in argv]) == 0, name
+        digests[f"{name}.stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        for flag, value in zip(argv, argv[1:]):
+            if flag in ("--out", "--table"):
+                digests[value] = hashlib.sha256((tmp_path / value).read_bytes()).hexdigest()
+    return digests
+
+
+def test_golden_pipeline_bytes(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert golden_pipeline(tmp_path, capsys) == GOLDEN_SHA256

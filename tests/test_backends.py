@@ -32,7 +32,7 @@ from mtgender.backends import (
 )
 from mtgender.classify import classify_gender
 from mtgender.corpus import GenderLabel, SourceSentence, Suite, write_sentences
-from mtgender.fileio import from_record, to_record
+from mtgender.fileio import line_encoder, record_decoder
 from mtgender.templates import expand_otsc
 
 from conftest import FEMALE_OCC, MALE_OCC, build_winomt_corpus
@@ -290,8 +290,9 @@ class TestTranslationRecordSerialization:
             TranslationRecord.ok("a", "He is here.", "x"),
             TranslationRecord.failed("b", "x", "HTTP 500"),
         ]
-        assert [from_record(TranslationRecord, to_record(r), BackendError, "test")
-                for r in records] == records
+        decode = record_decoder(TranslationRecord, BackendError)
+        encode = line_encoder(TranslationRecord)
+        assert [decode(json.loads(encode(r)), "test", 1) for r in records] == records
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "tr.jsonl"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -32,7 +33,8 @@ class TestGenerate:
     def test_counts_and_manifest(self, otsc_setup, capsys):
         _, sentences = otsc_setup
         assert sentences.exists()
-        assert sentences.with_name(sentences.name + ".manifest.json").exists()
+        manifest = read_report(sentences.with_name(sentences.name + ".manifest.json"))
+        assert manifest["output"]["sha256"] == hashlib.sha256(sentences.read_bytes()).hexdigest()
         lines = sentences.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 16
 
@@ -81,6 +83,8 @@ class TestTranslate:
         records = read_translations(out)
         assert len(records) == 16
         assert all(r.status is TranslationStatus.OK for r in records)
+        manifest = read_report(Path(f"{out}.manifest.json"))
+        assert manifest["output"]["sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
 
     def test_replay_missing_ids_partial_exit(self, tmp_path, otsc_setup, backends_config):
         _, sentences = otsc_setup
@@ -216,6 +220,18 @@ class TestTranslate:
         ({"backends": [{"name": "m", "kind": "http", "endpoint": "http://127.0.0.1:9/",
                         "request_template": {"body": {}, "response_path": ["a"]}}]},
          "response_path must be a string, not ['a']"),
+        ({"backends": [{"name": "m", "kind": "http", "endpoint": "http://127.0.0.1:9/",
+                        "request_template": {"body": {}, "response_path": "a",
+                                             "headers": {"X-Key": "a\r\nb"}}}]},
+         "backend 'm': header 'X-Key' holds a CR, LF or NUL character"),
+        ({"backends": [{"name": "m", "kind": "http", "endpoint": "http://127.0.0.1:9/",
+                        "request_template": {"body": {}, "response_path": "a",
+                                             "headers": {"X-Key\n": "a"}}}]},
+         "backend 'm': header 'X-Key\\n' holds a CR, LF or NUL character"),
+        ({"backends": [{"name": "m", "kind": "http", "endpoint": "http://127.0.0.1:9/",
+                        "request_template": {"body": {}, "response_path": "a",
+                                             "headers": {"X-Key": "a\u0000"}}}]},
+         "backend 'm': header 'X-Key' holds a CR, LF or NUL character"),
     ])
     def test_malformed_config_is_an_error_not_a_traceback(
         self, tmp_path, otsc_setup, capsys, config, complaint
@@ -227,6 +243,26 @@ class TestTranslate:
                     "--backend", "m", "--out", str(tmp_path / "tr.jsonl")]) == EXIT_ABORTED
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and complaint in err
+
+    @pytest.mark.parametrize("backend, complaint", [
+        ({"kind": "file_replay", "replay_path": "missing.jsonl"}, "no such replay file"),
+        ({"kind": "http", "endpoint": "http://127.0.0.1:9/", "auth_env": "MTGENDER_TEST_KEY",
+          "request_template": {"body": {}, "response_path": "a",
+                               "headers": {"Authorization": "Bearer {credential}"}}},
+         "backend 'b': header 'Authorization' holds a CR, LF or NUL character"),
+    ])
+    def test_abort_before_any_item_leaves_no_journal(
+        self, tmp_path, otsc_setup, capsys, monkeypatch, backend, complaint
+    ):
+        _, sentences = otsc_setup
+        monkeypatch.setenv("MTGENDER_TEST_KEY", "key\r\nX-Injected: 1")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"backends": [{"name": "b", **backend}]}), encoding="utf-8")
+        out = tmp_path / "tr.jsonl"
+        assert run(["translate", "--sentences", str(sentences), "--config", str(path),
+                    "--backend", "b", "--out", str(out)]) == EXIT_ABORTED
+        assert complaint in capsys.readouterr().err
+        assert not out.exists() and not Path(f"{out}.partial").exists()
 
     def test_winomt_sample_needs_suite_flag(self, tmp_path, backends_config):
         out = tmp_path / "tr.jsonl"
