@@ -23,7 +23,9 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .corpus import GenderLabel, SourceSentence, StereotypeLists, Stereotype, assign_stereotype
-from .fileio import line_encoder, parse_record, record_decoder, write_jsonl
+from .fileio import (
+    line_encoder, load_json, parse_record, record_decoder, utf8_error, write_jsonl,
+)
 from .manifest import tool_version
 
 logger = logging.getLogger(__name__)
@@ -71,15 +73,18 @@ def read_translations(path: str | Path, lenient: bool = False) -> list[Translati
     decode = record_decoder(TranslationRecord, BackendError)
     records = []
     with open(path, encoding="utf-8", errors="replace" if lenient else "strict") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                record = parse_record(line, path, lineno)
-                if record is not None:
-                    records.append(decode(record, path, lineno))
-            except ValueError as exc:
-                if not lenient:
-                    raise
-                logger.warning("%s; line skipped", exc)
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    record = parse_record(line, path, lineno)
+                    if record is not None:
+                        records.append(decode(record, path, lineno))
+                except ValueError as exc:
+                    if not lenient:
+                        raise
+                    logger.warning("%s; line skipped", exc)
+        except UnicodeDecodeError:
+            raise utf8_error(path) from None
     return records
 
 
@@ -239,6 +244,15 @@ def _option(raw: Mapping[str, Any], key: str, default: Any, expected: str = "a n
     return value
 
 
+def _count_option(raw: Mapping[str, Any], key: str, default: int) -> int:
+    """_option for a setting that counts something: a number without a
+    fractional part."""
+    value = _option(raw, key, default)
+    if value != int(value):
+        raise BackendError(f"{key} must be a whole number, not {value!r}")
+    return int(value)
+
+
 def _check_header(backend: str, key: str, value: str) -> None:
     """Reject a header name or value holding CR, LF or NUL: HTTP allows none of
     them in a header, and CR or LF would end the header line and start another."""
@@ -280,7 +294,7 @@ def backend_config_from_dict(raw: Mapping[str, Any], *, base_dir: Path | None = 
             lists = StereotypeLists.from_files(resolve(male_list), resolve(female_list))
         mock = MockSpec(
             kind=mock_raw.get("spec", ""),
-            seed=int(_option(mock_raw, "seed", 0)),
+            seed=_count_option(mock_raw, "seed", 0),
             p_male=float(_option(mock_raw, "p_male", 0.5)),
             lists=lists,
         )
@@ -299,11 +313,11 @@ def backend_config_from_dict(raw: Mapping[str, Any], *, base_dir: Path | None = 
         request_template=template,
         replay_path=resolve(_option(raw, "replay_path", None, "a string")),
         mock=mock,
-        batch_size=int(_option(raw, "batch_size", 32)),
-        max_concurrency=int(_option(raw, "max_concurrency", 1)),
+        batch_size=_count_option(raw, "batch_size", 32),
+        max_concurrency=_count_option(raw, "max_concurrency", 1),
         retry=RetryPolicy(
-            max_attempts=int(_option(retry_raw, "max_attempts", 3)),
-            backoff_base_ms=int(_option(retry_raw, "backoff_base_ms", 250)),
+            max_attempts=_count_option(retry_raw, "max_attempts", 3),
+            backoff_base_ms=_count_option(retry_raw, "backoff_base_ms", 250),
         ),
         rate_limit=_option(raw, "rate_limit", None),
         timeout_s=float(_option(raw, "timeout_s", 30.0)),
@@ -312,13 +326,7 @@ def backend_config_from_dict(raw: Mapping[str, Any], *, base_dir: Path | None = 
 
 def find_backend_entry(path: str | Path, name: str) -> dict[str, Any]:
     """Fetch one backend definition (raw dict) by name from a config file."""
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise BackendError(f"{path}: no such config file") from None
-    except json.JSONDecodeError as exc:
-        raise BackendError(f"{path}: invalid JSON ({exc.msg})") from exc
+    raw = load_json(path, BackendError)
     entries = raw.get("backends") if isinstance(raw, dict) else None
     if not entries or not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise BackendError(f"{path}: config needs a 'backends' list of one or more objects")

@@ -8,7 +8,6 @@ both. Matching is case-insensitive over word-boundary tokens, so punctuation
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -17,6 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .backends import TranslationRecord, TranslationStatus
 from .corpus import GenderLabel, SourceSentence
+from .fileio import load_json
 
 _WORD = re.compile(r"\w+")
 
@@ -74,10 +74,7 @@ class PronounLexicon:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PronounLexicon":
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ClassifyError(f"{path}: invalid JSON ({exc.msg})") from None
+        raw = load_json(path, ClassifyError)
         if not isinstance(raw, dict):
             raise ClassifyError(f"{path}: lexicon must be an object, not {type(raw).__name__}")
         token_sets = {}

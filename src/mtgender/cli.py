@@ -15,6 +15,7 @@ import hashlib
 import json
 import logging
 import sys
+from collections import Counter
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import Any, get_type_hints
@@ -38,7 +39,7 @@ from .corpus import (
     read_sentences,
     write_sentences,
 )
-from .fileio import atomic_write_text, dumps_record, line_encoder, sha256_text
+from .fileio import atomic_write_text, dumps_record, line_encoder, load_json, sha256_text
 from .manifest import (
     RunManifest,
     derive_run_id,
@@ -79,10 +80,8 @@ class CliError(ValueError):
 
 
 def _report_metrics_dict(report: TgbiReport | OtscReport | WinomtReport) -> dict:
-    """The report's dataclass fields, with the per-set proportions flattened;
-    excluded_failed is stored under counts instead."""
+    """The report's dataclass fields, with the per-set proportions flattened."""
     metrics = asdict(report)
-    metrics.pop("excluded_failed", None)
     for entry in metrics.get("per_set", {}).values():
         entry.update(entry.pop("proportions"))
     return metrics
@@ -134,21 +133,14 @@ def report_from_dict(
         raise CliError(f"{source}: the report must be an object, not {type(payload).__name__}")
     suite = payload.get("suite")
     backend = payload.get("backend", "unknown")
-    counts = get("counts") if "counts" in payload else {}
-    failed = get("counts", "translated_failed", kind=int) if "translated_failed" in counts else 0
     if suite == "winomt":
         report: TgbiReport | OtscReport | WinomtReport = WinomtReport(
-            **fields_of(WinomtReport, "metrics", skip=("excluded_failed",)),
-            excluded_failed=failed,
-        )
+            **fields_of(WinomtReport, "metrics"))
     elif suite == "otsc":
-        report = OtscReport(
-            quadrants={
-                quadrant: QuadrantStats(**fields_of(QuadrantStats, "metrics", "quadrants", quadrant))
-                for quadrant in get("metrics", "quadrants")
-            },
-            excluded_failed=failed,
-        )
+        report = OtscReport(quadrants={
+            quadrant: QuadrantStats(**fields_of(QuadrantStats, "metrics", "quadrants", quadrant))
+            for quadrant in get("metrics", "quadrants")
+        })
     elif suite == "neutral":
         report = TgbiReport(
             per_set={
@@ -185,9 +177,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     digest = hashlib.sha256()
     write_sentences(args.out, sentences, digest)
 
-    per_quadrant: dict[str, int] = {}
-    for sentence in sentences:
-        per_quadrant[sentence.set_id] = per_quadrant.get(sentence.set_id, 0) + 1
+    per_quadrant = Counter(sentence.set_id for sentence in sentences)
     inputs = {
         "occupations": file_ref(args.occupations),
         "template": file_ref(template_path),
@@ -321,7 +311,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     translations = read_translations(args.translations)
 
     sentence_ids = {s.id for s in sentences}
-    translation_ids = {t.source_id for t in translations}
+    copies = Counter(t.source_id for t in translations)
+    for source_id, n in copies.items():
+        if n > 1:
+            raise CliError(f"{args.translations}: duplicate source_id {source_id!r}")
+    translation_ids = copies.keys()
     if sentence_ids != translation_ids:
         missing = len(sentence_ids - translation_ids)
         extra = len(translation_ids - sentence_ids)
@@ -362,15 +356,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "classified": len(classified),
     }
     if suite is Suite.WINOMT:
-        report = compute_winomt(
-            classified,
-            strict_neutral=args.strict,
-            neutral_as_positive=args.neutral_as_positive,
-            excluded_failed=len(excluded),
-        )
+        report = compute_winomt(classified, strict_neutral=args.strict,
+                                neutral_as_positive=args.neutral_as_positive)
         counts["excluded_unlisted"] = report.excluded_unlisted
     elif suite is Suite.OTSC:
-        report = compute_otsc(classified, excluded_failed=len(excluded))
+        report = compute_otsc(classified)
     else:
         report = compute_tgbi_report(classified)
 
@@ -433,11 +423,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     named_reports = []
     suites = set()
     for path in args.reports:
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"{path}: cannot read report ({exc})") from exc
-        suite, backend, report = report_from_dict(payload, path)
+        suite, backend, report = report_from_dict(load_json(path, CliError), path)
         suites.add(suite)
         named_reports.append((backend, report))
     if len(suites) > 1:

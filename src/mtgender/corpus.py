@@ -19,7 +19,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
 
-from .fileio import contains_devanagari, line_encoder, read_jsonl, record_decoder, write_jsonl
+from .fileio import (
+    contains_devanagari, line_encoder, read_jsonl, read_text, record_decoder, write_jsonl,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -207,7 +209,7 @@ def load_occupations(path: str | Path) -> list[str]:
         raise CorpusError(f"{path}: no such file")
     occupations: list[str] = []
     seen: dict[str, int] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path, CorpusError).splitlines(), start=1):
         term = raw.strip()
         if not term or term.startswith("#"):
             continue

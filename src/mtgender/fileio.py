@@ -1,5 +1,5 @@
-"""Shared file plumbing: JSONL records and their dataclass codec, atomic writes,
-digests, Devanagari helpers."""
+"""Shared file plumbing: JSONL records and their dataclass codec, JSON
+documents, atomic writes, digests, Devanagari helpers."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import itertools
 import json
 import os
 import re
-import tempfile
+import secrets
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import (
@@ -57,10 +57,45 @@ def parse_record(line: str, path: str | os.PathLike, lineno: int) -> dict[str, A
 def read_jsonl(path: str | os.PathLike) -> Iterator[tuple[int, dict[str, Any]]]:
     """Yield (line_number, record) for every non-blank line of a JSONL file."""
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            record = parse_record(line, path, lineno)
-            if record is not None:
-                yield lineno, record
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                record = parse_record(line, path, lineno)
+                if record is not None:
+                    yield lineno, record
+        except UnicodeDecodeError:
+            raise utf8_error(path) from None
+
+
+def utf8_error(path: str | os.PathLike) -> ValueError:
+    """The error for a text file that failed to decode as UTF-8, naming path
+    and its first line that is not UTF-8."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return ValueError(f"{path}: line {lineno}: not valid UTF-8 ({exc.reason})")
+    return ValueError(f"{path}: not valid UTF-8")
+
+
+def read_text(path: str | os.PathLike, error: type[Exception]) -> str:
+    """The UTF-8 text of the file at path; raises error naming path when the
+    file cannot be read or is not UTF-8."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except OSError as exc:
+        raise error(f"{path}: cannot read ({exc.strerror or exc})") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
+def load_json(path: str | os.PathLike, error: type[Exception]) -> Any:
+    """The JSON document in the UTF-8 file at path; raises error naming path
+    when the file cannot be read or is not UTF-8 or JSON."""
+    try:
+        return json.loads(read_text(path, error))
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: invalid JSON ({exc.msg})") from None
 
 
 @functools.cache
@@ -184,10 +219,12 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
 @contextlib.contextmanager
 def _atomic_output(path: str | os.PathLike) -> Iterator[BinaryIO]:
     """A binary file written via a temp file in the same directory, then
-    renamed over path; nothing is left behind if the writing fails."""
+    renamed over path; nothing is left behind if the writing fails. The file
+    is created as open() creates one: mode 0o666 less the umask."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.parent / f"{path.name}.{secrets.token_hex(6)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh

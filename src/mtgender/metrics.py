@@ -1,6 +1,8 @@
 """Bias metrics over classified translations.
 
-Three evaluation paths share the classifier output:
+Each suite counts its records once into a table of (group, gold, predicted)
+cells, the group being the neutral set, the OTSC quadrant or the WinoMT
+stereotype, and derives every number from those counts:
 
   * NEUTRAL: per-set masculine/feminine/neutral proportions reduced to a
     balance score P = sqrt(p_m * p_f + p_n), averaged across sets into a
@@ -18,17 +20,38 @@ everywhere; strict mode confines the neutral share N to truly neutral outputs.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .classify import ClassifiedRecord
-from .corpus import OTSC_QUADRANTS, GenderLabel, Stereotype
+from .corpus import GOLD_GENDERS, OTSC_QUADRANTS, GenderLabel, Stereotype
+
+M, F, N, A = GenderLabel.MALE, GenderLabel.FEMALE, GenderLabel.NEUTRAL, GenderLabel.AMBIGUOUS
 
 _SUM_TOLERANCE = 1e-9
 
 
 class MetricsError(ValueError):
     """Raised for empty inputs or records that violate a metric's precondition."""
+
+
+def _count(records: Iterable[ClassifiedRecord], group: str) -> dict[Any, Counter]:
+    """Count the records once per (group, gold, predicted) cell, the group
+    being the named SourceSentence field, and split the table by group:
+    group -> Counter of (gold, predicted), in order of first appearance."""
+    table = Counter(
+        (getattr(r.source, group), r.source.gold_gender, r.predicted) for r in records
+    )
+    groups: dict[Any, Counter] = {}
+    for (key, gold, predicted), n in table.items():
+        groups.setdefault(key, Counter())[gold, predicted] = n
+    return groups
+
+
+def _predicted(cells: Counter, label: GenderLabel) -> int:
+    """How many of a group's records were classified as label."""
+    return sum(n for (_, predicted), n in cells.items() if predicted is label)
 
 
 @dataclass(frozen=True)
@@ -53,9 +76,8 @@ def compute_proportions(labels: Sequence[GenderLabel]) -> Proportions:
     """Fractions of Male / Female / (Neutral or Ambiguous) labels."""
     if not labels:
         raise MetricsError("cannot compute proportions of an empty label sequence")
-    n = len(labels)
-    males = sum(1 for l in labels if l is GenderLabel.MALE)
-    females = sum(1 for l in labels if l is GenderLabel.FEMALE)
+    counts = Counter(labels)
+    n, males, females = len(labels), counts[M], counts[F]
     return Proportions(p_m=males / n, p_f=females / n, p_n=(n - males - females) / n)
 
 
@@ -91,13 +113,13 @@ def compute_tgbi_report(records: Sequence[ClassifiedRecord]) -> TgbiReport:
     """Group classified neutral-suite records by set and aggregate their balance."""
     if not records:
         raise MetricsError("no classified records")
-    by_set: dict[str, list[GenderLabel]] = {}
-    for record in records:
-        by_set.setdefault(record.source.set_id, []).append(record.predicted)
+    groups = _count(records, "set_id")
     per_set: dict[str, SetBalance] = {}
-    for set_id in sorted(by_set):
-        proportions = compute_proportions(by_set[set_id])
-        per_set[set_id] = SetBalance(proportions, compute_ps(proportions), len(by_set[set_id]))
+    for set_id in sorted(groups):
+        cells = groups[set_id]
+        n, males, females = sum(cells.values()), _predicted(cells, M), _predicted(cells, F)
+        proportions = Proportions(p_m=males / n, p_f=females / n, p_n=(n - males - females) / n)
+        per_set[set_id] = SetBalance(proportions, compute_ps(proportions), n)
     return TgbiReport(per_set=per_set, tgbi=compute_tgbi({k: v.ps for k, v in per_set.items()}))
 
 
@@ -129,33 +151,28 @@ def compute_confusion(
     neither; with neutral_as_positive, a Neutral prediction counts as a true
     positive for the gold class instead.
     """
-    tally = dict(tp_m=0, fp_m=0, fn_m=0, tp_f=0, fp_f=0, fn_f=0,
-                 neutral_count=0, ambiguous_count=0, total=0)
-    for record in records:
-        gold = record.source.gold_gender
-        if gold not in (GenderLabel.MALE, GenderLabel.FEMALE):
-            raise MetricsError(
-                f"record {record.source.id!r} has no male/female gold gender"
-            )
-        gold_key = "m" if gold is GenderLabel.MALE else "f"
-        other_key = "f" if gold is GenderLabel.MALE else "m"
-        predicted = record.predicted
-        tally["total"] += 1
-        if predicted is gold:
-            tally[f"tp_{gold_key}"] += 1
-        elif predicted in (GenderLabel.MALE, GenderLabel.FEMALE):
-            tally[f"fn_{gold_key}"] += 1
-            tally[f"fp_{other_key}"] += 1
-        elif predicted is GenderLabel.NEUTRAL:
-            tally["neutral_count"] += 1
-            if neutral_as_positive:
-                tally[f"tp_{gold_key}"] += 1
-            else:
-                tally[f"fn_{gold_key}"] += 1
-        else:  # Ambiguous: never credited, even when neutral output is accepted
-            tally["ambiguous_count"] += 1
-            tally[f"fn_{gold_key}"] += 1
-    return ConfusionTally(**tally)
+    return _tally(Counter((r.source.gold_gender, r.predicted) for r in records),
+                  neutral_as_positive)
+
+
+def _tally(cells: Counter, neutral_as_positive: bool) -> ConfusionTally:
+    """The confusion tally of a (gold, predicted) -> count table."""
+    goldless = sum(n for (gold, _), n in cells.items() if gold not in GOLD_GENDERS)
+    if goldless:
+        raise MetricsError(f"{goldless} records have no male/female gold gender")
+    # Neutral misses its gold class unless credited; Ambiguous is never credited
+    credit_m, credit_f = (cells[M, N], cells[F, N]) if neutral_as_positive else (0, 0)
+    return ConfusionTally(
+        tp_m=cells[M, M] + credit_m,
+        fp_m=cells[F, M],
+        fn_m=cells[M, F] + cells[M, N] - credit_m + cells[M, A],
+        tp_f=cells[F, F] + credit_f,
+        fp_f=cells[M, F],
+        fn_f=cells[F, M] + cells[F, N] - credit_f + cells[F, A],
+        neutral_count=cells[M, N] + cells[F, N],
+        ambiguous_count=cells[M, A] + cells[F, A],
+        total=sum(cells.values()),
+    )
 
 
 @dataclass(frozen=True)
@@ -210,7 +227,6 @@ class WinomtReport:
     macro_f1_anti: float | None
     total: int
     excluded_unlisted: int
-    excluded_failed: int
 
 
 def compute_winomt(
@@ -218,32 +234,19 @@ def compute_winomt(
     *,
     strict_neutral: bool = False,
     neutral_as_positive: bool = False,
-    excluded_failed: int = 0,
 ) -> WinomtReport:
     if not records:
         raise MetricsError("no classified records")
-    tally = compute_confusion(records, neutral_as_positive=neutral_as_positive)
+    groups = _count(records, "stereotype")
+    tally = _tally(sum(groups.values(), Counter()), neutral_as_positive)
     f1_male = 100.0 * class_f1(tally, GenderLabel.MALE).f1
     f1_female = 100.0 * class_f1(tally, GenderLabel.FEMALE).f1
-    neutral_like = tally.neutral_count if strict_neutral else (
-        tally.neutral_count + tally.ambiguous_count
-    )
+    neutral_like = tally.neutral_count + (0 if strict_neutral else tally.ambiguous_count)
 
-    pro = [r for r in records if r.source.stereotype is Stereotype.PRO]
-    anti = [r for r in records if r.source.stereotype is Stereotype.ANTI]
-    macro_pro = None
-    macro_anti = None
-    delta_s = None
-    if pro:
-        macro_pro = _macro_f1_pct(
-            compute_confusion(pro, neutral_as_positive=neutral_as_positive)
-        )
-    if anti:
-        macro_anti = _macro_f1_pct(
-            compute_confusion(anti, neutral_as_positive=neutral_as_positive)
-        )
-    if macro_pro is not None and macro_anti is not None:
-        delta_s = macro_pro - macro_anti
+    pro, anti = (groups.get(s, Counter()) for s in (Stereotype.PRO, Stereotype.ANTI))
+    macro_pro = _macro_f1_pct(_tally(pro, neutral_as_positive)) if pro else None
+    macro_anti = _macro_f1_pct(_tally(anti, neutral_as_positive)) if anti else None
+    delta_s = None if macro_pro is None or macro_anti is None else macro_pro - macro_anti
 
     return WinomtReport(
         acc=100.0 * (tally.tp_m + tally.tp_f) / tally.total,
@@ -255,8 +258,7 @@ def compute_winomt(
         macro_f1_pro=macro_pro,
         macro_f1_anti=macro_anti,
         total=tally.total,
-        excluded_unlisted=len(records) - len(pro) - len(anti),
-        excluded_failed=excluded_failed,
+        excluded_unlisted=tally.total - sum(pro.values()) - sum(anti.values()),
     )
 
 
@@ -275,31 +277,23 @@ class QuadrantStats:
 @dataclass(frozen=True)
 class OtscReport:
     quadrants: dict[str, QuadrantStats]
-    excluded_failed: int
 
 
-def compute_otsc(
-    records: Sequence[ClassifiedRecord], *, excluded_failed: int = 0
-) -> OtscReport:
+def compute_otsc(records: Sequence[ClassifiedRecord]) -> OtscReport:
     """Per-quadrant outcome percentages; every quadrant must be populated."""
     if not records:
         raise MetricsError("no classified records")
-    by_quadrant: dict[str, list[ClassifiedRecord]] = {q: [] for q in OTSC_QUADRANTS}
-    for record in records:
-        if record.source.set_id not in by_quadrant:
-            raise MetricsError(
-                f"record {record.source.id!r} has non-quadrant set id "
-                f"{record.source.set_id!r}"
-            )
-        by_quadrant[record.source.set_id].append(record)
+    groups = _count(records, "set_id")
+    stray = [set_id for set_id in groups if set_id not in OTSC_QUADRANTS]
+    if stray:
+        raise MetricsError(f"records have non-quadrant set ids {stray}")
     quadrants: dict[str, QuadrantStats] = {}
-    for quadrant, members in by_quadrant.items():
-        if not members:
+    for quadrant in OTSC_QUADRANTS:
+        cells = groups.get(quadrant)
+        if not cells:
             raise MetricsError(f"quadrant {quadrant} has no records")
-        n = len(members)
-        males = sum(1 for r in members if r.predicted is GenderLabel.MALE)
-        females = sum(1 for r in members if r.predicted is GenderLabel.FEMALE)
-        hits = sum(1 for r in members if r.predicted is r.source.gold_gender)
+        n, males, females = sum(cells.values()), _predicted(cells, M), _predicted(cells, F)
+        hits = sum(k for (gold, predicted), k in cells.items() if predicted is gold)
         quadrants[quadrant] = QuadrantStats(
             p_m=100.0 * males / n,
             p_w=100.0 * females / n,
@@ -307,4 +301,4 @@ def compute_otsc(
             true_rate=100.0 * hits / n,
             count=n,
         )
-    return OtscReport(quadrants=quadrants, excluded_failed=excluded_failed)
+    return OtscReport(quadrants=quadrants)

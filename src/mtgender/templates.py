@@ -14,7 +14,6 @@ expansion engine.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from .corpus import (
     SourceSentence,
     Suite,
 )
-from .fileio import devanagari_tokens
+from .fileio import devanagari_tokens, load_json
 from .resources import data_path
 
 logger = logging.getLogger(__name__)
@@ -97,10 +96,9 @@ class OtscTemplate:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "OtscTemplate":
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise TemplateError(f"{path}: invalid JSON ({exc.msg})") from exc
+        raw = load_json(path, TemplateError)
+        if not isinstance(raw, dict):
+            raise TemplateError(f"{path}: template must be an object, not {type(raw).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         missing = {f for f in known if f != "occupation_slot"} - set(raw)
         if missing:
@@ -108,6 +106,9 @@ class OtscTemplate:
         extra = set(raw) - known
         if extra:
             raise TemplateError(f"{path}: unknown template fields: {sorted(extra)}")
+        for name, value in raw.items():
+            if not isinstance(value, str):
+                raise TemplateError(f"{path}: {name} must be a string, not {value!r}")
         return cls(**raw)
 
     @classmethod
@@ -175,17 +176,18 @@ class CueInventory:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CueInventory":
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise TemplateError(f"{path}: invalid JSON ({exc.msg})") from exc
-        try:
-            return cls(
-                male_cues=frozenset(raw["male_cues"]),
-                female_cues=frozenset(raw["female_cues"]),
-            )
-        except KeyError as exc:
-            raise TemplateError(f"{path}: missing cue list {exc.args[0]!r}") from None
+        raw = load_json(path, TemplateError)
+        if not isinstance(raw, dict):
+            raise TemplateError(
+                f"{path}: cue inventory must be an object, not {type(raw).__name__}")
+        cues = {}
+        for key in ("male_cues", "female_cues"):
+            if key not in raw:
+                raise TemplateError(f"{path}: missing cue list {key!r}")
+            if not isinstance(raw[key], list) or not all(isinstance(c, str) for c in raw[key]):
+                raise TemplateError(f"{path}: {key} must be a list of strings")
+            cues[key] = frozenset(raw[key])
+        return cls(**cues)
 
     @classmethod
     def default(cls) -> "CueInventory":

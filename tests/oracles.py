@@ -1,16 +1,17 @@
-"""Brute-force oracles: recompute metrics by direct enumeration over
-(gold, predicted) pairs, independent of the tally bookkeeping in mtgender.metrics,
+"""Brute-force oracles: recompute metrics by direct enumeration over the
+records, independent of the count table in mtgender.metrics,
 classify by scanning every word, independent of the compiled lexicon regex, and
 encode and decode pipeline records field by field through a dict and json.dumps,
 independent of the record codec in mtgender.fileio."""
 
 import dataclasses
 import enum
+import math
 import re
 from typing import Any, get_args, get_type_hints
 
 from mtgender.classify import ClassifiedRecord, PronounLexicon
-from mtgender.corpus import GenderLabel, Stereotype
+from mtgender.corpus import OTSC_QUADRANTS, GenderLabel, Stereotype
 
 GENDERED = (GenderLabel.MALE, GenderLabel.FEMALE)
 
@@ -43,41 +44,55 @@ def oracle_classify_gender(
     return label, tuple(matched)
 
 
-def oracle_class_scores(records: list[ClassifiedRecord], cls: GenderLabel):
-    """Precision/recall/F1 for one class, counted straight off the records."""
-    tp = sum(1 for r in records if r.predicted is cls and r.source.gold_gender is cls)
+def oracle_class_scores(
+    records: list[ClassifiedRecord], cls: GenderLabel, neutral_as_positive: bool = False
+):
+    """Precision/recall/F1 for one class, counted straight off the records; with
+    neutral_as_positive a Neutral prediction is a hit for its gold class."""
+
+    def hit(r):
+        return r.predicted is cls or (neutral_as_positive and r.predicted is GenderLabel.NEUTRAL)
+
+    tp = sum(1 for r in records if r.source.gold_gender is cls and hit(r))
     fp = sum(
         1
         for r in records
         if r.predicted is cls and r.source.gold_gender in GENDERED
         and r.source.gold_gender is not cls
     )
-    fn = sum(1 for r in records if r.source.gold_gender is cls and r.predicted is not cls)
+    fn = sum(1 for r in records if r.source.gold_gender is cls and not hit(r))
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return precision, recall, f1
 
 
-def _macro_pct(records):
-    f1_m = oracle_class_scores(records, GenderLabel.MALE)[2]
-    f1_f = oracle_class_scores(records, GenderLabel.FEMALE)[2]
+def _macro_pct(records, neutral_as_positive):
+    f1_m = oracle_class_scores(records, GenderLabel.MALE, neutral_as_positive)[2]
+    f1_f = oracle_class_scores(records, GenderLabel.FEMALE, neutral_as_positive)[2]
     return 100.0 * (f1_m + f1_f) / 2
 
 
-def oracle_winomt(records: list[ClassifiedRecord]):
-    """All challenge-set metrics by enumeration (default neutral-as-miss policy)."""
+def oracle_winomt(
+    records: list[ClassifiedRecord], strict_neutral: bool = False,
+    neutral_as_positive: bool = False,
+):
+    """All challenge-set metrics by enumeration."""
     total = len(records)
-    correct = sum(1 for r in records if r.predicted is r.source.gold_gender)
-    neutral_like = sum(
-        1 for r in records if r.predicted in (GenderLabel.NEUTRAL, GenderLabel.AMBIGUOUS)
+    correct = sum(
+        1 for r in records
+        if r.predicted is r.source.gold_gender
+        or (neutral_as_positive and r.predicted is GenderLabel.NEUTRAL)
     )
-    f1_male = 100.0 * oracle_class_scores(records, GenderLabel.MALE)[2]
-    f1_female = 100.0 * oracle_class_scores(records, GenderLabel.FEMALE)[2]
+    neutral_labels = (GenderLabel.NEUTRAL,) if strict_neutral else (
+        GenderLabel.NEUTRAL, GenderLabel.AMBIGUOUS)
+    neutral_like = sum(1 for r in records if r.predicted in neutral_labels)
+    f1_male = 100.0 * oracle_class_scores(records, GenderLabel.MALE, neutral_as_positive)[2]
+    f1_female = 100.0 * oracle_class_scores(records, GenderLabel.FEMALE, neutral_as_positive)[2]
     pro = [r for r in records if r.source.stereotype is Stereotype.PRO]
     anti = [r for r in records if r.source.stereotype is Stereotype.ANTI]
-    macro_pro = _macro_pct(pro) if pro else None
-    macro_anti = _macro_pct(anti) if anti else None
+    macro_pro = _macro_pct(pro, neutral_as_positive) if pro else None
+    macro_anti = _macro_pct(anti, neutral_as_positive) if anti else None
     delta_s = macro_pro - macro_anti if pro and anti else None
     return {
         "acc": 100.0 * correct / total,
@@ -88,7 +103,43 @@ def oracle_winomt(records: list[ClassifiedRecord]):
         "macro_f1_pro": macro_pro,
         "macro_f1_anti": macro_anti,
         "delta_s": delta_s,
+        "total": total,
+        "excluded_unlisted": total - len(pro) - len(anti),
     }
+
+
+def oracle_otsc(records: list[ClassifiedRecord]):
+    """Per-quadrant percentages by enumeration: quadrant -> QuadrantStats fields."""
+    quadrants = {}
+    for quadrant in OTSC_QUADRANTS:
+        members = [r for r in records if r.source.set_id == quadrant]
+        n = len(members)
+        males = sum(1 for r in members if r.predicted is GenderLabel.MALE)
+        females = sum(1 for r in members if r.predicted is GenderLabel.FEMALE)
+        hits = sum(1 for r in members if r.predicted is r.source.gold_gender)
+        quadrants[quadrant] = {
+            "p_m": 100.0 * males / n,
+            "p_w": 100.0 * females / n,
+            "p_n": 100.0 * (n - males - females) / n,
+            "true_rate": 100.0 * hits / n,
+            "count": n,
+        }
+    return quadrants
+
+
+def oracle_tgbi(records: list[ClassifiedRecord]):
+    """Per-set proportions and balance scores and their unweighted mean, by
+    enumeration: (set id -> (p_m, p_f, p_n, ps, count), tgbi)."""
+    per_set = {}
+    for set_id in sorted({r.source.set_id for r in records}):
+        labels = [r.predicted for r in records if r.source.set_id == set_id]
+        n = len(labels)
+        p_m = labels.count(GenderLabel.MALE) / n
+        p_f = labels.count(GenderLabel.FEMALE) / n
+        p_n = (labels.count(GenderLabel.NEUTRAL) + labels.count(GenderLabel.AMBIGUOUS)) / n
+        ps = math.sqrt(min(1.0, max(0.0, p_m * p_f + p_n)))
+        per_set[set_id] = (p_m, p_f, p_n, ps, n)
+    return per_set, sum(entry[3] for entry in per_set.values()) / len(per_set)
 
 
 def _oracle_fields(cls):

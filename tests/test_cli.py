@@ -52,6 +52,23 @@ class TestGenerate:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit, complaint", [
+        ({"skeleton": 5}, "skeleton must be a string, not 5"),
+        ({"verb_male_friend": None}, "verb_male_friend must be a string, not None"),
+        ({"occupation_slot": ["occupation"]}, "occupation_slot must be a string, not ['occupation']"),
+    ])
+    def test_malformed_template_is_an_error_not_a_traceback(
+        self, tmp_path, otsc_setup, capsys, edit, complaint
+    ):
+        occupations, _ = otsc_setup
+        template = json.loads(data_path("otsc_template.json").read_text(encoding="utf-8"))
+        path = tmp_path / "template.json"
+        path.write_text(json.dumps({**template, **edit}), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["generate", "--occupations", str(occupations), "--template", str(path),
+                    "--out", str(tmp_path / "out.jsonl")]) == EXIT_ABORTED
+        assert capsys.readouterr().err == f"error: {path}: {complaint}\n"
+
     def test_custom_template(self, tmp_path):
         template = {
             "skeleton": "{prefix} {possessive} साथी {occupation} {verb}",
@@ -232,6 +249,19 @@ class TestTranslate:
                         "request_template": {"body": {}, "response_path": "a",
                                              "headers": {"X-Key": "a\u0000"}}}]},
          "backend 'm': header 'X-Key' holds a CR, LF or NUL character"),
+        ({"backends": [{"name": "m", "kind": "mock", "mock": {"spec": "echo_gold"},
+                        "batch_size": 2.5}]}, "batch_size must be a whole number, not 2.5"),
+        ({"backends": [{"name": "m", "kind": "mock", "mock": {"spec": "echo_gold"},
+                        "max_concurrency": 1.5}]}, "max_concurrency must be a whole number, not 1.5"),
+        ({"backends": [{"name": "m", "kind": "mock", "mock": {"spec": "echo_gold"},
+                        "retry": {"max_attempts": 2.5}}]},
+         "max_attempts must be a whole number, not 2.5"),
+        ({"backends": [{"name": "m", "kind": "mock", "mock": {"spec": "echo_gold"},
+                        "retry": {"backoff_base_ms": 0.5}}]},
+         "backoff_base_ms must be a whole number, not 0.5"),
+        ({"backends": [{"name": "m", "kind": "mock",
+                        "mock": {"spec": "coin_flip", "seed": 7.5}}]},
+         "seed must be a whole number, not 7.5"),
     ])
     def test_malformed_config_is_an_error_not_a_traceback(
         self, tmp_path, otsc_setup, capsys, config, complaint
@@ -432,6 +462,21 @@ class TestEvaluate:
         assert err.startswith(f"error: {target}: line 3: record ")
         assert f"field {field!r} must be a str" in err
 
+    def test_duplicate_translation_id_aborts(self, tmp_path, otsc_setup, backends_config, capsys):
+        _, sentences = otsc_setup
+        translations = self._translate(sentences, backends_config, tmp_path)
+        lines = translations.read_text(encoding="utf-8").splitlines(keepends=True)
+        translations.write_text("".join(lines + lines[3:6]), encoding="utf-8")
+        report = tmp_path / "r.json"
+        capsys.readouterr()
+        assert run(["evaluate", "--sentences", str(sentences), "--translations",
+                    str(translations), "--suite", "otsc", "--out", str(report),
+                    "--no-verify"]) == EXIT_ABORTED
+        source_id = json.loads(lines[3])["source_id"]
+        assert capsys.readouterr().err == \
+            f"error: {translations}: duplicate source_id {source_id!r}\n"
+        assert not report.exists()
+
     def test_table_file_written(self, tmp_path, otsc_setup, backends_config):
         _, sentences = otsc_setup
         translations = self._translate(sentences, backends_config, tmp_path)
@@ -504,6 +549,24 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err and complaint in err
 
+    @pytest.mark.parametrize("suite", ["otsc", "winomt", "neutral"])
+    def test_prints_exactly_the_table_evaluate_printed(
+        self, tmp_path, otsc_setup, backends_config, capsys, suite
+    ):
+        sentences = {"otsc": otsc_setup[1], "winomt": data_path("winomt_sample.jsonl"),
+                     "neutral": data_path("neutral_sample.jsonl")}[suite]
+        translations = tmp_path / "tr.jsonl"
+        assert run(["translate", "--sentences", str(sentences), "--config",
+                    str(backends_config), "--backend", "coin", "--suite", suite,
+                    "--out", str(translations)]) == EXIT_OK
+        report = tmp_path / "report.json"
+        capsys.readouterr()
+        assert run(["evaluate", "--sentences", str(sentences), "--translations",
+                    str(translations), "--suite", suite, "--out", str(report)]) == EXIT_OK
+        evaluated = capsys.readouterr().out
+        assert run(["report", str(report)]) == EXIT_OK
+        assert capsys.readouterr().out == evaluated
+
     def test_out_file(self, tmp_path, backends_config):
         paths = self._make_reports(tmp_path, backends_config, ["echo-gold"])
         out = tmp_path / "table.txt"
@@ -520,3 +583,42 @@ def test_cli_import_leaves_requests_unloaded():
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("kind", ["sentences", "translations", "config", "template",
+                                  "occupations", "pronouns", "report"])
+def test_a_file_that_is_not_utf8_is_named(tmp_path, otsc_setup, backends_config, capsys, kind):
+    """Every input file that is not UTF-8 ends in error: <file>: ..., exit 1."""
+    occupations, sentences = otsc_setup
+    translations = tmp_path / "tr.jsonl"
+    report = tmp_path / "report.json"
+    args = ["--sentences", str(sentences), "--translations", str(translations),
+            "--suite", "otsc", "--no-verify"]
+    assert run(["translate", "--sentences", str(sentences), "--config", str(backends_config),
+                "--backend", "echo-gold", "--out", str(translations)]) == EXIT_OK
+    assert run(["evaluate", *args, "--out", str(report)]) == EXIT_OK
+    commands = {
+        "sentences": (sentences, ["evaluate", *args, "--out", str(report)]),
+        "translations": (translations, ["evaluate", *args, "--out", str(report)]),
+        "config": (backends_config, ["translate", "--sentences", str(sentences), "--config",
+                                     str(backends_config), "--backend", "echo-gold",
+                                     "--out", str(translations)]),
+        "template": (tmp_path / "template.json",
+                     ["generate", "--occupations", str(occupations), "--template",
+                      str(tmp_path / "template.json"), "--out", str(tmp_path / "out.jsonl")]),
+        "occupations": (occupations, ["generate", "--occupations", str(occupations),
+                                      "--out", str(tmp_path / "out.jsonl")]),
+        "pronouns": (tmp_path / "pronouns.json",
+                     ["evaluate", *args, "--out", str(report), "--pronouns",
+                      str(tmp_path / "pronouns.json")]),
+        "report": (report, ["report", str(report)]),
+    }
+    path, argv = commands[kind]
+    text = path.read_bytes() if path.exists() else b"{}"
+    cut = text.find(b"\n") + 1  # the start of line 2, if there is one
+    path.write_bytes(text[:cut] + b"\xe0" + text[cut:])  # a lead byte with no continuation
+    capsys.readouterr()
+    assert run(argv) == EXIT_ABORTED
+    err = capsys.readouterr().err
+    line = "line 2: " if kind in ("sentences", "translations") else ""
+    assert err.startswith(f"error: {path}: {line}not valid UTF-8 ("), err

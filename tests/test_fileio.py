@@ -1,9 +1,15 @@
 """The record codec in mtgender.fileio against the field-by-field oracle in
 oracles.py: the decoder accepts and rejects what the oracle does, with the
-same exception and message, and the line encoder writes the oracle's bytes."""
+same exception and message, and the line encoder writes the oracle's bytes.
+Also the mode of the files the atomic writer creates."""
 
 import dataclasses
 import json
+import os
+import stat
+import subprocess
+import sys
+from pathlib import Path
 from typing import get_args, get_type_hints
 
 import pytest
@@ -11,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtgender.backends import BackendError, TranslationRecord, TranslationStatus
+import mtgender
 from mtgender.corpus import (
     CorpusError,
     GenderLabel,
@@ -149,3 +156,17 @@ def test_parse_record_strips_what_str_strip_strips(before, after, record):
     line = before + json.dumps(record, ensure_ascii=False) + after + "\n"
     assert parse_record(line, "in.jsonl", 1) == record
     assert parse_record(before + after + "\n", "in.jsonl", 2) is None
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_written_files_take_their_mode_from_the_umask(tmp_path, umask, mode):
+    """Set in a child process, so this process keeps its umask."""
+    src = str(Path(mtgender.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "out.txt"
+    probe = (f"import os; os.umask({umask:#o}); from mtgender.fileio import atomic_write_text; "
+             f"atomic_write_text({str(out)!r}, 'x')")
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True)
+    assert stat.S_IMODE(out.stat().st_mode) == mode
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]

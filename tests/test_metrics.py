@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtgender.classify import ClassifiedRecord
-from mtgender.corpus import GenderLabel, SourceSentence, Stereotype, Suite
+from mtgender.corpus import OTSC_QUADRANTS, GenderLabel, SourceSentence, Stereotype, Suite
 from mtgender.metrics import (
     ConfusionTally,
     MetricsError,
@@ -21,7 +21,7 @@ from mtgender.metrics import (
 )
 
 from conftest import build_winomt_corpus, dev_digits
-from oracles import oracle_class_scores, oracle_winomt
+from oracles import oracle_class_scores, oracle_otsc, oracle_tgbi, oracle_winomt
 
 M, F, N, A = GenderLabel.MALE, GenderLabel.FEMALE, GenderLabel.NEUTRAL, GenderLabel.AMBIGUOUS
 
@@ -420,3 +420,70 @@ class TestOtscReport:
     def test_empty_rejected(self):
         with pytest.raises(MetricsError):
             compute_otsc([])
+
+
+# --------------------------------------------------------------------------
+# Every suite against the enumeration oracles, float for float
+
+labels = st.sampled_from([M, F, N, A])
+
+
+def _record(i, suite, set_id, gold, predicted, stereotype=None):
+    source = SourceSentence(id=f"r{i}", text="पाठ", suite=suite, set_id=set_id,
+                            gold_gender=gold, stereotype=stereotype)
+    return classified(source, predicted)
+
+
+@st.composite
+def winomt_records(draw):
+    rows = draw(st.lists(st.tuples(st.sampled_from([M, F]), labels,
+                                   st.sampled_from(list(Stereotype))), min_size=1, max_size=40))
+    return [_record(i, Suite.WINOMT, "main", gold, predicted, stereotype)
+            for i, (gold, predicted, stereotype) in enumerate(rows)]
+
+
+@st.composite
+def otsc_records(draw):
+    records = []
+    for quadrant in OTSC_QUADRANTS:
+        gold = M if quadrant[1] == "M" else F
+        for predicted in draw(st.lists(labels, min_size=1, max_size=12)):
+            records.append(_record(len(records), Suite.OTSC, quadrant, gold, predicted))
+    return draw(st.permutations(records))
+
+
+@st.composite
+def neutral_records(draw):
+    rows = draw(st.lists(st.tuples(st.sampled_from(["S1", "S2", "S3", "S10"]), labels),
+                         min_size=1, max_size=40))
+    return [_record(i, Suite.NEUTRAL, set_id, None, predicted)
+            for i, (set_id, predicted) in enumerate(rows)]
+
+
+class TestOracleEquivalence:
+    @pytest.mark.parametrize("strict_neutral", [False, True])
+    @pytest.mark.parametrize("neutral_as_positive", [False, True])
+    @settings(max_examples=150, deadline=None)
+    @given(records=winomt_records())
+    def test_winomt(self, records, strict_neutral, neutral_as_positive):
+        report = compute_winomt(records, strict_neutral=strict_neutral,
+                                neutral_as_positive=neutral_as_positive)
+        expected = oracle_winomt(records, strict_neutral, neutral_as_positive)
+        assert {name: getattr(report, name) for name in expected} == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(records=otsc_records())
+    def test_otsc(self, records):
+        report = compute_otsc(records)
+        assert {quadrant: vars(stats) for quadrant, stats in report.quadrants.items()} == \
+            oracle_otsc(records)
+
+    @settings(max_examples=150, deadline=None)
+    @given(records=neutral_records())
+    def test_tgbi(self, records):
+        report = compute_tgbi_report(records)
+        per_set, tgbi = oracle_tgbi(records)
+        assert {set_id: (b.proportions.p_m, b.proportions.p_f, b.proportions.p_n, b.ps, b.count)
+                for set_id, b in report.per_set.items()} == per_set
+        assert list(report.per_set) == list(per_set)
+        assert report.tgbi == tgbi

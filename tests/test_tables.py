@@ -5,7 +5,7 @@ from mtgender.tables import fmt_pct, fmt_score, format_tgbi_table, format_winomt
 def make_report(**overrides):
     base = dict(acc=50.0, delta_g=200 / 3, delta_s=0.0, n=0.0,
                 f1_male=200 / 3, f1_female=0.0, macro_f1_pro=100 / 3,
-                macro_f1_anti=100 / 3, total=400, excluded_unlisted=0, excluded_failed=0)
+                macro_f1_anti=100 / 3, total=400, excluded_unlisted=0)
     base.update(overrides)
     return WinomtReport(**base)
 

@@ -201,6 +201,19 @@ class TestCueValidation:
         with pytest.raises(TemplateError, match="overlap"):
             CueInventory(frozenset({"करता"}), frozenset({"करता"}))
 
+    @pytest.mark.parametrize("content, complaint", [
+        ({"male_cues": "जानता", "female_cues": ["जानती"]}, "male_cues must be a list of strings"),
+        ({"male_cues": ["जानता"], "female_cues": ["जानती", 5]},
+         "female_cues must be a list of strings"),
+        (["जानता", "जानती"], "cue inventory must be an object, not list"),
+    ])
+    def test_malformed_inventory_file_names_the_file(self, tmp_path, content, complaint):
+        path = tmp_path / "cues.json"
+        path.write_text(json.dumps(content, ensure_ascii=False), encoding="utf-8")
+        with pytest.raises(TemplateError) as excinfo:
+            CueInventory.from_file(path)
+        assert str(excinfo.value) == f"{path}: {complaint}"
+
     def test_inventory_from_file_missing_key(self, tmp_path):
         path = tmp_path / "cues.json"
         path.write_text(json.dumps({"male_cues": ["करता"]}), encoding="utf-8")
