@@ -12,19 +12,19 @@ from __future__ import annotations
 import enum
 import json
 import logging
-import math
 import os
 import random
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .corpus import GenderLabel, SourceSentence, StereotypeLists, Stereotype, assign_stereotype
 from .fileio import (
-    line_encoder, load_json, parse_record, record_decoder, utf8_error, write_jsonl,
+    decode_document, file_errors, line_encoder, load_json, parse_record, record_decoder,
+    utf8_error, write_jsonl,
 )
 from .manifest import tool_version
 
@@ -184,9 +184,24 @@ class RetryPolicy:
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
-            raise BackendError("retry max_attempts must be >= 1")
+            raise BackendError("max_attempts must be >= 1")
         if self.backoff_base_ms < 0:
-            raise BackendError("retry backoff_base_ms must be >= 0")
+            raise BackendError("backoff_base_ms must be >= 0")
+
+
+def _check_header(backend: str, key: str, value: str) -> None:
+    """Reject a header name or value holding CR, LF or NUL: HTTP allows none of
+    them in a header, and CR or LF would end the header line and start another."""
+    if any(c in key or c in value for c in "\r\n\0"):
+        raise BackendError(f"backend {backend!r}: header {key!r} holds a CR, LF or NUL character")
+
+
+@dataclass(frozen=True)
+class _RequestTemplateKeys:
+    """The request_template keys that are read as more than JSON to send."""
+
+    response_path: str = ""
+    headers: Mapping[str, Any] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -205,6 +220,11 @@ class BackendConfig:
     timeout_s: float = 30.0
 
     def __post_init__(self) -> None:
+        if self.request_template is not None:
+            keys = decode_document(self.request_template, _RequestTemplateKeys, BackendError,
+                                   "request_template")
+            for key, value in keys.headers.items():
+                _check_header(self.name, key, str(value))
         if self.batch_size < 1:
             raise BackendError("batch_size must be positive")
         if self.max_concurrency < 1:
@@ -228,100 +248,37 @@ class BackendConfig:
                 raise BackendError(f"backend {self.name!r}: mock kind requires a mock spec")
 
 
-_JSON_KINDS = {"a number": (int, float), "a string": (str,), "an object": (dict,)}
+def backend_config_from_dict(raw: Mapping[str, Any], path: str | Path) -> BackendConfig:
+    """Build a BackendConfig from one entry of the backends config file at
+    path; errors name path, and relative replay and stereotype-list paths
+    resolve against its directory.
 
-
-def _option(raw: Mapping[str, Any], key: str, default: Any, expected: str = "a number") -> Any:
-    """raw[key], or default when absent, checked to be what expected names
-    (a key of _JSON_KINDS); null is accepted only where the default is None,
-    and JSON's NaN and Infinity are not numbers here."""
-    value = raw.get(key, default)
-    if value is None and default is None:
-        return None
-    if (isinstance(value, bool) or not isinstance(value, _JSON_KINDS[expected])
-            or (isinstance(value, float) and not math.isfinite(value))):
-        raise BackendError(f"{key} must be {expected}, not {value!r}")
-    return value
-
-
-def _count_option(raw: Mapping[str, Any], key: str, default: int) -> int:
-    """_option for a setting that counts something: a number without a
-    fractional part."""
-    value = _option(raw, key, default)
-    if value != int(value):
-        raise BackendError(f"{key} must be a whole number, not {value!r}")
-    return int(value)
-
-
-def _check_header(backend: str, key: str, value: str) -> None:
-    """Reject a header name or value holding CR, LF or NUL: HTTP allows none of
-    them in a header, and CR or LF would end the header line and start another."""
-    if any(c in key or c in value for c in "\r\n\0"):
-        raise BackendError(f"backend {backend!r}: header {key!r} holds a CR, LF or NUL character")
-
-
-def backend_config_from_dict(raw: Mapping[str, Any], *, base_dir: Path | None = None) -> BackendConfig:
-    """Build a BackendConfig from one entry of the backends config file.
-
-    Relative replay/stereotype-list paths resolve against the config file's
-    directory when base_dir is given.
+    The entry is decoded by decode_document, but for the messages about name
+    and kind, and the mock's spec key and list files.
     """
 
     def resolve(p: str | None) -> str | None:
-        if p is None or base_dir is None:
-            return p
-        return str((base_dir / p) if not Path(p).is_absolute() else Path(p))
+        return p if p is None else str(Path(path).parent / p)
 
-    name = raw.get("name")
-    if not name:
-        raise BackendError("backend entry is missing a name")
-    try:
-        kind = BackendKind(raw.get("kind", ""))
-    except ValueError:
-        raise BackendError(f"backend {name!r}: unknown kind {raw.get('kind')!r}") from None
-
-    mock = None
-    mock_raw = _option(raw, "mock", None, "an object")
-    if mock_raw is not None:
-        lists = None
-        male_list = _option(mock_raw, "male_list", None, "a string")
-        female_list = _option(mock_raw, "female_list", None, "a string")
-        if male_list is not None or female_list is not None:
-            if male_list is None or female_list is None:
-                raise BackendError(
-                    f"backend {name!r}: stereotype mock needs both male_list and female_list"
-                )
-            lists = StereotypeLists.from_files(resolve(male_list), resolve(female_list))
-        mock = MockSpec(
-            kind=mock_raw.get("spec", ""),
-            seed=_count_option(mock_raw, "seed", 0),
-            p_male=float(_option(mock_raw, "p_male", 0.5)),
-            lists=lists,
-        )
-
-    retry_raw = _option(raw, "retry", {}, "an object")
-    template = _option(raw, "request_template", None, "an object")
-    if template is not None:
-        for key, value in _option(template, "headers", {}, "an object").items():
-            _check_header(name, key, str(value))
-        _option(template, "response_path", "", "a string")
-    return BackendConfig(
-        name=name,
-        kind=kind,
-        endpoint=_option(raw, "endpoint", None, "a string"),
-        auth_env=_option(raw, "auth_env", None, "a string"),
-        request_template=template,
-        replay_path=resolve(_option(raw, "replay_path", None, "a string")),
-        mock=mock,
-        batch_size=_count_option(raw, "batch_size", 32),
-        max_concurrency=_count_option(raw, "max_concurrency", 1),
-        retry=RetryPolicy(
-            max_attempts=_count_option(retry_raw, "max_attempts", 3),
-            backoff_base_ms=_count_option(retry_raw, "backoff_base_ms", 250),
-        ),
-        rate_limit=_option(raw, "rate_limit", None),
-        timeout_s=float(_option(raw, "timeout_s", 30.0)),
-    )
+    with file_errors(path, BackendError):
+        name = raw.get("name")
+        if not name:
+            raise BackendError("backend entry is missing a name")
+        if raw.get("kind") not in [kind.value for kind in BackendKind]:
+            raise BackendError(f"backend {name!r}: unknown kind {raw.get('kind')!r}")
+        mock = raw.get("mock")
+        if isinstance(mock, dict):  # anything else is left to the decoder
+            if not isinstance(mock.get("spec", ""), str):
+                raise BackendError(f"mock.spec must be a string, not {mock['spec']!r}")
+            lists, files = None, [mock.get("male_list"), mock.get("female_list")]
+            if files != [None, None]:
+                if not all(isinstance(f, str) for f in files):
+                    raise BackendError(f"backend {name!r}: stereotype mock needs both "
+                                       "male_list and female_list, each a file name")
+                lists = StereotypeLists.from_files(*map(resolve, files))
+            mock = {**mock, "kind": mock.get("spec", ""), "lists": lists}
+        config = decode_document({**raw, "mock": mock}, BackendConfig, BackendError)
+        return replace(config, replay_path=resolve(config.replay_path))
 
 
 def find_backend_entry(path: str | Path, name: str) -> dict[str, Any]:
@@ -339,11 +296,7 @@ def find_backend_entry(path: str | Path, name: str) -> dict[str, Any]:
 
 def load_backend_config(path: str | Path, name: str) -> BackendConfig:
     """Pick one backend definition by name from a config file; errors name the file."""
-    entry = find_backend_entry(path, name)
-    try:
-        return backend_config_from_dict(entry, base_dir=Path(path).parent)
-    except BackendError as exc:
-        raise BackendError(f"{path}: {exc}") from None
+    return backend_config_from_dict(find_backend_entry(path, name), path)
 
 
 # --------------------------------------------------------------------------

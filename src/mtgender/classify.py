@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .backends import TranslationRecord, TranslationStatus
 from .corpus import GenderLabel, SourceSentence
-from .fileio import load_json
+from .fileio import decode_document, file_errors, load_json
 
 _WORD = re.compile(r"\w+")
 
@@ -74,18 +74,12 @@ class PronounLexicon:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PronounLexicon":
+        """Read a lexicon, lower-casing its tokens as the text they match is."""
         raw = load_json(path, ClassifyError)
-        if not isinstance(raw, dict):
-            raise ClassifyError(f"{path}: lexicon must be an object, not {type(raw).__name__}")
-        token_sets = {}
-        for key in ("male_tokens", "female_tokens"):
-            if key not in raw:
-                raise ClassifyError(f"{path}: missing token list {key!r}")
-            tokens = raw[key]
-            if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-                raise ClassifyError(f"{path}: {key} must be a list of strings")
-            token_sets[key] = frozenset(t.lower() for t in tokens)
-        return cls(**token_sets)
+        with file_errors(path, ClassifyError):
+            read = decode_document(raw, cls, ClassifyError)
+            return cls(*(frozenset(t.lower() for t in tokens)
+                         for tokens in (read.male_tokens, read.female_tokens)))
 
 
 _DEFAULT_LEXICON = PronounLexicon.default()

@@ -16,22 +16,21 @@ import json
 import logging
 import sys
 from collections import Counter
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Any, get_type_hints
+from typing import Any, Mapping
 
 from .backends import (
     TranslationRecord,
     TranslationStatus,
+    backend_config_from_dict,
     find_backend_entry,
-    load_backend_config,
     read_translations,
     translate_batch,
     write_translations,
 )
-from .classify import ClassifyError, PronounLexicon, classify_batch
+from .classify import PronounLexicon, classify_batch
 from .corpus import (
-    CorpusError,
     StereotypeLists,
     Suite,
     assign_stereotype,
@@ -39,7 +38,10 @@ from .corpus import (
     read_sentences,
     write_sentences,
 )
-from .fileio import atomic_write_text, dumps_record, line_encoder, load_json, sha256_text
+from .fileio import (
+    atomic_write_text, decode_document, dumps_record, file_errors, line_encoder, load_json,
+    sha256_text,
+)
 from .manifest import (
     RunManifest,
     derive_run_id,
@@ -49,11 +51,7 @@ from .manifest import (
     write_sidecar,
 )
 from .metrics import (
-    MetricsError,
     OtscReport,
-    Proportions,
-    QuadrantStats,
-    SetBalance,
     TgbiReport,
     WinomtReport,
     compute_otsc,
@@ -61,7 +59,7 @@ from .metrics import (
     compute_winomt,
 )
 from .tables import format_otsc_table, format_tgbi_table, format_winomt_table
-from .templates import OtscTemplate, TemplateError, expand_otsc
+from .templates import OtscTemplate, expand_otsc
 from .resources import data_path
 
 logger = logging.getLogger(__name__)
@@ -79,82 +77,29 @@ class CliError(ValueError):
 # Report (de)serialization
 
 
-def _report_metrics_dict(report: TgbiReport | OtscReport | WinomtReport) -> dict:
-    """The report's dataclass fields, with the per-set proportions flattened."""
-    metrics = asdict(report)
-    for entry in metrics.get("per_set", {}).values():
-        entry.update(entry.pop("proportions"))
-    return metrics
+@dataclass(frozen=True)
+class _ReportFile:
+    """The keys of a machine report that report reads back."""
+
+    suite: Suite
+    metrics: Mapping[str, Any]
+    backend: str = "unknown"
 
 
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-_FIELD_KINDS = {
-    float: ("a number", _is_number),
-    float | None: ("a number or null", lambda v: v is None or _is_number(v)),
-    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    dict: ("an object", lambda v: isinstance(v, dict)),
-}
+_REPORT_CLASSES = {Suite.WINOMT: WinomtReport, Suite.OTSC: OtscReport, Suite.NEUTRAL: TgbiReport}
 
 
 def report_from_dict(
     payload: Any, source: str
 ) -> tuple[str, str, TgbiReport | OtscReport | WinomtReport]:
-    """Rebuild (suite, backend name, report) from a machine report file.
-
-    Raises CliError naming source and the field when a field is missing or
-    mistyped.
-    """
-
-    def get(*path: str, kind: Any = dict) -> Any:
-        """payload[path[0]][path[1]]..., checked against kind (a key of _FIELD_KINDS)."""
-        node = payload
-        for depth, key in enumerate(path):
-            if not isinstance(node, dict):
-                where = ".".join(path[:depth]) or "the report"
-                raise CliError(f"{source}: {where} must be an object, not {type(node).__name__}")
-            if key not in node:
-                raise CliError(f"{source}: report is missing {'.'.join(path[: depth + 1])}")
-            node = node[key]
-        expected, matches = _FIELD_KINDS[kind]
-        if not matches(node):
-            raise CliError(f"{source}: {'.'.join(path)} must be {expected}, not {node!r}")
-        return node
-
-    def fields_of(cls: type, *path: str, skip: tuple[str, ...] = ()) -> dict[str, Any]:
-        """The dataclass fields of cls, read from the object at path."""
-        hints = get_type_hints(cls)
-        return {f.name: get(*path, f.name, kind=hints[f.name])
-                for f in fields(cls) if f.name not in skip}
-
-    if not isinstance(payload, dict):
-        raise CliError(f"{source}: the report must be an object, not {type(payload).__name__}")
-    suite = payload.get("suite")
-    backend = payload.get("backend", "unknown")
-    if suite == "winomt":
-        report: TgbiReport | OtscReport | WinomtReport = WinomtReport(
-            **fields_of(WinomtReport, "metrics"))
-    elif suite == "otsc":
-        report = OtscReport(quadrants={
-            quadrant: QuadrantStats(**fields_of(QuadrantStats, "metrics", "quadrants", quadrant))
-            for quadrant in get("metrics", "quadrants")
-        })
-    elif suite == "neutral":
-        report = TgbiReport(
-            per_set={
-                set_id: SetBalance(
-                    proportions=Proportions(**fields_of(Proportions, "metrics", "per_set", set_id)),
-                    **fields_of(SetBalance, "metrics", "per_set", set_id, skip=("proportions",)),
-                )
-                for set_id in get("metrics", "per_set")
-            },
-            tgbi=get("metrics", "tgbi", kind=float),
-        )
-    else:
-        raise CliError(f"{source}: report has unknown suite {suite!r}")
-    return suite, backend, report
+    """Rebuild (suite, backend name, report) from a machine report file: the
+    suite picks the report class its metrics are decoded as. Errors name
+    source and the field."""
+    with file_errors(source, CliError):
+        header = decode_document(payload, _ReportFile, CliError)
+        cls = _REPORT_CLASSES[header.suite]
+        report = decode_document(header.metrics, cls, CliError, "metrics")
+    return header.suite.value, header.backend, report
 
 
 def _format_table(suite: str, named_reports: list) -> str:
@@ -209,8 +154,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_translate(args: argparse.Namespace) -> int:
     default_suite = Suite(args.suite) if args.suite else None
     sentences = read_sentences(args.sentences, default_suite)
-    config = load_backend_config(args.config, args.backend)
-    config_hash = sha256_text(dumps_record(find_backend_entry(args.config, args.backend)))[:16]
+    entry = find_backend_entry(args.config, args.backend)
+    config = backend_config_from_dict(entry, args.config)
+    config_hash = sha256_text(dumps_record(entry))[:16]
 
     out = Path(args.out)
     journal = Path(str(out) + ".partial")
@@ -391,7 +337,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         # identical inputs give a byte-identical report wherever they sit
         "inputs": {k: {"sha256": v["sha256"]} for k, v in inputs.items()},
         "counts": counts,
-        "metrics": _report_metrics_dict(report),
+        "metrics": asdict(report),
     }
     atomic_write_text(
         args.out, json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
@@ -501,9 +447,13 @@ def run(argv: list[str] | None = None) -> int:
         return args.func(args)
     # ValueError covers the domain errors (CorpusError, TemplateError,
     # BackendError, ClassifyError, MetricsError, CliError) plus malformed JSONL
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ABORTED
+    except OSError as exc:  # a rename names its target second: "out.<hex>.tmp" -> "out"
+        path = exc.filename if exc.filename2 is None else exc.filename2
+        print(f"error: {exc}" if path is None else f"error: {path}: {exc.strerror}",
+              file=sys.stderr)
+    return EXIT_ABORTED
 
 
 def main() -> None:

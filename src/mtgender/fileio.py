@@ -1,5 +1,6 @@
 """Shared file plumbing: JSONL records and their dataclass codec, JSON
-documents, atomic writes, digests, Devanagari helpers."""
+documents and their checked decoder, atomic writes, digests, Devanagari
+helpers."""
 
 from __future__ import annotations
 
@@ -13,10 +14,14 @@ import json
 import os
 import re
 import secrets
+import sys
+import types
+from collections.abc import Mapping
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import (
-    Any, BinaryIO, Callable, Iterable, Iterator, TypeVar, get_args, get_type_hints,
+    Any, BinaryIO, Callable, Iterable, Iterator, TypeVar, Union, get_args, get_origin,
+    get_type_hints,
 )
 
 T = TypeVar("T")
@@ -96,6 +101,95 @@ def load_json(path: str | os.PathLike, error: type[Exception]) -> Any:
         return json.loads(read_text(path, error))
     except json.JSONDecodeError as exc:
         raise error(f"{path}: invalid JSON ({exc.msg})") from None
+
+
+@contextlib.contextmanager
+def file_errors(path: str | os.PathLike, error: type[Exception]) -> Iterator[None]:
+    """Re-raise a ValueError from the block as error, prefixed with path."""
+    try:
+        yield
+    except ValueError as exc:
+        raise error(f"{path}: {exc}") from None
+
+
+def load_document(path: str | os.PathLike, cls: type[T], error: type[Exception]) -> T:
+    """The dataclass cls decoded by decode_document from the JSON document in
+    the UTF-8 file at path; every error, __post_init__'s included, names path."""
+    value = load_json(path, error)
+    with file_errors(path, error):
+        return decode_document(value, cls, error)
+
+
+def decode_document(value: Any, cls: type[T], error: type[Exception], where: str = "") -> T:
+    """The dataclass cls built through cls(**fields), so that its
+    __post_init__ checks run, from the JSON object value found at the dotted
+    path where of its document ("" for the document itself).
+
+    Each field is checked against its annotation: str; int, a finite number
+    without a fractional part; float, a finite number; a str-valued enum, by
+    its token; frozenset[str], from a list of strings; a nested dataclass or
+    dict[str, X] or Mapping, from an object. "| None" accepts null. A field
+    with a default may be absent; other keys are ignored. Raises error as
+    "<where.field> must be <kind>, not <value>" or "missing <where.field>",
+    or, for a nested class's own errors, "<where>: <error>".
+    """
+    if not isinstance(value, dict):
+        raise error(f"{where or 'the document'} must be an object, not {_shown(value)}")
+    hints, kwargs = get_type_hints(cls), {}
+    for f in dataclasses.fields(cls):
+        dotted = f"{where}.{f.name}" if where else f.name
+        if f.init and f.name in value:
+            kwargs[f.name] = _decode_field(value[f.name], hints[f.name], error, dotted)
+        elif f.init and f.default is dataclasses.MISSING is f.default_factory:
+            raise error(f"missing {dotted}")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        if not where:
+            raise
+        raise error(f"{where}: {exc}") from None
+
+
+def _decode_field(value: Any, hint: Any, error: type[Exception], dotted: str) -> Any:
+    """value checked against, and built as, the annotation hint (see decode_document)."""
+    if get_origin(hint) in (Union, types.UnionType):
+        if value is None:
+            return None
+        hint = next(arg for arg in get_args(hint) if arg is not type(None))
+    origin = get_origin(hint) or hint
+    # a finite JSON number: bool is not one, and an int beyond any float is not finite
+    number = type(value) in (int, float) and abs(value) <= sys.float_info.max
+    if hint is str and isinstance(value, str):
+        return value
+    if hint is float and number:
+        return float(value)
+    if hint is int and number and value == int(value):
+        return int(value)
+    if origin is frozenset and isinstance(value, list) and all(isinstance(v, str) for v in value):
+        return frozenset(value)
+    if dataclasses.is_dataclass(hint):
+        # a value the caller built (a mock entry's stereotype lists) is taken as it is
+        return value if isinstance(value, hint) else decode_document(value, hint, error, dotted)
+    if origin in (dict, Mapping) and isinstance(value, dict):
+        item = get_args(hint)[1]
+        return value if item is Any else {
+            key: _decode_field(v, item, error, f"{dotted}.{key}") for key, v in value.items()}
+    if isinstance(hint, enum.EnumMeta):
+        tokens = [member.value for member in hint]
+        if value in tokens:
+            return hint(value)
+        kind = "one of " + ", ".join(map(repr, tokens))
+    else:
+        kind = {str: "a string", int: "a whole number" if number else "a number",
+                float: "a number", frozenset: "a list of strings", dict: "an object",
+                Mapping: "an object"}[origin]
+    raise error(f"{dotted} must be {kind}, not {_shown(value)}")
+
+
+def _shown(value: Any) -> str:
+    """value as an error message quotes it: its repr, cut short."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
 @functools.cache

@@ -97,8 +97,9 @@ def compute_tgbi(per_set_ps: Mapping[str, float]) -> float:
 
 
 @dataclass(frozen=True)
-class SetBalance:
-    proportions: Proportions
+class SetBalance(Proportions):
+    """A neutral set's proportions, balance score and size."""
+
     ps: float
     count: int
 
@@ -118,8 +119,8 @@ def compute_tgbi_report(records: Sequence[ClassifiedRecord]) -> TgbiReport:
     for set_id in sorted(groups):
         cells = groups[set_id]
         n, males, females = sum(cells.values()), _predicted(cells, M), _predicted(cells, F)
-        proportions = Proportions(p_m=males / n, p_f=females / n, p_n=(n - males - females) / n)
-        per_set[set_id] = SetBalance(proportions, compute_ps(proportions), n)
+        p = Proportions(p_m=males / n, p_f=females / n, p_n=(n - males - females) / n)
+        per_set[set_id] = SetBalance(p.p_m, p.p_f, p.p_n, ps=compute_ps(p), count=n)
     return TgbiReport(per_set=per_set, tgbi=compute_tgbi({k: v.ps for k, v in per_set.items()}))
 
 
@@ -277,6 +278,11 @@ class QuadrantStats:
 @dataclass(frozen=True)
 class OtscReport:
     quadrants: dict[str, QuadrantStats]
+
+    def __post_init__(self) -> None:
+        if sorted(self.quadrants) != list(OTSC_QUADRANTS):
+            raise MetricsError(
+                f"quadrants must be {list(OTSC_QUADRANTS)}, not {sorted(self.quadrants)}")
 
 
 def compute_otsc(records: Sequence[ClassifiedRecord]) -> OtscReport:

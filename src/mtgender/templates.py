@@ -26,7 +26,7 @@ from .corpus import (
     SourceSentence,
     Suite,
 )
-from .fileio import devanagari_tokens, load_json
+from .fileio import decode_document, devanagari_tokens, file_errors, load_document, load_json
 from .resources import data_path
 
 logger = logging.getLogger(__name__)
@@ -96,20 +96,13 @@ class OtscTemplate:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "OtscTemplate":
+        """Read a template; unlike other documents, it may hold no other keys."""
         raw = load_json(path, TemplateError)
-        if not isinstance(raw, dict):
-            raise TemplateError(f"{path}: template must be an object, not {type(raw).__name__}")
-        known = {f for f in cls.__dataclass_fields__}
-        missing = {f for f in known if f != "occupation_slot"} - set(raw)
-        if missing:
-            raise TemplateError(f"{path}: missing template fields: {sorted(missing)}")
-        extra = set(raw) - known
-        if extra:
-            raise TemplateError(f"{path}: unknown template fields: {sorted(extra)}")
-        for name, value in raw.items():
-            if not isinstance(value, str):
-                raise TemplateError(f"{path}: {name} must be a string, not {value!r}")
-        return cls(**raw)
+        with file_errors(path, TemplateError):
+            extra = set(raw) - set(cls.__dataclass_fields__) if isinstance(raw, dict) else ()
+            if extra:
+                raise TemplateError(f"unknown template fields: {sorted(extra)}")
+            return decode_document(raw, cls, TemplateError)
 
     @classmethod
     def default(cls) -> "OtscTemplate":
@@ -176,18 +169,7 @@ class CueInventory:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CueInventory":
-        raw = load_json(path, TemplateError)
-        if not isinstance(raw, dict):
-            raise TemplateError(
-                f"{path}: cue inventory must be an object, not {type(raw).__name__}")
-        cues = {}
-        for key in ("male_cues", "female_cues"):
-            if key not in raw:
-                raise TemplateError(f"{path}: missing cue list {key!r}")
-            if not isinstance(raw[key], list) or not all(isinstance(c, str) for c in raw[key]):
-                raise TemplateError(f"{path}: {key} must be a list of strings")
-            cues[key] = frozenset(raw[key])
-        return cls(**cues)
+        return load_document(path, cls, TemplateError)
 
     @classmethod
     def default(cls) -> "CueInventory":

@@ -280,7 +280,7 @@ class TestBackendConfig:
             "name": "stereo", "kind": "mock",
             "mock": {"spec": "stereotype_follower",
                      "male_list": "male.txt", "female_list": "female.txt"},
-        }, base_dir=tmp_path)
+        }, tmp_path / "backends.json")
         assert MALE_OCC in config.mock.lists.male_stereotyped
 
 

@@ -95,9 +95,10 @@ class TestClassifyGender:
     @pytest.mark.parametrize("content, complaint", [
         ('{"male_tokens": ["he", 5], "female_tokens": ["she"]}', "male_tokens must be a list of strings"),
         ('{"male_tokens": ["he"], "female_tokens": "she"}', "female_tokens must be a list of strings"),
-        ('[["he"], ["she"]]', "lexicon must be an object, not list"),
+        ('[["he"], ["she"]]', "the document must be an object, not [['he'], ['she']]"),
         ('{"male_tokens": ["he"]', "invalid JSON"),
-        ('{"male_tokens": ["he"]}', "missing token list 'female_tokens'"),
+        ('{"male_tokens": ["he"]}', "missing female_tokens"),
+        ('{"male_tokens": ["he"], "female_tokens": ["He"]}', "pronoun sets overlap: he"),
     ])
     def test_malformed_lexicon_file_names_the_file(self, tmp_path, content, complaint):
         path = tmp_path / "pronouns.json"

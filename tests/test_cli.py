@@ -56,6 +56,8 @@ class TestGenerate:
         ({"skeleton": 5}, "skeleton must be a string, not 5"),
         ({"verb_male_friend": None}, "verb_male_friend must be a string, not None"),
         ({"occupation_slot": ["occupation"]}, "occupation_slot must be a string, not ['occupation']"),
+        ({"skeleton": "{prefix} {possessive} {verb}"},
+         "skeleton must contain the {occupation} slot exactly once"),
     ])
     def test_malformed_template_is_an_error_not_a_traceback(
         self, tmp_path, otsc_setup, capsys, edit, complaint
@@ -304,6 +306,26 @@ class TestTranslate:
                     "--out", str(out)]) == EXIT_OK
 
 
+    def test_config_file_is_read_once(self, tmp_path, otsc_setup, backends_config, monkeypatch):
+        import mtgender.backends
+
+        reads = []
+        load_json = mtgender.backends.load_json
+        monkeypatch.setattr(mtgender.backends, "load_json",
+                            lambda path, error: reads.append(path) or load_json(path, error))
+        _, sentences = otsc_setup
+        out = tmp_path / "tr.jsonl"
+        assert run(["translate", "--sentences", str(sentences), "--config", str(backends_config),
+                    "--backend", "coin", "--out", str(out)]) == EXIT_OK
+        assert reads == [str(backends_config)]
+        entry = {"name": "coin", "kind": "mock",
+                 "mock": {"spec": "coin_flip", "seed": 7, "p_male": 0.5}}
+        config_hash = hashlib.sha256(
+            json.dumps(entry, ensure_ascii=False, sort_keys=True).encode("utf-8")).hexdigest()
+        assert read_report(Path(f"{out}.manifest.json"))["backend"] == {
+            "name": "coin", "config_hash": config_hash[:16]}
+
+
 class TestEvaluate:
     def _translate(self, sentences, backends_config, tmp_path, backend="echo-gold",
                    suite=None, name="tr.jsonl"):
@@ -534,8 +556,8 @@ class TestReport:
         assert "mix suites" in capsys.readouterr().err
 
     @pytest.mark.parametrize("metrics, complaint", [
-        ({"acc": 1}, "report is missing metrics.delta_g"),
-        ([], "metrics must be an object, not list"),
+        ({"acc": 1}, "missing metrics.delta_g"),
+        ([], "metrics must be an object, not []"),
     ])
     def test_malformed_report_is_an_error_not_a_traceback(
         self, tmp_path, backends_config, capsys, metrics, complaint
@@ -548,6 +570,32 @@ class TestReport:
         assert run(["report", str(path)]) == EXIT_ABORTED
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err and complaint in err
+
+    @pytest.mark.parametrize("edit, held", [
+        ("drop MM", "['FF', 'FM', 'MF']"),
+        ("add XX", "['FF', 'FM', 'MF', 'MM', 'XX']"),
+    ])
+    def test_otsc_report_needs_exactly_the_four_quadrants(
+        self, tmp_path, otsc_setup, backends_config, capsys, edit, held
+    ):
+        _, sentences = otsc_setup
+        translations = tmp_path / "tr.jsonl"
+        path = tmp_path / "report.json"
+        assert run(["translate", "--sentences", str(sentences), "--config", str(backends_config),
+                    "--backend", "echo-gold", "--out", str(translations)]) == EXIT_OK
+        assert run(["evaluate", "--sentences", str(sentences), "--translations",
+                    str(translations), "--suite", "otsc", "--out", str(path)]) == EXIT_OK
+        payload = read_report(path)
+        quadrants = payload["metrics"]["quadrants"]
+        if edit == "drop MM":
+            del quadrants["MM"]
+        else:
+            quadrants["XX"] = quadrants["FF"]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["report", str(path)]) == EXIT_ABORTED
+        assert capsys.readouterr().err == (
+            f"error: {path}: metrics: quadrants must be ['FF', 'FM', 'MF', 'MM'], not {held}\n")
 
     @pytest.mark.parametrize("suite", ["otsc", "winomt", "neutral"])
     def test_prints_exactly_the_table_evaluate_printed(
@@ -622,3 +670,58 @@ def test_a_file_that_is_not_utf8_is_named(tmp_path, otsc_setup, backends_config,
     err = capsys.readouterr().err
     line = "line 2: " if kind in ("sentences", "translations") else ""
     assert err.startswith(f"error: {path}: {line}not valid UTF-8 ("), err
+
+
+_INPUTS = [("generate", "--occupations"), ("generate", "--template"),
+           ("translate", "--sentences"), ("translate", "--config"),
+           ("evaluate", "--sentences"), ("evaluate", "--translations"),
+           ("evaluate", "--male-stereotypes"), ("evaluate", "--female-stereotypes"),
+           ("evaluate", "--pronouns"), ("report", "reports")]
+_OUTPUTS = [("generate", "--out"), ("translate", "--out"), ("evaluate", "--out"),
+            ("evaluate", "--table"), ("report", "--out")]
+
+
+@pytest.mark.parametrize("command, option, problem",
+                         [(*arg, problem) for arg in _INPUTS for problem in ("missing", "directory")]
+                         + [(*arg, "directory") for arg in _OUTPUTS])
+def test_a_path_that_is_missing_or_a_directory_is_named(
+    tmp_path, backends_config, capsys, command, option, problem
+):
+    """Every path argument that cannot be read or written ends in
+    error: <path>: ..., exit 1, whatever the system call that failed."""
+    sentences = data_path("winomt_sample.jsonl")
+    translations = tmp_path / "tr.jsonl"
+    report = tmp_path / "report.json"
+    for name, text in (("occ.txt", "डॉक्टर\n"), ("male.txt", "मैकेनिक\n"), ("female.txt", "नर्स\n"),
+                       ("pronouns.json", '{"male_tokens": ["he"], "female_tokens": ["she"]}')):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert run(["translate", "--sentences", str(sentences), "--config", str(backends_config),
+                "--backend", "echo-gold", "--suite", "winomt", "--out", str(translations)]) == EXIT_OK
+    assert run(["evaluate", "--sentences", str(sentences), "--translations", str(translations),
+                "--suite", "winomt", "--out", str(report)]) == EXIT_OK
+    arguments = {
+        "generate": {"--occupations": tmp_path / "occ.txt",
+                     "--template": data_path("otsc_template.json"),
+                     "--out": tmp_path / "otsc.jsonl"},
+        "translate": {"--sentences": sentences, "--config": backends_config,
+                      "--backend": "echo-gold", "--suite": "winomt",
+                      "--out": tmp_path / "tr2.jsonl"},
+        "evaluate": {"--sentences": sentences, "--translations": translations,
+                     "--suite": "winomt", "--male-stereotypes": tmp_path / "male.txt",
+                     "--female-stereotypes": tmp_path / "female.txt",
+                     "--pronouns": tmp_path / "pronouns.json",
+                     "--out": tmp_path / "r2.json", "--table": tmp_path / "table.txt"},
+        "report": {"reports": report, "--out": tmp_path / "table.txt"},
+    }[command]
+    bad = tmp_path / "nowhere"
+    if problem == "directory":
+        bad.mkdir()
+    arguments[option] = bad
+    argv = [command]
+    for name, value in arguments.items():
+        argv += [str(value)] if name == "reports" else [name, str(value)]
+    capsys.readouterr()
+    assert run(argv) == EXIT_ABORTED
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err and "Errno" not in err

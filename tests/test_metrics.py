@@ -483,7 +483,7 @@ class TestOracleEquivalence:
     def test_tgbi(self, records):
         report = compute_tgbi_report(records)
         per_set, tgbi = oracle_tgbi(records)
-        assert {set_id: (b.proportions.p_m, b.proportions.p_f, b.proportions.p_n, b.ps, b.count)
+        assert {set_id: (b.p_m, b.p_f, b.p_n, b.ps, b.count)
                 for set_id, b in report.per_set.items()} == per_set
         assert list(report.per_set) == list(per_set)
         assert report.tgbi == tgbi

@@ -1,4 +1,4 @@
-from mtgender.metrics import Proportions, SetBalance, TgbiReport, WinomtReport
+from mtgender.metrics import SetBalance, TgbiReport, WinomtReport
 from mtgender.tables import fmt_pct, fmt_score, format_tgbi_table, format_winomt_table
 
 
@@ -37,7 +37,7 @@ def test_tgbi_table_bottom_row():
     balances = {"S1": 0.787, "S2": 0.620, "S3": 0.623, "S4": 0.569,
                 "S5": 0.819, "S6": 0.926, "S7": 0.848}
     report = TgbiReport(
-        per_set={k: SetBalance(Proportions(0.0, 0.0, 1.0), ps, 10)
+        per_set={k: SetBalance(0.0, 0.0, 1.0, ps, 10)
                  for k, ps in balances.items()},
         tgbi=sum(balances.values()) / len(balances),
     )

@@ -78,8 +78,9 @@ class TestOtscTemplate:
         path = tmp_path / "template.json"
         path.write_text(json.dumps({"skeleton": "{prefix} {occupation} {possessive} {verb}"}),
                         encoding="utf-8")
-        with pytest.raises(TemplateError, match="missing template fields"):
+        with pytest.raises(TemplateError) as excinfo:
             OtscTemplate.from_file(path)
+        assert str(excinfo.value) == f"{path}: missing prefix_male_speaker"
 
     def test_from_file_unknown_field(self, tmp_path):
         raw = json.loads(data_path("otsc_template.json").read_text(encoding="utf-8"))
@@ -202,10 +203,12 @@ class TestCueValidation:
             CueInventory(frozenset({"करता"}), frozenset({"करता"}))
 
     @pytest.mark.parametrize("content, complaint", [
-        ({"male_cues": "जानता", "female_cues": ["जानती"]}, "male_cues must be a list of strings"),
+        ({"male_cues": "जानता", "female_cues": ["जानती"]},
+         "male_cues must be a list of strings, not 'जानता'"),
         ({"male_cues": ["जानता"], "female_cues": ["जानती", 5]},
-         "female_cues must be a list of strings"),
-        (["जानता", "जानती"], "cue inventory must be an object, not list"),
+         "female_cues must be a list of strings, not ['जानती', 5]"),
+        (["जानता", "जानती"], "the document must be an object, not ['जानता', 'जानती']"),
+        ({"male_cues": ["करता"], "female_cues": ["करता"]}, "cue inventories overlap: करता"),
     ])
     def test_malformed_inventory_file_names_the_file(self, tmp_path, content, complaint):
         path = tmp_path / "cues.json"
