@@ -23,8 +23,8 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .corpus import GenderLabel, SourceSentence, StereotypeLists, Stereotype, assign_stereotype
 from .fileio import (
-    decode_document, file_errors, line_encoder, load_json, parse_record, record_decoder,
-    utf8_error, write_jsonl,
+    decode_document, file_errors, line_encoder, load_json, read_jsonl, record_decoder,
+    write_jsonl,
 )
 from .manifest import tool_version
 
@@ -66,25 +66,22 @@ def write_translations(
     return write_jsonl(path, map(line_encoder(TranslationRecord), records), digest)
 
 
-def read_translations(path: str | Path, lenient: bool = False) -> list[TranslationRecord]:
-    """Read a translations file. With lenient, an unreadable line (such as the
-    last line of an interrupted run's journal, torn mid-write, perhaps inside
-    a character) is logged and skipped instead of aborting the read."""
+def read_translations(
+    path: str | Path, lenient: bool = False, digest: Any = None
+) -> list[TranslationRecord]:
+    """Read a translations file; digest, a hashlib object, when given, takes
+    its bytes. With lenient, an unreadable line (such as the last line of an
+    interrupted run's journal, torn mid-write, perhaps inside a character) is
+    logged and skipped instead of aborting the read."""
     decode = record_decoder(TranslationRecord, BackendError)
     records = []
-    with open(path, encoding="utf-8", errors="replace" if lenient else "strict") as fh:
+    for lineno, record in read_jsonl(path, digest, lenient):
         try:
-            for lineno, line in enumerate(fh, start=1):
-                try:
-                    record = parse_record(line, path, lineno)
-                    if record is not None:
-                        records.append(decode(record, path, lineno))
-                except ValueError as exc:
-                    if not lenient:
-                        raise
-                    logger.warning("%s; line skipped", exc)
-        except UnicodeDecodeError:
-            raise utf8_error(path) from None
+            records.append(decode(record, path, lineno))
+        except BackendError as exc:
+            if not lenient:
+                raise
+            logger.warning("%s; line skipped", exc)
     return records
 
 

@@ -128,13 +128,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
         "template": file_ref(template_path),
     }
     counts = {"generated": len(sentences), **{f"quadrant_{q}": n for q, n in per_quadrant.items()}}
-    run_id = derive_run_id({
-        "command": "generate",
-        "inputs": {k: v["sha256"] for k, v in inputs.items()},
-        "version": tool_version(),
-    })
     write_sidecar(RunManifest(
-        run_id=run_id,
+        run_id=derive_run_id("generate", inputs),
         command="generate",
         suite=Suite.OTSC.value,
         inputs=inputs,
@@ -153,7 +148,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_translate(args: argparse.Namespace) -> int:
     default_suite = Suite(args.suite) if args.suite else None
-    sentences = read_sentences(args.sentences, default_suite)
+    source_digest = hashlib.sha256()
+    sentences = read_sentences(args.sentences, default_suite, source_digest)
     entry = find_backend_entry(args.config, args.backend)
     config = backend_config_from_dict(entry, args.config)
     config_hash = sha256_text(dumps_record(entry))[:16]
@@ -208,15 +204,10 @@ def cmd_translate(args: argparse.Namespace) -> int:
         "translated_failed": failed,
         "reused": len(done),
     }
-    inputs = {"sentences": file_ref(args.sentences)}
-    run_id = derive_run_id({
-        "command": "translate",
-        "backend": {"name": config.name, "config": config_hash},
-        "inputs": {k: v["sha256"] for k, v in inputs.items()},
-        "version": tool_version(),
-    })
+    inputs = {"sentences": {"path": args.sentences, "sha256": source_digest.hexdigest()}}
     write_sidecar(RunManifest(
-        run_id=run_id,
+        run_id=derive_run_id("translate", inputs,
+                             backend={"name": config.name, "config": config_hash}),
         command="translate",
         suite=default_suite.value if default_suite else None,
         inputs=inputs,
@@ -237,12 +228,13 @@ def cmd_translate(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     suite = Suite(args.suite)
+    digests = {"sentences": hashlib.sha256(), "translations": hashlib.sha256()}
+    sentences = read_sentences(args.sentences, suite, digests["sentences"])
+    translations = read_translations(args.translations, digest=digests["translations"])
 
-    # each input is digested once: for the manifest check and for the report
-    inputs = {
-        "sentences": file_ref(args.sentences),
-        "translations": file_ref(args.translations),
-    }
+    # each input is digested as it is read: for the manifest check and for the report
+    inputs = {name: {"path": getattr(args, name), "sha256": digest.hexdigest()}
+              for name, digest in digests.items()}
     for ref in inputs.values():
         ok, message = verify_against_sidecar(ref["path"], ref["sha256"])
         if not ok:
@@ -252,9 +244,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 raise CliError(f"{message}; pass --no-verify to evaluate anyway")
         else:
             logger.info(message)
-
-    sentences = read_sentences(args.sentences, suite)
-    translations = read_translations(args.translations)
 
     sentence_ids = {s.id for s in sentences}
     copies = Counter(t.source_id for t in translations)
@@ -318,14 +307,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "stereotype_lists": stereotype_paths,
         "pronouns": args.pronouns,
     }
-    run_id = derive_run_id({
-        "command": "evaluate",
-        "suite": suite.value,
-        "backend": backend_name,
-        "options": options,
-        "inputs": {k: v["sha256"] for k, v in inputs.items()},
-        "version": tool_version(),
-    })
+    run_id = derive_run_id("evaluate", inputs, suite=suite.value, backend=backend_name,
+                           options=options)
     payload = {
         "tool": "mtgender",
         "version": tool_version(),
@@ -339,22 +322,21 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "counts": counts,
         "metrics": asdict(report),
     }
-    atomic_write_text(
-        args.out, json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
-    )
+    text = json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    table = _format_table(suite.value, [(backend_name, report)])
+    # the table first: a --table that cannot be written leaves no report behind
+    if args.table:
+        atomic_write_text(args.table, table)
+    atomic_write_text(args.out, text)
     write_sidecar(RunManifest(
         run_id=run_id,
         command="evaluate",
         suite=suite.value,
         inputs=inputs,
-        output={**file_ref(args.out), "records": 1},
+        output={"path": str(args.out), "sha256": sha256_text(text), "records": 1},
         counts=counts,
         backend={"name": backend_name},
     ))
-
-    table = _format_table(suite.value, [(backend_name, report)])
-    if args.table:
-        atomic_write_text(args.table, table)
     sys.stdout.write(table)
     if excluded:
         print(f"note: {len(excluded)} failed translations excluded from metrics")

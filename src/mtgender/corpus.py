@@ -20,7 +20,8 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from .fileio import (
-    contains_devanagari, line_encoder, read_jsonl, read_text, record_decoder, write_jsonl,
+    contains_devanagari, file_errors, line_encoder, read_jsonl, read_text, record_decoder,
+    write_jsonl,
 )
 
 logger = logging.getLogger(__name__)
@@ -100,10 +101,10 @@ class StereotypeLists:
 
     @classmethod
     def from_files(cls, male_path: str | Path, female_path: str | Path) -> "StereotypeLists":
-        return cls(
-            male_stereotyped=frozenset(load_occupations(male_path)),
-            female_stereotyped=frozenset(load_occupations(female_path)),
-        )
+        """The lists read from two occupation files; an overlap names both."""
+        male, female = load_occupations(male_path), load_occupations(female_path)
+        with file_errors(f"{male_path} and {female_path}", CorpusError):
+            return cls(male_stereotyped=frozenset(male), female_stereotyped=frozenset(female))
 
 
 def validate_sentence(sentence: SourceSentence) -> None:
@@ -159,8 +160,11 @@ def write_sentences(
     return write_jsonl(path, map(line_encoder(SourceSentence), sentences), digest)
 
 
-def read_sentences(path: str | Path, suite: Suite | None = None) -> list[SourceSentence]:
-    """Read and validate a sentence file of any suite.
+def read_sentences(
+    path: str | Path, suite: Suite | None = None, digest: Any = None
+) -> list[SourceSentence]:
+    """Read and validate a sentence file of any suite; digest, a hashlib
+    object, when given, takes its bytes.
 
     Records may carry their suite inline (generated files always do); suite,
     when given, supplies it for records without one and rejects records of
@@ -170,7 +174,7 @@ def read_sentences(path: str | Path, suite: Suite | None = None) -> list[SourceS
     decode = record_decoder(SourceSentence, CorpusError)
     sentences: list[SourceSentence] = []
     seen_ids: dict[str, int] = {}
-    for lineno, record in read_jsonl(path):
+    for lineno, record in read_jsonl(path, digest):
         if suite is not None and record.get("suite") is None:
             record["suite"] = suite.value
         sentence = decode(record, path, lineno)

@@ -11,6 +11,7 @@ import functools
 import hashlib
 import itertools
 import json
+import logging
 import os
 import re
 import secrets
@@ -25,6 +26,8 @@ from typing import (
 )
 
 T = TypeVar("T")
+
+logger = logging.getLogger(__name__)
 
 # Devanagari block minus punctuation (danda, double danda, abbreviation sign).
 _DEVANAGARI_WORD = re.compile(r"[ऀ-ॣ०-९ॱ-ॿ]+")
@@ -59,28 +62,30 @@ def parse_record(line: str, path: str | os.PathLike, lineno: int) -> dict[str, A
     return record
 
 
-def read_jsonl(path: str | os.PathLike) -> Iterator[tuple[int, dict[str, Any]]]:
-    """Yield (line_number, record) for every non-blank line of a JSONL file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                record = parse_record(line, path, lineno)
-                if record is not None:
-                    yield lineno, record
-        except UnicodeDecodeError:
-            raise utf8_error(path) from None
-
-
-def utf8_error(path: str | os.PathLike) -> ValueError:
-    """The error for a text file that failed to decode as UTF-8, naming path
-    and its first line that is not UTF-8."""
+def read_jsonl(
+    path: str | os.PathLike, digest: Any = None, lenient: bool = False
+) -> Iterator[tuple[int, dict[str, Any]]]:
+    """Yield (line_number, record) for every non-blank line of a UTF-8 JSONL
+    file, read once; lines end at "\\n". digest, a hashlib object, when given,
+    is updated with every byte of the file. Raises ValueError naming path and
+    line; with lenient, undecodable bytes become U+FFFD and a line that does
+    not parse is logged and skipped instead."""
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if digest is not None:
+                digest.update(raw)
             try:
-                raw.decode("utf-8")
+                record = parse_record(raw.decode("utf-8", "replace" if lenient else "strict"),
+                                      path, lineno)
             except UnicodeDecodeError as exc:
-                return ValueError(f"{path}: line {lineno}: not valid UTF-8 ({exc.reason})")
-    return ValueError(f"{path}: not valid UTF-8")
+                raise ValueError(f"{path}: line {lineno}: not valid UTF-8 ({exc.reason})") from None
+            except ValueError as exc:
+                if not lenient:
+                    raise
+                logger.warning("%s; line skipped", exc)
+                continue
+            if record is not None:
+                yield lineno, record
 
 
 def read_text(path: str | os.PathLike, error: type[Exception]) -> str:

@@ -25,10 +25,16 @@ def tool_version() -> str:
     return __version__
 
 
-def derive_run_id(payload: dict) -> str:
-    """Content-derived run id: stable across reruns with identical inputs."""
-    canonical = json.dumps(payload, ensure_ascii=False, sort_keys=True)
-    return sha256_text(canonical)[:16]
+def derive_run_id(command: str, inputs: dict[str, dict], **identity: object) -> str:
+    """Content-derived run id: stable across reruns with identical inputs.
+
+    It hashes the command, the sha256 of each input (inputs maps a name to
+    {"path", "sha256"}, as in the manifest), the tool version and identity,
+    whatever else decides the output (backend, options).
+    """
+    payload = {"command": command, "version": tool_version(), **identity,
+               "inputs": {name: ref["sha256"] for name, ref in inputs.items()}}
+    return sha256_text(json.dumps(payload, ensure_ascii=False, sort_keys=True))[:16]
 
 
 def file_ref(path: str | Path) -> dict:

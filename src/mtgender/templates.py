@@ -18,7 +18,7 @@ import logging
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .corpus import (
     OTSC_QUADRANTS,
@@ -35,28 +35,7 @@ _PLACEHOLDER = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
 
 class TemplateError(ValueError):
-    """Raised for malformed templates or unbound placeholders."""
-
-
-def render_template(template_text: str, bindings: Mapping[str, str]) -> str:
-    """Substitute every ``{name}`` placeholder; all other characters pass through.
-
-    Unbound placeholders raise TemplateError naming the placeholder; bindings
-    that never appear in the text are logged, not fatal.
-    """
-    used: set[str] = set()
-
-    def substitute(match: re.Match[str]) -> str:
-        name = match.group(1)
-        if name not in bindings:
-            raise TemplateError(f"unbound placeholder {name!r}")
-        used.add(name)
-        return bindings[name]
-
-    rendered = _PLACEHOLDER.sub(substitute, template_text)
-    for unused in sorted(set(bindings) - used):
-        logger.warning("binding %r does not appear in the template", unused)
-    return rendered
+    """Raised for malformed templates."""
 
 
 @dataclass(frozen=True)
@@ -86,13 +65,30 @@ class OtscTemplate:
         unknown = set(slots) - {"prefix", "possessive", "verb", self.occupation_slot}
         if unknown:
             raise TemplateError(f"skeleton has unknown slots: {sorted(unknown)}")
-        for male, female, what in (
-            (self.prefix_male_speaker, self.prefix_female_speaker, "speaker prefixes"),
-            (self.possessive_male_friend, self.possessive_female_friend, "possessives"),
-            (self.verb_male_friend, self.verb_female_friend, "friend verbs"),
-        ):
+        fragments = {  # slot: (male, female, what the pair is)
+            "prefix": (self.prefix_male_speaker, self.prefix_female_speaker, "speaker prefixes"),
+            "possessive": (self.possessive_male_friend, self.possessive_female_friend,
+                           "possessives"),
+            "verb": (self.verb_male_friend, self.verb_female_friend, "friend verbs"),
+        }
+        for male, female, what in fragments.values():
             if male == female:
                 raise TemplateError(f"{what} must differ between genders")
+        fragments.pop(self.occupation_slot, None)
+        for unused in sorted(set(fragments) - set(slots)):
+            logger.warning("binding %r does not appear in the template", unused)
+        # Each quadrant's text before and after the occupation, built once. No
+        # placeholder spans the slot, so substituting each side on its own is
+        # substituting the whole skeleton.
+        sides = self.skeleton.split(f"{{{self.occupation_slot}}}")
+        frames = {}
+        for quadrant in OTSC_QUADRANTS:
+            # the speaker's gender picks the prefix, the friend's the other two
+            chosen = {name: pair[quadrant[name != "prefix"] == "F"]
+                      for name, pair in fragments.items()}
+            frames[quadrant] = [
+                _PLACEHOLDER.sub(lambda m: chosen[m.group(1)], side) for side in sides]
+        object.__setattr__(self, "_frames", frames)  # not a field: not read from the file
 
     @classmethod
     def from_file(cls, path: str | Path) -> "OtscTemplate":
@@ -112,16 +108,8 @@ class OtscTemplate:
         """Render one of FF/FM/MF/MM (speaker gender, friend gender) for an occupation."""
         if quadrant not in OTSC_QUADRANTS:
             raise TemplateError(f"unknown quadrant {quadrant!r}")
-        speaker, friend = quadrant[0], quadrant[1]
-        bindings = {
-            "prefix": self.prefix_male_speaker if speaker == "M" else self.prefix_female_speaker,
-            "possessive": (
-                self.possessive_male_friend if friend == "M" else self.possessive_female_friend
-            ),
-            "verb": self.verb_male_friend if friend == "M" else self.verb_female_friend,
-            self.occupation_slot: occupation,
-        }
-        return render_template(self.skeleton, bindings)
+        before, after = self._frames[quadrant]
+        return before + occupation + after
 
 
 def expand_otsc(

@@ -2,16 +2,20 @@
 records, independent of the count table in mtgender.metrics,
 classify by scanning every word, independent of the compiled lexicon regex, and
 encode and decode pipeline records field by field through a dict and json.dumps,
-independent of the record codec in mtgender.fileio."""
+independent of the record codec in mtgender.fileio, and render a template by
+substituting every placeholder in one pass, independent of the quadrant frames
+in mtgender.templates."""
 
 import dataclasses
 import enum
+import logging
 import math
 import re
-from typing import Any, get_args, get_type_hints
+from typing import Any, Mapping, get_args, get_type_hints
 
 from mtgender.classify import ClassifiedRecord, PronounLexicon
 from mtgender.corpus import OTSC_QUADRANTS, GenderLabel, Stereotype
+from mtgender.templates import TemplateError
 
 GENDERED = (GenderLabel.MALE, GenderLabel.FEMALE)
 
@@ -195,3 +199,40 @@ def oracle_from_record(cls, record: dict[str, Any], error: type[Exception], wher
     else:
         return cls(**values)
     raise error(f"{where}: record {record.get(plan[0][0], '?')!r}: {problem}")
+
+
+_PLACEHOLDER = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
+
+
+def render_template(template_text: str, bindings: Mapping[str, str]) -> str:
+    """Substitute every ``{name}`` placeholder; all other characters pass through.
+
+    Unbound placeholders raise TemplateError naming the placeholder; bindings
+    that never appear in the text are logged, not fatal.
+    """
+    used: set[str] = set()
+
+    def substitute(match: re.Match[str]) -> str:
+        name = match.group(1)
+        if name not in bindings:
+            raise TemplateError(f"unbound placeholder {name!r}")
+        used.add(name)
+        return bindings[name]
+
+    rendered = _PLACEHOLDER.sub(substitute, template_text)
+    for unused in sorted(set(bindings) - used):
+        logging.getLogger(__name__).warning("binding %r does not appear in the template", unused)
+    return rendered
+
+
+def oracle_render_quadrant(template, quadrant: str, occupation: str) -> str:
+    """One quadrant of an OtscTemplate, rendered from its skeleton by render_template."""
+    speaker, friend = quadrant
+    bindings = {
+        "prefix": template.prefix_male_speaker if speaker == "M" else template.prefix_female_speaker,
+        "possessive": (template.possessive_male_friend if friend == "M"
+                       else template.possessive_female_friend),
+        "verb": template.verb_male_friend if friend == "M" else template.verb_female_friend,
+        template.occupation_slot: occupation,
+    }
+    return render_template(template.skeleton, bindings)

@@ -284,6 +284,19 @@ class TestBackendConfig:
         assert MALE_OCC in config.mock.lists.male_stereotyped
 
 
+    def test_overlapping_stereotype_mock_lists_name_both_files(self, tmp_path):
+        same = tmp_path / "list.txt"
+        same.write_text(f"{MALE_OCC}\n", encoding="utf-8")
+        config = tmp_path / "backends.json"
+        with pytest.raises(BackendError) as excinfo:
+            backend_config_from_dict({
+                "name": "stereo", "kind": "mock",
+                "mock": {"spec": "stereotype_follower",
+                         "male_list": "list.txt", "female_list": "list.txt"},
+            }, config)
+        assert str(excinfo.value) == \
+            f"{config}: {same} and {same}: stereotype lists overlap: {MALE_OCC}"
+
 class TestTranslationRecordSerialization:
     def test_round_trip(self):
         records = [

@@ -499,6 +499,35 @@ class TestEvaluate:
             f"error: {translations}: duplicate source_id {source_id!r}\n"
         assert not report.exists()
 
+    def test_unwritable_table_leaves_no_report(self, tmp_path, otsc_setup, backends_config,
+                                               capsys):
+        _, sentences = otsc_setup
+        translations = self._translate(sentences, backends_config, tmp_path)
+        table = tmp_path / "table"
+        table.mkdir()
+        report = tmp_path / "r.json"
+        capsys.readouterr()
+        assert run(["evaluate", "--sentences", str(sentences), "--translations",
+                    str(translations), "--suite", "otsc", "--out", str(report),
+                    "--table", str(table)]) == EXIT_ABORTED
+        assert capsys.readouterr().err == f"error: {table}: Is a directory\n"
+        assert not report.exists() and not Path(f"{report}.manifest.json").exists()
+
+    def test_overlapping_stereotype_lists_name_both_files(self, tmp_path, backends_config,
+                                                          capsys):
+        sentences = tmp_path / "winomt.jsonl"
+        write_sentences(sentences, build_winomt_corpus(8))
+        translations = self._translate(sentences, backends_config, tmp_path, suite="winomt")
+        same = tmp_path / "list.txt"
+        same.write_text("सचिव\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["evaluate", "--sentences", str(sentences), "--translations",
+                    str(translations), "--suite", "winomt", "--out", str(tmp_path / "r.json"),
+                    "--male-stereotypes", str(same),
+                    "--female-stereotypes", str(same)]) == EXIT_ABORTED
+        assert capsys.readouterr().err == \
+            f"error: {same} and {same}: stereotype lists overlap: सचिव\n"
+
     def test_table_file_written(self, tmp_path, otsc_setup, backends_config):
         _, sentences = otsc_setup
         translations = self._translate(sentences, backends_config, tmp_path)
@@ -725,3 +754,36 @@ def test_a_path_that_is_missing_or_a_directory_is_named(
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, err
     assert "Traceback" not in err and "Errno" not in err
+
+
+def test_each_jsonl_input_is_read_once(tmp_path, otsc_setup, backends_config, monkeypatch):
+    """translate and evaluate digest each JSONL input as they parse it, and
+    the report from the text they write: each input is opened once, and
+    sha256_file reads none of these files."""
+    import builtins
+    import mtgender.fileio
+    import mtgender.manifest
+
+    _, sentences = otsc_setup
+    translations, report = tmp_path / "tr.jsonl", tmp_path / "r.json"
+    opened, hashed = [], []
+    real_open, sha256_file = builtins.open, mtgender.fileio.sha256_file
+    monkeypatch.setattr(builtins, "open", lambda file, *args, **kwargs:
+                        opened.append(str(file)) or real_open(file, *args, **kwargs))
+    for module in (mtgender.fileio, mtgender.manifest):
+        monkeypatch.setattr(module, "sha256_file",
+                            lambda path: hashed.append(str(path)) or sha256_file(path))
+    assert run(["translate", "--sentences", str(sentences), "--config", str(backends_config),
+                "--backend", "echo-gold", "--out", str(translations)]) == EXIT_OK
+    assert opened.count(str(sentences)) == 1
+    opened.clear()
+    assert run(["evaluate", "--sentences", str(sentences), "--translations",
+                str(translations), "--suite", "otsc", "--out", str(report)]) == EXIT_OK
+    assert opened.count(str(sentences)) == opened.count(str(translations)) == 1
+    assert hashed == []
+
+    monkeypatch.undo()
+    manifest = read_report(Path(f"{report}.manifest.json"))
+    assert manifest["output"]["sha256"] == sha256_file(report)
+    assert {name: ref["sha256"] for name, ref in manifest["inputs"].items()} == {
+        "sentences": sha256_file(sentences), "translations": sha256_file(translations)}

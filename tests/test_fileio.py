@@ -1,14 +1,17 @@
 """The record codec in mtgender.fileio against the field-by-field oracle in
 oracles.py: the decoder accepts and rejects what the oracle does, with the
 same exception and message, and the line encoder writes the oracle's bytes.
-Also the mode of the files the atomic writer creates."""
+Also the digest the JSONL reader takes as it reads, and the mode of the files
+the atomic writer creates."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -16,7 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtgender.backends import BackendError, TranslationRecord, TranslationStatus
+from mtgender.backends import (
+    BackendError, TranslationRecord, TranslationStatus, read_translations,
+)
 import mtgender
 from mtgender.corpus import (
     CorpusError,
@@ -25,6 +30,7 @@ from mtgender.corpus import (
     SourceSentence,
     Stereotype,
     Suite,
+    read_sentences,
 )
 from mtgender.fileio import dumps_record, line_encoder, parse_record, record_decoder
 
@@ -156,6 +162,55 @@ def test_parse_record_strips_what_str_strip_strips(before, after, record):
     line = before + json.dumps(record, ensure_ascii=False) + after + "\n"
     assert parse_record(line, "in.jsonl", 1) == record
     assert parse_record(before + after + "\n", "in.jsonl", 2) is None
+
+
+_SENTENCES = [SourceSentence(f"n{i}", "वह आया।", Suite.NEUTRAL, "S1") for i in range(3)]
+_TRANSLATIONS = [TranslationRecord.ok("n0", "He came.", "x"),
+                 TranslationRecord.failed("n1", "x", "timeout")]
+_READERS = {
+    "sentences": (lambda path, digest: read_sentences(path, digest=digest), _SENTENCES),
+    "translations": (lambda path, digest: read_translations(path, digest=digest),
+                     _TRANSLATIONS),
+    "translations-lenient": (lambda path, digest: read_translations(path, True, digest),
+                             _TRANSLATIONS),
+}
+# lines a lenient read skips: torn inside a record, inside a character, not an object
+_JUNK = ['{"source_id": "n9'.encode(), "{\"source_id\": \"ड".encode()[:-1], b"[1]"]
+
+
+_padding_bytes = st.text(st.sampled_from(" \t\x0c\xa0"), max_size=2).map(str.encode)
+
+
+@st.composite
+def jsonl_file(draw, records, lenient):
+    """The bytes of a JSONL file holding records: each line padded with
+    whitespace and ended by LF or CRLF (the last one perhaps by nothing), with
+    blank lines between them and, when lenient, lines that do not parse."""
+    lines = []
+    for record in records:
+        lines += draw(st.lists(_padding_bytes, max_size=2))
+        if lenient:
+            lines += draw(st.lists(st.sampled_from(_JUNK), max_size=1))
+        lines.append(draw(_padding_bytes) + line_encoder(type(record))(record).rstrip("\n")
+                     .encode() + draw(_padding_bytes))
+    endings = draw(st.lists(st.sampled_from([b"\n", b"\r\n"]), min_size=len(lines),
+                            max_size=len(lines)))
+    last = draw(st.sampled_from([b"\n", b"\r\n", b""]))
+    return b"".join(line + ending for line, ending in zip(lines, endings[:-1] + [last]))
+
+
+@pytest.mark.parametrize("reader", list(_READERS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_the_readers_digest_is_the_files_sha256(reader, data):
+    read, records = _READERS[reader]
+    raw = data.draw(jsonl_file(records, reader.endswith("lenient")))
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.jsonl"
+        path.write_bytes(raw)
+        assert read(path, digest) == records
+    assert digest.hexdigest() == hashlib.sha256(raw).hexdigest()
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])

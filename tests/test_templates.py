@@ -1,45 +1,74 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mtgender.corpus import GenderLabel
+from mtgender.corpus import OTSC_QUADRANTS, GenderLabel
 from mtgender.resources import data_path
 from mtgender.templates import (
     CueInventory,
     OtscTemplate,
     TemplateError,
     expand_otsc,
-    render_template,
     validate_gender_cues,
 )
 from mtgender.corpus import Suite, read_sentences
+
+from oracles import oracle_render_quadrant
 
 # Hand-rendered from the bundled template before the expansion engine existed.
 GOLDEN_MM = "मैं उसे काफी समय से जानता हूँ, मेरा दोस्त डॉक्टर का काम करता है।"
 
 
-class TestRenderTemplate:
-    def test_single_substitution(self):
-        assert render_template("X {a} Y", {"a": "b"}) == "X b Y"
+def _template(skeleton: str) -> OtscTemplate:
+    return OtscTemplate(skeleton, "अ", "आ", "का", "की", "करता", "करती")
 
-    def test_repeated_placeholder(self):
-        assert render_template("{a}{a}", {"a": "z"}) == "zz"
 
-    def test_unbound_placeholder_named(self):
-        with pytest.raises(TemplateError, match="'a'"):
-            render_template("X {a}", {})
+# Skeleton text between slots that never forms a {name} placeholder itself,
+# though it holds braces; fragments and occupations may hold anything,
+# placeholders included, since what is substituted is never substituted again.
+_literal = st.text(st.sampled_from("{} ।,क1-"), max_size=4) | st.sampled_from(
+    ["{{not a slot}}", "{x y}", "{1a}", "{}"])
+_free = st.text(st.sampled_from("{}ab ।क"), max_size=5) | st.sampled_from(
+    ["{verb}", "{occupation}", "{prefix}", "{job}", "{{x}}"])
 
-    def test_unused_binding_warns(self, caplog):
-        with caplog.at_level("WARNING"):
-            assert render_template("X", {"a": "b"}) == "X"
-        assert any("'a'" in m for m in caplog.messages)
 
-    def test_other_characters_untouched(self):
-        text = "a {x} b {{not a slot}} । ,"
-        # double braces are not placeholders for this engine; inner name has a space
-        assert render_template(text, {"x": "Y"}) == "a Y b {{not a slot}} । ,"
+@st.composite
+def templates(draw):
+    """A valid template: the occupation slot once, any other slots any number
+    of times (none included), a distinct male and female fragment per slot."""
+    slot = draw(st.sampled_from(["occupation", "job"]))
+    slots = draw(st.lists(st.sampled_from(["prefix", "possessive", "verb"]), max_size=5))
+    slots.insert(draw(st.integers(0, len(slots))), slot)
+    skeleton = draw(_literal) + "".join(f"{{{name}}}" + draw(_literal) for name in slots)
+    fragments = [f for _ in range(3) for f in draw(st.lists(_free, min_size=2, max_size=2,
+                                                            unique=True))]
+    return OtscTemplate(skeleton, *fragments, occupation_slot=slot)
+
+
+@settings(max_examples=300)
+@given(templates(), _free)
+@example(_template("X {verb} Y {occupation}"), "डॉक्टर")
+@example(_template("{verb}{verb}{occupation}{verb}"), "{verb}")
+@example(_template("a {prefix} b {{not a slot}} । , {occupation}"), "{{x}}")
+def test_render_quadrant_matches_the_oracle(template, occupation):
+    for quadrant in OTSC_QUADRANTS:
+        assert template.render_quadrant(quadrant, occupation) == \
+            oracle_render_quadrant(template, quadrant, occupation)
+
+
+def test_a_missing_slot_warns_once_per_template(caplog):
+    occupations = ["डॉक्टर", "वकील", "नर्स", "माली", "सुनार"]
+    with caplog.at_level("WARNING"):
+        sentences = expand_otsc(occupations, _template("{prefix} {possessive} {occupation}"))
+    assert len(sentences) == 4 * len(occupations)
+    assert caplog.messages == ["binding 'verb' does not appear in the template"]
+
+
+def test_an_unknown_slot_is_named():
+    with pytest.raises(TemplateError, match="'a'"):
+        _template("X {a} {occupation}")
 
 
 class TestOtscTemplate:
