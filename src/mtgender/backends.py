@@ -9,6 +9,7 @@ re-serves previously obtained translations so runs are reproducible offline.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import json
 import logging
@@ -66,6 +67,13 @@ def write_translations(
     return write_jsonl(path, map(line_encoder(TranslationRecord), records), digest)
 
 
+def append_translations(path: str | Path, records: Iterable[TranslationRecord]) -> None:
+    """Append records to a translations file, which is created if need be: a
+    translate run's journal, one finished batch at a time."""
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("".join(map(line_encoder(TranslationRecord), records)))
+
+
 def read_translations(
     path: str | Path, lenient: bool = False, digest: Any = None
 ) -> list[TranslationRecord]:
@@ -89,14 +97,10 @@ def read_translations(
 # Mock translators
 
 
-MOCK_KINDS = (
-    "always_male",
-    "always_female",
-    "echo_gold",
-    "neutralizing",
-    "coin_flip",
-    "stereotype_follower",
-)
+# the kinds that render the same gender whatever the source
+_FIXED_GENDERS = {"always_male": GenderLabel.MALE, "always_female": GenderLabel.FEMALE,
+                  "neutralizing": GenderLabel.NEUTRAL}
+MOCK_KINDS = (*_FIXED_GENDERS, "echo_gold", "coin_flip", "stereotype_follower")
 
 
 @dataclass(frozen=True)
@@ -119,38 +123,26 @@ class MockSpec:
             raise BackendError("stereotype_follower requires stereotype lists")
 
 
-def _english_rendering(source: SourceSentence, gender: GenderLabel) -> str:
-    """Fixed English surface forms carrying exactly the pronouns of one gender."""
-    occupation = source.occupation
-    if gender is GenderLabel.MALE:
-        if occupation:
-            return f"I have known him for a long time, my friend works as a {occupation}."
-        return "I have known him for a long time, he is a good friend."
-    if gender is GenderLabel.FEMALE:
-        if occupation:
-            return f"I have known her for a long time, my friend works as a {occupation}."
-        return "I have known her for a long time, she is a good friend."
-    if occupation:
-        return f"I have known my friend for a long time, my friend works as a {occupation}."
-    return "I have known my friend for a long time, we meet often."
+# per gender: the object pronoun, and the clause that ends a rendering
+# without an occupation; each carries exactly the pronouns of its gender
+_RENDERINGS = {
+    GenderLabel.MALE: ("him", "he is a good friend"),
+    GenderLabel.FEMALE: ("her", "she is a good friend"),
+    GenderLabel.NEUTRAL: ("my friend", "we meet often"),
+}
 
 
 def mock_translate(source: SourceSentence, spec: MockSpec) -> str:
-    if spec.kind == "always_male":
-        return _english_rendering(source, GenderLabel.MALE)
-    if spec.kind == "always_female":
-        return _english_rendering(source, GenderLabel.FEMALE)
-    if spec.kind == "neutralizing":
-        return _english_rendering(source, GenderLabel.NEUTRAL)
+    """A fixed English surface form carrying the pronouns of the gender that
+    spec's kind picks for source."""
     if spec.kind == "echo_gold":
         if source.gold_gender is None:
             raise BackendError(f"echo_gold needs a gold gender, record {source.id!r} has none")
-        return _english_rendering(source, source.gold_gender)
-    if spec.kind == "coin_flip":
+        gender = source.gold_gender
+    elif spec.kind == "coin_flip":
         draw = random.Random(f"{spec.seed}:{source.id}").random()
         gender = GenderLabel.MALE if draw < spec.p_male else GenderLabel.FEMALE
-        return _english_rendering(source, gender)
-    if spec.kind == "stereotype_follower":
+    elif spec.kind == "stereotype_follower":
         if source.occupation is None:
             raise BackendError(
                 f"stereotype_follower needs an occupation, record {source.id!r} has none"
@@ -160,8 +152,12 @@ def mock_translate(source: SourceSentence, spec: MockSpec) -> str:
         # Pro for a male gold means the occupation is male-listed; Unlisted
         # falls back to the masculine default.
         gender = GenderLabel.FEMALE if leaning is Stereotype.ANTI else GenderLabel.MALE
-        return _english_rendering(source, gender)
-    raise BackendError(f"unknown mock kind {spec.kind!r}")
+    else:
+        gender = _FIXED_GENDERS[spec.kind]
+    pronoun, clause = _RENDERINGS[gender]
+    if source.occupation:
+        clause = f"my friend works as a {source.occupation}"
+    return f"I have known {pronoun} for a long time, {clause}."
 
 
 # --------------------------------------------------------------------------
@@ -289,11 +285,6 @@ def find_backend_entry(path: str | Path, name: str) -> dict[str, Any]:
             return entry
     known = ", ".join(sorted(str(e.get("name")) for e in entries))
     raise BackendError(f"{path}: no backend named {name!r} (have: {known})")
-
-
-def load_backend_config(path: str | Path, name: str) -> BackendConfig:
-    """Pick one backend definition by name from a config file; errors name the file."""
-    return backend_config_from_dict(find_backend_entry(path, name), path)
 
 
 # --------------------------------------------------------------------------
@@ -455,11 +446,6 @@ def load_replay_map(path: str | Path) -> dict[str, str]:
     return replay
 
 
-def _chunks(items: Sequence, size: int) -> Iterable[Sequence]:
-    for start in range(0, len(items), size):
-        yield items[start : start + size]
-
-
 def translate_batch(
     sources: Sequence[SourceSentence],
     config: BackendConfig,
@@ -497,22 +483,18 @@ def translate_batch(
         translator = _HttpTranslator(config)
         per_item = translator.translate
 
+    concurrent = translator is not None and config.max_concurrency > 1
     results: list[TranslationRecord] = []
-    pool = None
-    if config.kind is BackendKind.HTTP and config.max_concurrency > 1:
-        pool = ThreadPoolExecutor(max_workers=config.max_concurrency)
     try:
-        for batch in _chunks(sources, config.batch_size):
-            if pool is not None:
-                batch_records = list(pool.map(per_item, batch))
-            else:
-                batch_records = [per_item(source) for source in batch]
-            results.extend(batch_records)
-            if on_batch is not None:
-                on_batch(batch_records)
+        with (ThreadPoolExecutor(config.max_concurrency) if concurrent
+              else contextlib.nullcontext()) as pool:
+            for start in range(0, len(sources), config.batch_size):
+                batch = list((pool.map if pool else map)(
+                    per_item, sources[start : start + config.batch_size]))
+                results.extend(batch)
+                if on_batch is not None:
+                    on_batch(batch)
     finally:
-        if pool is not None:
-            pool.shutdown()
         if translator is not None:
             translator.client.close()
     return results

@@ -21,8 +21,8 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .backends import (
-    TranslationRecord,
     TranslationStatus,
+    append_translations,
     backend_config_from_dict,
     find_backend_entry,
     read_translations,
@@ -39,7 +39,7 @@ from .corpus import (
     write_sentences,
 )
 from .fileio import (
-    atomic_write_text, decode_document, dumps_record, file_errors, line_encoder, load_json,
+    atomic_write_text, decode_document, dumps_record, file_errors, load_json,
     sha256_text,
 )
 from .manifest import (
@@ -156,43 +156,26 @@ def cmd_translate(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     journal = Path(str(out) + ".partial")
+    known_ids = {s.id for s in sentences}
+    records = {}  # source id -> record; a later record replaces an earlier one
     if args.fresh:
         journal.unlink(missing_ok=True)
+    else:
+        # the OK records of the output, then of the journal, read leniently:
+        # a crash mid-write can leave its last line torn
+        for path, lenient in ((out, False), (journal, True)):
+            if path.exists():
+                records.update((r.source_id, r) for r in read_translations(path, lenient)
+                               if r.status is TranslationStatus.OK and r.source_id in known_ids)
+    reused = len(records)
 
-    previous = []
-    if not args.fresh:
-        if out.exists():
-            previous = read_translations(out)
-        if journal.exists():
-            # a crash mid-write can leave the journal's last line torn
-            previous += read_translations(journal, lenient=True)
-    known_ids = {s.id for s in sentences}
-    done = {r.source_id: r for r in previous
-            if r.status is TranslationStatus.OK and r.source_id in known_ids}
-
-    pending = [s for s in sentences if s.id not in done]
-    fresh_records = {}
+    pending = [s for s in sentences if s.id not in records]
     if pending:
-        # opened at the first finished batch, so a run that aborts before
-        # translating anything leaves no journal behind
-        journal_fh = None
-        encode = line_encoder(TranslationRecord)
-
-        def flush(batch):
-            nonlocal journal_fh
-            if journal_fh is None:
-                journal_fh = open(journal, "a", encoding="utf-8")
-            journal_fh.write("".join(map(encode, batch)))
-            journal_fh.flush()
-
-        try:
-            results = translate_batch(pending, config, on_batch=flush)
-        finally:
-            if journal_fh is not None:
-                journal_fh.close()
-        fresh_records = {r.source_id: r for r in results}
-
-    merged = [fresh_records.get(s.id) or done[s.id] for s in sentences]
+        # the journal is appended to at each finished batch, so a run that
+        # aborts before translating anything leaves none behind
+        records.update((r.source_id, r) for r in translate_batch(
+            pending, config, on_batch=lambda batch: append_translations(journal, batch)))
+    merged = [records[s.id] for s in sentences]
     digest = hashlib.sha256()
     write_translations(out, merged, digest)
     journal.unlink(missing_ok=True)
@@ -202,7 +185,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
         "sources": len(sentences),
         "translated_ok": len(merged) - failed,
         "translated_failed": failed,
-        "reused": len(done),
+        "reused": reused,
     }
     inputs = {"sentences": {"path": args.sentences, "sha256": source_digest.hexdigest()}}
     write_sidecar(RunManifest(
@@ -217,7 +200,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
     ))
     print(
         f"translated {counts['translated_ok']}/{len(merged)} ok "
-        f"({failed} failed, {len(done)} reused) via {config.name}"
+        f"({failed} failed, {reused} reused) via {config.name}"
     )
     return EXIT_PARTIAL if failed else EXIT_OK
 
@@ -254,10 +237,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if sentence_ids != translation_ids:
         missing = len(sentence_ids - translation_ids)
         extra = len(translation_ids - sentence_ids)
-        raise CliError(
-            f"id mismatch between sentences and translations "
-            f"({missing} missing, {extra} unknown)"
-        )
+        raise CliError(f"{args.translations}: ids do not match {args.sentences} "
+                       f"({missing} missing, {extra} unknown)")
 
     stereotype_paths = None
     if bool(args.male_stereotypes) != bool(args.female_stereotypes):
@@ -348,15 +329,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    named_reports = []
-    suites = set()
+    suite, named_reports = None, []
     for path in args.reports:
-        suite, backend, report = report_from_dict(load_json(path, CliError), path)
-        suites.add(suite)
+        this_suite, backend, report = report_from_dict(load_json(path, CliError), path)
+        if suite not in (None, this_suite):
+            raise CliError(f"{path}: reports mix suites: {this_suite} here, {suite} in "
+                           f"{args.reports[0]}")
+        suite = this_suite
         named_reports.append((backend, report))
-    if len(suites) > 1:
-        raise CliError(f"reports mix suites: {', '.join(sorted(suites))}")
-    table = _format_table(suites.pop(), named_reports)
+    table = _format_table(suite, named_reports)
     if args.out:
         atomic_write_text(args.out, table)
     sys.stdout.write(table)

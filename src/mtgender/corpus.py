@@ -202,7 +202,8 @@ def read_sentences(
 
 
 def load_occupations(path: str | Path) -> list[str]:
-    """Read a one-occupation-per-line UTF-8 list.
+    """Read a one-occupation-per-line UTF-8 list; as in read_jsonl, a line
+    ends at "\\n" only, so U+2028 and the like stay inside it.
 
     Lines starting with '#' are comments; blank lines are skipped. Duplicates
     are rejected with both line numbers. A line with no Devanagari content is
@@ -213,7 +214,7 @@ def load_occupations(path: str | Path) -> list[str]:
         raise CorpusError(f"{path}: no such file")
     occupations: list[str] = []
     seen: dict[str, int] = {}
-    for lineno, raw in enumerate(read_text(path, CorpusError).splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path, CorpusError).split("\n"), start=1):
         term = raw.strip()
         if not term or term.startswith("#"):
             continue

@@ -4,6 +4,7 @@ helpers."""
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import dataclasses
 import enum
@@ -68,9 +69,11 @@ def read_jsonl(
     """Yield (line_number, record) for every non-blank line of a UTF-8 JSONL
     file, read once; lines end at "\\n". digest, a hashlib object, when given,
     is updated with every byte of the file. Raises ValueError naming path and
-    line; with lenient, undecodable bytes become U+FFFD and a line that does
-    not parse is logged and skipped instead."""
+    line, or path alone for a leading byte order mark; with lenient,
+    undecodable bytes become U+FFFD and a line that does not parse is logged
+    and skipped instead."""
     with open(path, "rb") as fh:
+        _reject_bom(path, fh.peek(3), ValueError)
         for lineno, raw in enumerate(fh, start=1):
             if digest is not None:
                 digest.update(raw)
@@ -88,11 +91,19 @@ def read_jsonl(
                 yield lineno, record
 
 
+def _reject_bom(path: str | os.PathLike, head: bytes, error: type[Exception]) -> None:
+    """Raise error naming path when head, its file's start, is a UTF-8 byte order mark."""
+    if head.startswith(codecs.BOM_UTF8):
+        raise error(f"{path}: starts with a byte order mark (BOM); save it as UTF-8 without one")
+
+
 def read_text(path: str | os.PathLike, error: type[Exception]) -> str:
     """The UTF-8 text of the file at path; raises error naming path when the
-    file cannot be read or is not UTF-8."""
+    file cannot be read, starts with a byte order mark or is not UTF-8."""
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        data = Path(path).read_bytes()
+        _reject_bom(path, data, error)
+        return data.decode("utf-8")
     except OSError as exc:
         raise error(f"{path}: cannot read ({exc.strerror or exc})") from None
     except UnicodeDecodeError as exc:

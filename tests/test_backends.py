@@ -23,7 +23,7 @@ from mtgender.backends import (
     _RateLimiter,
     _retry_after_s,
     backend_config_from_dict,
-    load_backend_config,
+    find_backend_entry,
     load_replay_map,
     mock_translate,
     read_translations,
@@ -31,7 +31,9 @@ from mtgender.backends import (
     write_translations,
 )
 from mtgender.classify import classify_gender
-from mtgender.corpus import GenderLabel, SourceSentence, Suite, write_sentences
+from mtgender.corpus import (
+    GenderLabel, SourceSentence, StereotypeLists, Suite, write_sentences,
+)
 from mtgender.fileio import line_encoder, record_decoder
 from mtgender.templates import expand_otsc
 
@@ -57,6 +59,10 @@ def http_config(url, *, auth_env=None, headers=None, **kwargs) -> BackendConfig:
     )
 
 
+def load_backend_config(path, name) -> BackendConfig:
+    return backend_config_from_dict(find_backend_entry(path, name), path)
+
+
 def plain_source(i, text):
     return SourceSentence(id=f"s{i:03d}", text=text, suite=Suite.WINOMT, set_id="main",
                           gold_gender=GenderLabel.MALE)
@@ -64,6 +70,48 @@ def plain_source(i, text):
 
 # --------------------------------------------------------------------------
 # Mocks
+
+
+_RENDERED = {  # (gender, occupation) -> the text each mock renders for it
+    ("male", "डॉक्टर"): "I have known him for a long time, my friend works as a डॉक्टर.",
+    ("male", None): "I have known him for a long time, he is a good friend.",
+    ("female", "डॉक्टर"): "I have known her for a long time, my friend works as a डॉक्टर.",
+    ("female", None): "I have known her for a long time, she is a good friend.",
+    ("neutral", "डॉक्टर"):
+        "I have known my friend for a long time, my friend works as a डॉक्टर.",
+    ("neutral", None): "I have known my friend for a long time, we meet often.",
+}
+
+
+def _lists(male, female):
+    return StereotypeLists(frozenset({male}), frozenset({female}))
+
+
+@pytest.mark.parametrize("spec, gold, occupation, gender", [
+    (MockSpec("always_male"), GenderLabel.FEMALE, "डॉक्टर", "male"),
+    (MockSpec("always_male"), GenderLabel.FEMALE, None, "male"),
+    (MockSpec("always_female"), GenderLabel.MALE, "डॉक्टर", "female"),
+    (MockSpec("always_female"), GenderLabel.MALE, None, "female"),
+    (MockSpec("neutralizing"), GenderLabel.MALE, "डॉक्टर", "neutral"),
+    (MockSpec("neutralizing"), GenderLabel.FEMALE, None, "neutral"),
+    (MockSpec("echo_gold"), GenderLabel.MALE, None, "male"),
+    (MockSpec("echo_gold"), GenderLabel.FEMALE, "डॉक्टर", "female"),
+    (MockSpec("coin_flip", p_male=1.0), GenderLabel.FEMALE, None, "male"),
+    (MockSpec("coin_flip", p_male=0.0), GenderLabel.MALE, "डॉक्टर", "female"),
+    (MockSpec("stereotype_follower", lists=_lists("डॉक्टर", "नर्स")), GenderLabel.FEMALE,
+     "डॉक्टर", "male"),
+    (MockSpec("stereotype_follower", lists=_lists("माली", "डॉक्टर")), GenderLabel.MALE,
+     "डॉक्टर", "female"),
+    (MockSpec("stereotype_follower", lists=_lists("माली", "नर्स")), GenderLabel.FEMALE,
+     "डॉक्टर", "male"),  # unlisted: the masculine default
+], ids=["always_male", "always_male-bare", "always_female", "always_female-bare",
+        "neutralizing", "neutralizing-bare", "echo_gold-bare", "echo_gold", "coin_flip-bare",
+        "coin_flip", "stereotype_follower-male_listed", "stereotype_follower-female_listed",
+        "stereotype_follower-unlisted"])
+def test_each_mock_renders_the_gender_it_picks(spec, gold, occupation, gender):
+    source = SourceSentence("s1", "वाक्य", Suite.WINOMT, "main", gold_gender=gold,
+                            occupation=occupation)
+    assert mock_translate(source, spec) == _RENDERED[gender, occupation]
 
 
 class TestMockTranslate:

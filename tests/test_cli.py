@@ -1,16 +1,25 @@
+import codecs
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mtgender
-from mtgender.backends import TranslationStatus, read_translations, write_translations
+from mtgender.backends import (
+    TranslationRecord, TranslationStatus, read_translations, write_translations,
+)
 from mtgender.cli import EXIT_ABORTED, EXIT_OK, EXIT_PARTIAL, run
 from mtgender.corpus import write_sentences
+from mtgender.fileio import line_encoder
 from mtgender.resources import data_path
 
 from conftest import build_winomt_corpus
@@ -326,6 +335,57 @@ class TestTranslate:
             "name": "coin", "config_hash": config_hash[:16]}
 
 
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """(translate argv without --out, the records and the bytes) of an
+    uninterrupted coin_flip run over 16 OTSC sentences."""
+    tmp = tmp_path_factory.mktemp("finished")
+    occupations, sentences, config = tmp / "occ.txt", tmp / "otsc.jsonl", tmp / "backends.json"
+    occupations.write_text("डॉक्टर\nवकील\nनर्स\nमाली\n", encoding="utf-8")
+    config.write_text(json.dumps({"backends": [{"name": "coin", "kind": "mock", "mock": {
+        "spec": "coin_flip", "seed": 7}}]}), encoding="utf-8")
+    assert run(["generate", "--occupations", str(occupations), "--out", str(sentences)]) == EXIT_OK
+    argv = ["translate", "--sentences", str(sentences), "--config", str(config),
+            "--backend", "coin"]
+    assert run([*argv, "--out", str(tmp / "clean.jsonl")]) == EXIT_OK
+    return argv, read_translations(tmp / "clean.jsonl"), (tmp / "clean.jsonl").read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_resume_from_any_split_is_byte_identical(finished_run, data):
+    """Any split of a finished run into an output, which also holds FAILED
+    records and unknown ids, and a journal, perhaps ending in a torn line,
+    resumes to the bytes of the uninterrupted run, reusing each id that has
+    an OK record in either file."""
+    argv, records, clean = finished_run
+    extra = [TranslationRecord.failed(r.source_id, "coin", "HTTP 503") for r in records]
+    extra += [TranslationRecord.ok(f"ghost-{i}", "He left.", "coin") for i in range(3)]
+    pool = st.sampled_from(records + extra)
+    output = data.draw(st.none() | st.lists(pool, max_size=24), label="output")
+    journal = data.draw(st.none() | st.lists(pool, max_size=24), label="journal")
+    torn = b""
+    if journal is not None:
+        line = line_encoder(TranslationRecord)(data.draw(pool)).encode("utf-8")
+        torn = line[:data.draw(st.integers(0, len(line) - 2), label="torn")]
+    reused = {r.source_id for r in (output or []) + (journal or []) if r in records}
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "tr.jsonl"
+        if output is not None:
+            write_translations(out, output)
+        if journal is not None:
+            write_translations(f"{out}.partial", journal)
+            with open(f"{out}.partial", "ab") as fh:
+                fh.write(torn)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert run([*argv, "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == clean
+        assert not Path(f"{out}.partial").exists()
+    assert stdout.getvalue() == f"translated 16/16 ok (0 failed, {len(reused)} reused) via coin\n"
+
+
 class TestEvaluate:
     def _translate(self, sentences, backends_config, tmp_path, backend="echo-gold",
                    suite=None, name="tr.jsonl"):
@@ -380,15 +440,18 @@ class TestEvaluate:
         assert payload["metrics"]["tgbi"] == 1.0
         assert "TGBI" in capsys.readouterr().out
 
-    def test_id_mismatch_aborts(self, tmp_path, otsc_setup, backends_config):
+    def test_id_mismatch_aborts(self, tmp_path, otsc_setup, backends_config, capsys):
         _, sentences = otsc_setup
         translations = self._translate(sentences, backends_config, tmp_path)
         records = read_translations(translations)
         write_translations(translations, records[:-1])  # drop one id
         # sidecar digest now mismatches too, so skip verification to reach the id check
+        capsys.readouterr()
         assert run(["evaluate", "--sentences", str(sentences), "--translations",
                     str(translations), "--suite", "otsc", "--out",
                     str(tmp_path / "r.json"), "--no-verify"]) == EXIT_ABORTED
+        assert capsys.readouterr().err == \
+            f"error: {translations}: ids do not match {sentences} (1 missing, 0 unknown)\n"
 
     def test_digest_mismatch_refused_without_override(self, tmp_path, otsc_setup,
                                                       backends_config, capsys):
@@ -754,6 +817,88 @@ def test_a_path_that_is_missing_or_a_directory_is_named(
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, err
     assert "Traceback" not in err and "Errno" not in err
+
+
+def _corrupt(good: bytes, other_suite: bytes | None, kind: str) -> bytes:
+    """The bytes of a bad input of the given kind, made from a good file's
+    bytes and from those of the same kind of file for another suite."""
+    if kind == "empty":
+        return b""
+    if kind == "bom":
+        return codecs.BOM_UTF8 + good
+    if kind == "invalid-utf8":
+        cut = good.find(b"\n") + 1  # the start of line 2, if there is one
+        return good[:cut] + b"\xe0" + good[cut:]  # a lead byte with no continuation
+    if kind == "truncated":
+        text = good.rstrip(b"\n")
+        start = text.rfind(b"\n") + 1
+        return text[:start + (len(text) - start) // 2]  # cut in the middle of the last line
+    assert kind == "wrong-suite" and other_suite is not None
+    return other_suite
+
+
+_BAD_KINDS = ("empty", "bom", "invalid-utf8", "truncated", "wrong-suite")
+# A line list cut between two characters is a shorter list, and a config, a
+# template or a line list belongs to no suite: those kinds apply to none of them.
+_BAD_INPUTS = {("generate", "--occupations"): ("empty", "bom", "invalid-utf8"),
+               ("generate", "--template"): _BAD_KINDS[:4],
+               ("translate", "--sentences"): _BAD_KINDS,
+               ("translate", "--config"): _BAD_KINDS[:4],
+               ("evaluate", "--sentences"): _BAD_KINDS,
+               ("evaluate", "--translations"): _BAD_KINDS,
+               ("report", "reports"): _BAD_KINDS}
+
+
+@pytest.mark.parametrize("command, option, kind",
+                         [(*arg, kind) for arg, kinds in _BAD_INPUTS.items() for kind in kinds])
+def test_a_bad_input_file_is_named(tmp_path, backends_config, capsys, command, option, kind):
+    """An empty file, a byte order mark, invalid UTF-8, a truncated last line
+    or a file of another suite, given to any subcommand, ends in one line,
+    error: <file>: ..., and exit code 1."""
+    occupations = tmp_path / "occ.txt"
+    occupations.write_text("डॉक्टर\nवकील\n", encoding="utf-8")
+    files = {"otsc": tmp_path / "otsc.jsonl", "winomt": tmp_path / "winomt.jsonl"}
+    assert run(["generate", "--occupations", str(occupations), "--out",
+                str(files["otsc"])]) == EXIT_OK
+    write_sentences(files["winomt"], build_winomt_corpus(8))
+    for suite in ("otsc", "winomt"):
+        files[f"tr-{suite}"], files[f"report-{suite}"] = (tmp_path / f"tr-{suite}.jsonl",
+                                                          tmp_path / f"report-{suite}.json")
+        assert run(["translate", "--sentences", str(files[suite]), "--config",
+                    str(backends_config), "--backend", "echo-gold",
+                    "--out", str(files[f"tr-{suite}"])]) == EXIT_OK
+        assert run(["evaluate", "--sentences", str(files[suite]), "--translations",
+                    str(files[f"tr-{suite}"]), "--suite", suite,
+                    "--out", str(files[f"report-{suite}"])]) == EXIT_OK
+    bad = tmp_path / "bad"  # a path without a manifest sidecar
+    out = tmp_path / "out"
+    argv, good, other = {
+        ("generate", "--occupations"): (["generate", "--occupations", bad, "--out", out],
+                                        occupations, None),
+        ("generate", "--template"): (["generate", "--occupations", occupations,
+                                      "--template", bad, "--out", out],
+                                     data_path("otsc_template.json"), None),
+        ("translate", "--sentences"): (["translate", "--sentences", bad, "--suite", "otsc",
+                                        "--config", backends_config, "--backend", "echo-gold",
+                                        "--out", out], files["otsc"], files["winomt"]),
+        ("translate", "--config"): (["translate", "--sentences", files["otsc"],
+                                     "--config", bad, "--backend", "echo-gold", "--out", out],
+                                    backends_config, None),
+        ("evaluate", "--sentences"): (["evaluate", "--sentences", bad, "--translations",
+                                       files["tr-otsc"], "--suite", "otsc", "--out", out],
+                                      files["otsc"], files["winomt"]),
+        ("evaluate", "--translations"): (["evaluate", "--sentences", files["otsc"],
+                                          "--translations", bad, "--suite", "otsc",
+                                          "--out", out], files["tr-otsc"], files["tr-winomt"]),
+        ("report", "reports"): (["report", files["report-otsc"], bad],
+                                files["report-otsc"], files["report-winomt"]),
+    }[command, option]
+    bad.write_bytes(_corrupt(good.read_bytes(), other and other.read_bytes(), kind))
+    capsys.readouterr()
+    assert run(list(map(str, argv))) == EXIT_ABORTED
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_each_jsonl_input_is_read_once(tmp_path, otsc_setup, backends_config, monkeypatch):

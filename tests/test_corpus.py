@@ -52,6 +52,15 @@ class TestLoadOccupations:
         with pytest.raises(CorpusError, match="lines 1 and 3"):
             load_occupations(path)
 
+    def test_lines_end_at_newline_only(self, tmp_path):
+        """U+2028 and U+0085 are line breaks to str.splitlines, not here."""
+        path = tmp_path / "occ.txt"
+        path.write_text("डॉक्टर\u2028वकील\nनर्स\x85माली\n", encoding="utf-8")
+        assert load_occupations(path) == ["डॉक्टर\u2028वकील", "नर्स\x85माली"]
+        path.write_text("डॉक्टर\u2028वकील\nनर्स\nडॉक्टर\u2028वकील\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match="on lines 1 and 3$"):
+            load_occupations(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorpusError, match="no such file"):
             load_occupations(tmp_path / "absent.txt")

@@ -1,9 +1,10 @@
 """The record codec in mtgender.fileio against the field-by-field oracle in
 oracles.py: the decoder accepts and rejects what the oracle does, with the
 same exception and message, and the line encoder writes the oracle's bytes.
-Also the digest the JSONL reader takes as it reads, and the mode of the files
-the atomic writer creates."""
+Also the digest the JSONL reader takes as it reads, the byte order mark every
+text reader rejects, and the mode of the files the atomic writer creates."""
 
+import codecs
 import dataclasses
 import hashlib
 import json
@@ -30,9 +31,12 @@ from mtgender.corpus import (
     SourceSentence,
     Stereotype,
     Suite,
+    load_occupations,
     read_sentences,
 )
-from mtgender.fileio import dumps_record, line_encoder, parse_record, record_decoder
+from mtgender.fileio import (
+    dumps_record, line_encoder, load_json, parse_record, read_jsonl, record_decoder,
+)
 
 from oracles import oracle_from_record, oracle_to_record
 
@@ -211,6 +215,21 @@ def test_the_readers_digest_is_the_files_sha256(reader, data):
         path.write_bytes(raw)
         assert read(path, digest) == records
     assert digest.hexdigest() == hashlib.sha256(raw).hexdigest()
+
+
+@pytest.mark.parametrize("read", [
+    lambda path: list(read_jsonl(path)),
+    lambda path: list(read_jsonl(path, lenient=True)),
+    lambda path: load_json(path, ValueError),
+    load_occupations,
+], ids=["jsonl", "jsonl-lenient", "json", "line-list"])
+def test_a_byte_order_mark_is_rejected_naming_the_file(tmp_path, read):
+    path = tmp_path / "in.txt"
+    path.write_bytes(codecs.BOM_UTF8 + '{"term": "डॉक्टर"}\n'.encode())
+    with pytest.raises(ValueError) as excinfo:
+        read(path)
+    assert str(excinfo.value) == \
+        f"{path}: starts with a byte order mark (BOM); save it as UTF-8 without one"
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
