@@ -43,12 +43,7 @@ from .fileio import (
     sha256_text,
 )
 from .manifest import (
-    RunManifest,
-    derive_run_id,
-    file_ref,
-    tool_version,
-    verify_against_sidecar,
-    write_sidecar,
+    derive_run_id, file_ref, tool_version, verify_against_sidecar, write_sidecar,
 )
 from .metrics import (
     OtscReport,
@@ -86,28 +81,26 @@ class _ReportFile:
     backend: str = "unknown"
 
 
-_REPORT_CLASSES = {Suite.WINOMT: WinomtReport, Suite.OTSC: OtscReport, Suite.NEUTRAL: TgbiReport}
+# suite -> (report class, table formatter); each formatter is looked up when
+# called, so a wrapper patched over a tables function (as perfbench's tracer
+# does) sees the call
+_SUITES = {
+    Suite.WINOMT: (WinomtReport, lambda named_reports: format_winomt_table(named_reports)),
+    Suite.OTSC: (OtscReport, lambda named_reports: format_otsc_table(named_reports)),
+    Suite.NEUTRAL: (TgbiReport, lambda named_reports: format_tgbi_table(named_reports)),
+}
 
 
 def report_from_dict(
     payload: Any, source: str
-) -> tuple[str, str, TgbiReport | OtscReport | WinomtReport]:
+) -> tuple[Suite, str, TgbiReport | OtscReport | WinomtReport]:
     """Rebuild (suite, backend name, report) from a machine report file: the
     suite picks the report class its metrics are decoded as. Errors name
     source and the field."""
     with file_errors(source, CliError):
         header = decode_document(payload, _ReportFile, CliError)
-        cls = _REPORT_CLASSES[header.suite]
-        report = decode_document(header.metrics, cls, CliError, "metrics")
-    return header.suite.value, header.backend, report
-
-
-def _format_table(suite: str, named_reports: list) -> str:
-    if suite == "winomt":
-        return format_winomt_table(named_reports)
-    if suite == "otsc":
-        return format_otsc_table(named_reports)
-    return format_tgbi_table(named_reports)
+        report = decode_document(header.metrics, _SUITES[header.suite][0], CliError, "metrics")
+    return header.suite, header.backend, report
 
 
 # --------------------------------------------------------------------------
@@ -123,19 +116,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
     write_sentences(args.out, sentences, digest)
 
     per_quadrant = Counter(sentence.set_id for sentence in sentences)
-    inputs = {
-        "occupations": file_ref(args.occupations),
-        "template": file_ref(template_path),
-    }
+    inputs = {"occupations": file_ref(args.occupations), "template": file_ref(template_path)}
     counts = {"generated": len(sentences), **{f"quadrant_{q}": n for q, n in per_quadrant.items()}}
-    write_sidecar(RunManifest(
-        run_id=derive_run_id("generate", inputs),
-        command="generate",
-        suite=Suite.OTSC.value,
-        inputs=inputs,
-        output={"path": str(args.out), "sha256": digest.hexdigest(), "records": len(sentences)},
-        counts=counts,
-    ))
+    write_sidecar("generate", derive_run_id("generate", inputs), suite=Suite.OTSC.value,
+                  inputs=inputs, out=args.out, sha256=digest.hexdigest(),
+                  records=len(sentences), counts=counts)
     print(f"generated {len(sentences)} sentences from {len(occupations)} occupations")
     for quadrant in sorted(per_quadrant):
         print(f"  {quadrant}: {per_quadrant[quadrant]}")
@@ -188,16 +173,11 @@ def cmd_translate(args: argparse.Namespace) -> int:
         "reused": reused,
     }
     inputs = {"sentences": {"path": args.sentences, "sha256": source_digest.hexdigest()}}
-    write_sidecar(RunManifest(
-        run_id=derive_run_id("translate", inputs,
-                             backend={"name": config.name, "config": config_hash}),
-        command="translate",
-        suite=default_suite.value if default_suite else None,
-        inputs=inputs,
-        output={"path": str(out), "sha256": digest.hexdigest(), "records": len(merged)},
-        counts=counts,
-        backend={"name": config.name, "config_hash": config_hash},
-    ))
+    run_id = derive_run_id("translate", inputs,
+                           backend={"name": config.name, "config": config_hash})
+    write_sidecar("translate", run_id, suite=default_suite.value if default_suite else None,
+                  inputs=inputs, out=out, sha256=digest.hexdigest(), records=len(merged),
+                  counts=counts, backend={"name": config.name, "config_hash": config_hash})
     print(
         f"translated {counts['translated_ok']}/{len(merged)} ok "
         f"({failed} failed, {reused} reused) via {config.name}"
@@ -228,17 +208,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         else:
             logger.info(message)
 
-    sentence_ids = {s.id for s in sentences}
+    index = {s.id: s for s in sentences}
     copies = Counter(t.source_id for t in translations)
     for source_id, n in copies.items():
         if n > 1:
             raise CliError(f"{args.translations}: duplicate source_id {source_id!r}")
-    translation_ids = copies.keys()
-    if sentence_ids != translation_ids:
-        missing = len(sentence_ids - translation_ids)
-        extra = len(translation_ids - sentence_ids)
+    if index.keys() != copies.keys():
         raise CliError(f"{args.translations}: ids do not match {args.sentences} "
-                       f"({missing} missing, {extra} unknown)")
+                       f"({len(index.keys() - copies.keys())} missing, "
+                       f"{len(copies.keys() - index.keys())} unknown)")
 
     stereotype_paths = None
     if bool(args.male_stereotypes) != bool(args.female_stereotypes):
@@ -247,10 +225,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if suite is not Suite.WINOMT:
             raise CliError("stereotype lists only apply to the winomt suite")
         lists = StereotypeLists.from_files(args.male_stereotypes, args.female_stereotypes)
-        sentences = [
-            replace(s, stereotype=assign_stereotype(s.occupation, s.gold_gender, lists))
-            for s in sentences
-        ]
+        index = {id_: replace(s, stereotype=assign_stereotype(s.occupation, s.gold_gender, lists))
+                 for id_, s in index.items()}
         stereotype_paths = [args.male_stereotypes, args.female_stereotypes]
 
     if args.pronouns:
@@ -260,28 +236,27 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     else:
         lexicon = PronounLexicon.default()
 
-    index = {s.id: s for s in sentences}
     classified, excluded = classify_batch(translations, index, lexicon)
-    if not classified:
-        raise CliError("no successful translations to evaluate")
-
     counts = {
         "sources": len(sentences),
         "translated_ok": len(classified),
         "translated_failed": len(excluded),
         "classified": len(classified),
     }
-    if suite is Suite.WINOMT:
-        report = compute_winomt(classified, strict_neutral=args.strict,
-                                neutral_as_positive=args.neutral_as_positive)
-        counts["excluded_unlisted"] = report.excluded_unlisted
-    elif suite is Suite.OTSC:
-        report = compute_otsc(classified)
-    else:
-        report = compute_tgbi_report(classified)
+    # a file with nothing to count, or too little for a metric, is named
+    with file_errors(args.translations, CliError):
+        if not classified:
+            raise CliError("no successful translations to evaluate")
+        if suite is Suite.WINOMT:
+            report = compute_winomt(classified, strict_neutral=args.strict,
+                                    neutral_as_positive=args.neutral_as_positive)
+            counts["excluded_unlisted"] = report.excluded_unlisted
+        elif suite is Suite.OTSC:
+            report = compute_otsc(classified)
+        else:
+            report = compute_tgbi_report(classified)
 
-    backends_seen = sorted({t.backend for t in translations})
-    backend_name = "+".join(backends_seen)
+    backend_name = "+".join(sorted({t.backend for t in translations}))
     options = {
         "strict": bool(args.strict),
         "neutral_as_positive": bool(args.neutral_as_positive),
@@ -304,20 +279,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "metrics": asdict(report),
     }
     text = json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
-    table = _format_table(suite.value, [(backend_name, report)])
+    table = _SUITES[suite][1]([(backend_name, report)])
     # the table first: a --table that cannot be written leaves no report behind
     if args.table:
         atomic_write_text(args.table, table)
     atomic_write_text(args.out, text)
-    write_sidecar(RunManifest(
-        run_id=run_id,
-        command="evaluate",
-        suite=suite.value,
-        inputs=inputs,
-        output={"path": str(args.out), "sha256": sha256_text(text), "records": 1},
-        counts=counts,
-        backend={"name": backend_name},
-    ))
+    write_sidecar("evaluate", run_id, suite=suite.value, inputs=inputs, out=args.out,
+                  sha256=sha256_text(text), records=1, counts=counts,
+                  backend={"name": backend_name})
     sys.stdout.write(table)
     if excluded:
         print(f"note: {len(excluded)} failed translations excluded from metrics")
@@ -333,11 +302,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     for path in args.reports:
         this_suite, backend, report = report_from_dict(load_json(path, CliError), path)
         if suite not in (None, this_suite):
-            raise CliError(f"{path}: reports mix suites: {this_suite} here, {suite} in "
-                           f"{args.reports[0]}")
+            raise CliError(f"{path}: reports mix suites: {this_suite.value} here, "
+                           f"{suite.value} in {args.reports[0]}")
         suite = this_suite
         named_reports.append((backend, report))
-    table = _format_table(suite, named_reports)
+    table = _SUITES[suite][1](named_reports)
     if args.out:
         atomic_write_text(args.out, table)
     sys.stdout.write(table)

@@ -10,7 +10,6 @@ and reports byte-reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -41,31 +40,22 @@ def file_ref(path: str | Path) -> dict:
     return {"path": str(path), "sha256": sha256_file(path)}
 
 
-@dataclass
-class RunManifest:
-    run_id: str
-    command: str
-    suite: str | None
-    inputs: dict[str, dict]
-    output: dict
-    counts: dict[str, int]
-    backend: dict | None = None
-    tool: str = TOOL_NAME
-    version: str = field(default_factory=tool_version)
-    created_utc: str = field(
-        default_factory=lambda: datetime.now(timezone.utc).isoformat(timespec="seconds")
-    )
-
-
 def sidecar_path(output_path: str | Path) -> Path:
     return Path(str(output_path) + ".manifest.json")
 
 
-def write_sidecar(manifest: RunManifest) -> Path:
-    path = sidecar_path(manifest.output["path"])
-    atomic_write_text(path, json.dumps(asdict(manifest), ensure_ascii=False, indent=2,
-                                       sort_keys=True) + "\n")
-    return path
+def write_sidecar(command: str, run_id: str, *, suite: str | None, inputs: dict[str, dict],
+                  out: str | Path, sha256: str, records: int, counts: dict[str, int],
+                  backend: dict | None = None) -> None:
+    """Write out's sidecar: the run that made out, from inputs, and its digest."""
+    manifest = {
+        "run_id": run_id, "command": command, "suite": suite, "inputs": inputs,
+        "output": {"path": str(out), "sha256": sha256, "records": records},
+        "counts": counts, "backend": backend, "tool": TOOL_NAME, "version": tool_version(),
+        "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+    }
+    atomic_write_text(sidecar_path(out), json.dumps(manifest, ensure_ascii=False, indent=2,
+                                                    sort_keys=True) + "\n")
 
 
 def verify_against_sidecar(path: str | Path, digest: str) -> tuple[bool, str]:

@@ -313,3 +313,39 @@ def golden_pipeline(tmp_path, capsys) -> dict[str, str]:
 def test_golden_pipeline_bytes(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert golden_pipeline(tmp_path, capsys) == GOLDEN_SHA256
+
+
+# sha256 of every sidecar the golden pipeline writes, with its created_utc
+# line dropped and the bundled data directory written as <data>; any other
+# change to a sidecar byte fails this test
+GOLDEN_SIDECAR_SHA256 = {
+    "otsc.jsonl.manifest.json":
+        "4e73324b0096308af78e21be0a30351cc7a2220b8ce547161e7af823273a289d",
+    "otsc_coin.jsonl.manifest.json":
+        "330cb5be667c200d59de6dc3847571a756f28f298329ce65a9dcc63b04840af1",
+    "otsc_report.json.manifest.json":
+        "6ab33bad48b1e860e7556941688ed788340da8c6ffe672a46a825a71019c377f",
+    "w_coin.json.manifest.json":
+        "a9399165d4d99f9b2a63545c51b33f2255b482187085d8e54cb6855805baa10c",
+    "w_coin.jsonl.manifest.json":
+        "a96130e45980c0ecdb32ff27f858d2f4382c9ecd4b5a910f7025776b77f2e0f1",
+    "w_coin_strict.json.manifest.json":
+        "2343a977f2b39c5f55397c58abaeb0a424024cacddd16ebdee482c8556e1cf11",
+    "w_gold.json.manifest.json":
+        "5916c7a0951cf1d7ac14bf360949efff257d5778f90aae3d93b98aa009fd8682",
+    "w_gold.jsonl.manifest.json":
+        "3761b118edbf7eb9ed7360290091b5f7ea4712fee8156ce08785d73cf42eb8f3",
+}
+
+
+def test_golden_pipeline_sidecars(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    golden_pipeline(tmp_path, capsys)
+    data_dir = json.dumps(str(data_path("otsc_template.json").parent))[1:-1]
+    digests = {}
+    for sidecar in tmp_path.glob("*.manifest.json"):
+        lines = sidecar.read_text(encoding="utf-8").splitlines(keepends=True)
+        text = "".join(line for line in lines if '"created_utc": ' not in line)
+        digests[sidecar.name] = hashlib.sha256(
+            text.replace(data_dir, "<data>").encode("utf-8")).hexdigest()
+    assert digests == GOLDEN_SIDECAR_SHA256

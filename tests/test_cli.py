@@ -833,6 +833,13 @@ def _corrupt(good: bytes, other_suite: bytes | None, kind: str) -> bytes:
         text = good.rstrip(b"\n")
         start = text.rfind(b"\n") + 1
         return text[:start + (len(text) - start) // 2]  # cut in the middle of the last line
+    if kind in ("all-failed", "ff-failed"):  # every item, or every FF item, failed
+        encode = line_encoder(TranslationRecord)
+        records = [json.loads(line) for line in good.splitlines()]
+        return "".join(
+            encode(TranslationRecord.failed(r["source_id"], r["backend"], "HTTP 503"))
+            if kind == "all-failed" or "-FF-" in r["source_id"] else json.dumps(r) + "\n"
+            for r in records).encode("utf-8")
     assert kind == "wrong-suite" and other_suite is not None
     return other_suite
 
@@ -840,12 +847,14 @@ def _corrupt(good: bytes, other_suite: bytes | None, kind: str) -> bytes:
 _BAD_KINDS = ("empty", "bom", "invalid-utf8", "truncated", "wrong-suite")
 # A line list cut between two characters is a shorter list, and a config, a
 # template or a line list belongs to no suite: those kinds apply to none of them.
+# An OTSC translations file whose items all failed, or all those of one
+# quadrant, leaves evaluate nothing to count.
 _BAD_INPUTS = {("generate", "--occupations"): ("empty", "bom", "invalid-utf8"),
                ("generate", "--template"): _BAD_KINDS[:4],
                ("translate", "--sentences"): _BAD_KINDS,
                ("translate", "--config"): _BAD_KINDS[:4],
                ("evaluate", "--sentences"): _BAD_KINDS,
-               ("evaluate", "--translations"): _BAD_KINDS,
+               ("evaluate", "--translations"): (*_BAD_KINDS, "all-failed", "ff-failed"),
                ("report", "reports"): _BAD_KINDS}
 
 
@@ -853,7 +862,8 @@ _BAD_INPUTS = {("generate", "--occupations"): ("empty", "bom", "invalid-utf8"),
                          [(*arg, kind) for arg, kinds in _BAD_INPUTS.items() for kind in kinds])
 def test_a_bad_input_file_is_named(tmp_path, backends_config, capsys, command, option, kind):
     """An empty file, a byte order mark, invalid UTF-8, a truncated last line
-    or a file of another suite, given to any subcommand, ends in one line,
+    or a file of another suite, given to any subcommand, and a translations
+    file with nothing to count, given to evaluate, end in one line,
     error: <file>: ..., and exit code 1."""
     occupations = tmp_path / "occ.txt"
     occupations.write_text("डॉक्टर\nवकील\n", encoding="utf-8")
@@ -899,6 +909,70 @@ def test_a_bad_input_file_is_named(tmp_path, backends_config, capsys, command, o
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, err
     assert "Traceback" not in err and not out.exists()
+
+
+@pytest.fixture(scope="module")
+def evaluate_inputs(tmp_path_factory):
+    """suite -> (sentences bytes, translations bytes) of a valid OTSC and a
+    valid WinoMT pair, translated by coin_flip."""
+    tmp = tmp_path_factory.mktemp("inputs")
+    occupations, config = tmp / "occ.txt", tmp / "backends.json"
+    occupations.write_text("डॉक्टर\nवकील\n", encoding="utf-8")
+    config.write_text(json.dumps({"backends": [{"name": "coin", "kind": "mock", "mock": {
+        "spec": "coin_flip", "seed": 7}}]}), encoding="utf-8")
+    assert run(["generate", "--occupations", str(occupations),
+                "--out", str(tmp / "otsc.jsonl")]) == EXIT_OK
+    write_sentences(tmp / "winomt.jsonl", build_winomt_corpus(8))
+    pairs = {}
+    for suite in ("otsc", "winomt"):
+        assert run(["translate", "--sentences", str(tmp / f"{suite}.jsonl"), "--suite", suite,
+                    "--config", str(config), "--backend", "coin",
+                    "--out", str(tmp / f"tr-{suite}.jsonl")]) == EXIT_OK
+        pairs[suite] = ((tmp / f"{suite}.jsonl").read_bytes(),
+                        (tmp / f"tr-{suite}.jsonl").read_bytes())
+    return pairs
+
+
+# bytes that a mutation writes: arbitrary ones, ASCII ones, JSON syntax, and
+# the tokens of the records, so that a field can swap its value for another's
+_PATCHES = (st.binary(max_size=2) | st.text("09az -", max_size=2).map(str.encode)
+            | st.sampled_from([b"\n", b'"', b"{", b"}", b",", b":", b"\\", b"null", b"[]",
+                               b"ok", b"failed", b"male", b"female", b"neutral", b"FF", b"MM",
+                               b"pro", b"anti", b"otsc", b"winomt"]))
+
+
+def _mutate(data, good: bytes, label: str) -> bytes:
+    """good with up to three spans of up to two bytes each replaced by a patch."""
+    mutated = bytearray(good)
+    for _ in range(data.draw(st.integers(0, 3), label=f"{label} edits")):
+        at = data.draw(st.integers(0, len(mutated)), label="at")
+        mutated[at:at + data.draw(st.integers(0, 2), label="cut")] = data.draw(_PATCHES)
+    return bytes(mutated)
+
+
+@settings(max_examples=150, deadline=None)
+@given(suite=st.sampled_from(["otsc", "winomt"]), data=st.data())
+def test_evaluate_on_mutated_files_ends_in_a_named_error(evaluate_inputs, suite, data):
+    """Bytes replaced, inserted or deleted anywhere in a valid sentences file
+    and a valid translations file never escape cli.run: evaluate exits 0, or
+    exits 1 with one line, error: <one of the two files>: ..."""
+    good_sentences, good_translations = evaluate_inputs[suite]
+    with tempfile.TemporaryDirectory() as tmp:
+        sentences, translations = Path(tmp) / "sentences.jsonl", Path(tmp) / "tr.jsonl"
+        sentences.write_bytes(_mutate(data, good_sentences, "sentences"))
+        translations.write_bytes(_mutate(data, good_translations, "translations"))
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = run(["evaluate", "--sentences", str(sentences), "--translations",
+                        str(translations), "--suite", suite, "--no-verify",
+                        "--out", str(Path(tmp) / "report.json")])
+    err = stderr.getvalue()
+    if code == EXIT_OK:
+        assert err == ""
+    else:
+        assert code == EXIT_ABORTED
+        assert err.startswith((f"error: {sentences}: ", f"error: {translations}: ")), err
+        assert err.count("\n") == 1, err
 
 
 def test_each_jsonl_input_is_read_once(tmp_path, otsc_setup, backends_config, monkeypatch):
