@@ -163,6 +163,10 @@ def mock_translate(source: SourceSentence, spec: MockSpec) -> str:
 # --------------------------------------------------------------------------
 # Backend configuration
 
+# The longest wait, in seconds, the http backend takes: for a response
+# (timeout_s), between requests (1 / rate_limit) and for a Retry-After.
+MAX_WAIT_S = 600.0
+
 
 class BackendKind(enum.Enum):
     HTTP = "http"
@@ -224,6 +228,12 @@ class BackendConfig:
             raise BackendError("max_concurrency must be positive")
         if self.rate_limit is not None and self.rate_limit <= 0:
             raise BackendError("rate_limit must be positive when set")
+        if self.rate_limit is not None and not self.rate_limit >= 1 / MAX_WAIT_S:
+            raise BackendError(f"backend {self.name!r}: rate_limit must be at least one "
+                               f"request per {MAX_WAIT_S:g} s, not {self.rate_limit}")
+        if not 0 < self.timeout_s <= MAX_WAIT_S:
+            raise BackendError(f"backend {self.name!r}: timeout_s must be above 0 and at "
+                               f"most {MAX_WAIT_S:g}, not {self.timeout_s}")
         if self.kind is BackendKind.HTTP:
             if not self.endpoint:
                 raise BackendError(f"backend {self.name!r}: http kind requires an endpoint")
@@ -426,6 +436,10 @@ class _HttpTranslator:
             if status < 500 and status not in (408, 429):
                 return TranslationRecord.failed(source.id, cfg.name, reason)
             retry_after = _retry_after_s(response.retry_after)
+            if retry_after > MAX_WAIT_S:
+                return TranslationRecord.failed(
+                    source.id, cfg.name, f"{reason}: Retry-After {response.retry_after.strip()} "
+                    f"s exceeds the {MAX_WAIT_S:g} s wait limit")
         return TranslationRecord.failed(
             source.id, cfg.name, f"{reason} after {cfg.retry.max_attempts} attempts"
         )

@@ -43,7 +43,7 @@ from .fileio import (
     sha256_text,
 )
 from .manifest import (
-    derive_run_id, file_ref, tool_version, verify_against_sidecar, write_sidecar,
+    TOOL_NAME, derive_run_id, file_ref, tool_version, verify_against_sidecar, write_sidecar,
 )
 from .metrics import (
     OtscReport,
@@ -266,7 +266,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     run_id = derive_run_id("evaluate", inputs, suite=suite.value, backend=backend_name,
                            options=options)
     payload = {
-        "tool": "mtgender",
+        "tool": TOOL_NAME,
         "version": tool_version(),
         "run_id": run_id,
         "suite": suite.value,

@@ -40,10 +40,6 @@ class GenderLabel(enum.Enum):
     NEUTRAL = "neutral"
     AMBIGUOUS = "ambiguous"
 
-    @property
-    def initial(self) -> str:
-        return _INITIALS[self]
-
 
 _INITIALS = {GenderLabel.MALE: "M", GenderLabel.FEMALE: "F"}
 

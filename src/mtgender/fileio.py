@@ -128,14 +128,6 @@ def file_errors(path: str | os.PathLike, error: type[Exception]) -> Iterator[Non
         raise error(f"{path}: {exc}") from None
 
 
-def load_document(path: str | os.PathLike, cls: type[T], error: type[Exception]) -> T:
-    """The dataclass cls decoded by decode_document from the JSON document in
-    the UTF-8 file at path; every error, __post_init__'s included, names path."""
-    value = load_json(path, error)
-    with file_errors(path, error):
-        return decode_document(value, cls, error)
-
-
 def decode_document(value: Any, cls: type[T], error: type[Exception], where: str = "") -> T:
     """The dataclass cls built through cls(**fields), so that its
     __post_init__ checks run, from the JSON object value found at the dotted

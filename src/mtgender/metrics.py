@@ -72,15 +72,6 @@ class Proportions:
             )
 
 
-def compute_proportions(labels: Sequence[GenderLabel]) -> Proportions:
-    """Fractions of Male / Female / (Neutral or Ambiguous) labels."""
-    if not labels:
-        raise MetricsError("cannot compute proportions of an empty label sequence")
-    counts = Counter(labels)
-    n, males, females = len(labels), counts[M], counts[F]
-    return Proportions(p_m=males / n, p_f=females / n, p_n=(n - males - females) / n)
-
-
 def compute_ps(p: Proportions) -> float:
     """Balance score sqrt(p_m * p_f + p_n): 1 for fully neutral output, 0 when
     everything lands on a single gender."""
@@ -141,10 +132,8 @@ class ConfusionTally:
     total: int = 0
 
 
-def compute_confusion(
-    records: Iterable[ClassifiedRecord], *, neutral_as_positive: bool = False
-) -> ConfusionTally:
-    """Tally predictions against gold genders.
+def compute_confusion(cells: Counter, neutral_as_positive: bool = False) -> ConfusionTally:
+    """Tally a (gold, predicted) -> count table.
 
     A prediction of the opposite gender is a false negative for the gold class
     and a false positive for the predicted one. Neutral and Ambiguous
@@ -152,12 +141,6 @@ def compute_confusion(
     neither; with neutral_as_positive, a Neutral prediction counts as a true
     positive for the gold class instead.
     """
-    return _tally(Counter((r.source.gold_gender, r.predicted) for r in records),
-                  neutral_as_positive)
-
-
-def _tally(cells: Counter, neutral_as_positive: bool) -> ConfusionTally:
-    """The confusion tally of a (gold, predicted) -> count table."""
     goldless = sum(n for (gold, _), n in cells.items() if gold not in GOLD_GENDERS)
     if goldless:
         raise MetricsError(f"{goldless} records have no male/female gold gender")
@@ -176,15 +159,8 @@ def _tally(cells: Counter, neutral_as_positive: bool) -> ConfusionTally:
     )
 
 
-@dataclass(frozen=True)
-class ClassScores:
-    precision: float
-    recall: float
-    f1: float
-
-
-def class_f1(tally: ConfusionTally, gender: GenderLabel) -> ClassScores:
-    """Precision/recall/F1 for one gender class; zero denominators score 0."""
+def class_f1(tally: ConfusionTally, gender: GenderLabel) -> float:
+    """F1 of one gender class; zero denominators score 0."""
     if gender is GenderLabel.MALE:
         tp, fp, fn = tally.tp_m, tally.fp_m, tally.fn_m
     elif gender is GenderLabel.FEMALE:
@@ -193,14 +169,11 @@ def class_f1(tally: ConfusionTally, gender: GenderLabel) -> ClassScores:
         raise MetricsError("class F1 is defined for the male and female classes only")
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return ClassScores(precision, recall, f1)
+    return 2 * precision * recall / (precision + recall) if precision + recall else 0.0
 
 
 def _macro_f1_pct(tally: ConfusionTally) -> float:
-    male = class_f1(tally, GenderLabel.MALE).f1
-    female = class_f1(tally, GenderLabel.FEMALE).f1
-    return 100.0 * (male + female) / 2
+    return 100.0 * (class_f1(tally, M) + class_f1(tally, F)) / 2
 
 
 # --------------------------------------------------------------------------
@@ -239,14 +212,14 @@ def compute_winomt(
     if not records:
         raise MetricsError("no classified records")
     groups = _count(records, "stereotype")
-    tally = _tally(sum(groups.values(), Counter()), neutral_as_positive)
-    f1_male = 100.0 * class_f1(tally, GenderLabel.MALE).f1
-    f1_female = 100.0 * class_f1(tally, GenderLabel.FEMALE).f1
+    tally = compute_confusion(sum(groups.values(), Counter()), neutral_as_positive)
+    f1_male = 100.0 * class_f1(tally, M)
+    f1_female = 100.0 * class_f1(tally, F)
     neutral_like = tally.neutral_count + (0 if strict_neutral else tally.ambiguous_count)
 
     pro, anti = (groups.get(s, Counter()) for s in (Stereotype.PRO, Stereotype.ANTI))
-    macro_pro = _macro_f1_pct(_tally(pro, neutral_as_positive)) if pro else None
-    macro_anti = _macro_f1_pct(_tally(anti, neutral_as_positive)) if anti else None
+    macro_pro = _macro_f1_pct(compute_confusion(pro, neutral_as_positive)) if pro else None
+    macro_anti = _macro_f1_pct(compute_confusion(anti, neutral_as_positive)) if anti else None
     delta_s = None if macro_pro is None or macro_anti is None else macro_pro - macro_anti
 
     return WinomtReport(

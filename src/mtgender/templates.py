@@ -26,7 +26,7 @@ from .corpus import (
     SourceSentence,
     Suite,
 )
-from .fileio import decode_document, devanagari_tokens, file_errors, load_document, load_json
+from .fileio import decode_document, devanagari_tokens, file_errors, load_json
 from .resources import data_path
 
 logger = logging.getLogger(__name__)
@@ -157,7 +157,9 @@ class CueInventory:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CueInventory":
-        return load_document(path, cls, TemplateError)
+        raw = load_json(path, TemplateError)
+        with file_errors(path, TemplateError):
+            return decode_document(raw, cls, TemplateError)
 
     @classmethod
     def default(cls) -> "CueInventory":

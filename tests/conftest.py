@@ -175,6 +175,9 @@ class _Handler(BaseHTTPRequestHandler):
                 self._reply(503, {"error": "try again"})
             elif "THROTTLE" in text and attempt == 1:
                 self._reply(429, {"error": "slow down"}, {"Retry-After": "2"})
+            elif "WAIT=" in text and attempt == 1:
+                self._reply(429, {"error": "come back later"},
+                            {"Retry-After": text.split("WAIT=")[1]})
             elif "RATELIMITED" in text:
                 self._reply(429, {"error": "slow down"})
             elif "TIMEOUT408" in text and attempt == 1:

@@ -6,12 +6,14 @@ import sys
 import time
 import warnings
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import mtgender
 from mtgender.backends import (
+    MAX_WAIT_S,
     BackendConfig,
     BackendError,
     BackendKind,
@@ -31,6 +33,7 @@ from mtgender.backends import (
     write_translations,
 )
 from mtgender.classify import classify_gender
+from mtgender.cli import EXIT_PARTIAL, run
 from mtgender.corpus import (
     GenderLabel, SourceSentence, StereotypeLists, Suite, write_sentences,
 )
@@ -180,8 +183,6 @@ class TestMockTranslate:
             FEMALE_OCC: GenderLabel.FEMALE,
             "माली": GenderLabel.MALE,  # masculine default
         }
-        from dataclasses import replace
-
         for source, occupation in ((male_listed, MALE_OCC), (female_listed, FEMALE_OCC),
                                    (unlisted, "माली")):
             source = replace(source, occupation=occupation)
@@ -503,6 +504,41 @@ class TestHttpRetryPolicy:
         assert records[0].reason == "HTTP 429 after 3 attempts"
         assert state.total_requests == 3
         assert sleeps == pytest.approx([0.001, 0.002])  # no Retry-After: the backoff alone
+
+    @pytest.mark.parametrize("value", ["601", "86400", "100000000000000000000"])
+    def test_a_retry_after_over_the_limit_fails_at_once(self, http_server, value):
+        url, state = http_server
+        records, sleeps = translate_with_fake_sleep(http_config(url),
+                                                    [plain_source(0, f"वाक्य WAIT={value}")])
+        assert records[0].status is TranslationStatus.FAILED
+        assert records[0].reason == f"HTTP 429: Retry-After {value} s exceeds the 600 s wait limit"
+        assert state.total_requests == 1 and sleeps == []
+
+    def test_a_retry_after_at_the_limit_is_waited_for(self, http_server):
+        url, state = http_server
+        records, sleeps = translate_with_fake_sleep(http_config(url),
+                                                    [plain_source(0, "वाक्य WAIT=600")])
+        assert records[0].status is TranslationStatus.OK
+        assert state.total_requests == 2 and sleeps == [MAX_WAIT_S]
+
+    def test_a_retry_after_over_the_limit_makes_translate_exit_3(self, http_server, tmp_path):
+        url, _ = http_server
+        sentences, config = tmp_path / "sentences.jsonl", tmp_path / "backends.json"
+        out = tmp_path / "translations.jsonl"
+        first, second = build_winomt_corpus(4)[:2]
+        throttled = replace(second, text=f"{second.text} WAIT=100000000000000000000")
+        write_sentences(sentences, [first, throttled])
+        config.write_text(json.dumps({"backends": [{
+            "name": "mt", "kind": "http", "endpoint": url,
+            "request_template": {"body": {"q": "{text}"},
+                                 "response_path": "data.translations.0.translatedText"},
+        }]}), encoding="utf-8")
+        assert run(["translate", "--sentences", str(sentences), "--config", str(config),
+                    "--backend", "mt", "--out", str(out)]) == EXIT_PARTIAL
+        assert [(r.status, r.reason) for r in read_translations(out)] == [
+            (TranslationStatus.OK, None),
+            (TranslationStatus.FAILED,
+             "HTTP 429: Retry-After 100000000000000000000 s exceeds the 600 s wait limit")]
 
     def test_408_is_retried(self, http_server):
         url, state = http_server

@@ -273,6 +273,15 @@ class TestTranslate:
         ({"backends": [{"name": "m", "kind": "mock",
                         "mock": {"spec": "coin_flip", "seed": 7.5}}]},
          "seed must be a whole number, not 7.5"),
+        ({"backends": [{"name": "m", "kind": "http", "endpoint": "http://127.0.0.1:9/",
+                        "request_template": {"body": {}, "response_path": "a"},
+                        "rate_limit": 1e-300}]},
+         "backend 'm': rate_limit must be at least one request per 600 s, not 1e-300"),
+        *[({"backends": [{"name": "m", "kind": "http", "endpoint": "http://127.0.0.1:9/",
+                          "request_template": {"body": {}, "response_path": "a"},
+                          "timeout_s": timeout}]},
+           f"backend 'm': timeout_s must be above 0 and at most 600, not {timeout}")
+          for timeout in (1e300, -1, 0)],
     ])
     def test_malformed_config_is_an_error_not_a_traceback(
         self, tmp_path, otsc_setup, capsys, config, complaint

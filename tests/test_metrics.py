@@ -1,4 +1,7 @@
+import math
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,6 @@ from mtgender.metrics import (
     class_f1,
     compute_confusion,
     compute_otsc,
-    compute_proportions,
     compute_ps,
     compute_tgbi,
     compute_tgbi_report,
@@ -55,20 +57,28 @@ def random_classified_corpus(rng, max_size=200):
 # Proportions and the balance score
 
 
+def set_proportions(labels):
+    """The proportions compute_tgbi_report gives a single set of these labels."""
+    report = compute_tgbi_report(
+        [classified(_neutral_source("S1", i), label) for i, label in enumerate(labels)])
+    balance = report.per_set["S1"]
+    return Proportions(balance.p_m, balance.p_f, balance.p_n)
+
+
 class TestProportions:
     def test_half_half(self):
-        assert compute_proportions([M] * 5 + [F] * 5) == Proportions(0.5, 0.5, 0.0)
+        assert set_proportions([M] * 5 + [F] * 5) == Proportions(0.5, 0.5, 0.0)
 
     def test_all_neutral(self):
-        assert compute_proportions([N] * 4) == Proportions(0.0, 0.0, 1.0)
+        assert set_proportions([N] * 4) == Proportions(0.0, 0.0, 1.0)
 
     def test_ambiguous_folds_into_neutral(self):
-        p = compute_proportions([M] * 6 + [F] * 2 + [N] + [A])
+        p = set_proportions([M] * 6 + [F] * 2 + [N] + [A])
         assert p == Proportions(0.6, 0.2, 0.2)
 
     def test_empty_rejected(self):
         with pytest.raises(MetricsError):
-            compute_proportions([])
+            compute_tgbi_report([])
 
     def test_invalid_sum_rejected(self):
         with pytest.raises(MetricsError, match="sum to 1"):
@@ -165,49 +175,53 @@ def _neutral_source(set_id, i):
 # Confusion tallies and F1
 
 
+def cells(records):
+    return Counter((r.source.gold_gender, r.predicted) for r in records)
+
+
 class TestConfusion:
     def test_perfect_classifier(self):
         corpus = build_winomt_corpus(20)
         records = [classified(s, s.gold_gender) for s in corpus]
-        tally = compute_confusion(records)
+        tally = compute_confusion(cells(records))
         assert tally.tp_m == 10 and tally.tp_f == 10
         assert tally.fp_m == tally.fp_f == tally.fn_m == tally.fn_f == 0
         assert tally.total == 20
 
     def test_all_male_over_balanced_corpus(self):
         corpus = build_winomt_corpus(100)
-        tally = compute_confusion([classified(s, M) for s in corpus])
+        tally = compute_confusion(cells(classified(s, M) for s in corpus))
         assert (tally.tp_m, tally.fp_m, tally.fn_m) == (50, 50, 0)
         assert (tally.tp_f, tally.fp_f, tally.fn_f) == (0, 0, 50)
 
     def test_neutral_is_false_negative_without_false_positive(self):
         corpus = build_winomt_corpus(4)
         gold_male = next(s for s in corpus if s.gold_gender is M)
-        tally = compute_confusion([classified(gold_male, N)])
+        tally = compute_confusion(cells([classified(gold_male, N)]))
         assert tally.fn_m == 1 and tally.neutral_count == 1
         assert tally.fp_m == 0 and tally.fp_f == 0
 
     def test_ambiguous_counted_separately(self):
         corpus = build_winomt_corpus(4)
         gold_female = next(s for s in corpus if s.gold_gender is F)
-        tally = compute_confusion([classified(gold_female, A)])
+        tally = compute_confusion(cells([classified(gold_female, A)]))
         assert tally.fn_f == 1 and tally.ambiguous_count == 1 and tally.neutral_count == 0
 
     def test_neutral_as_positive_credits_gold_class(self):
         corpus = build_winomt_corpus(4)
         gold_male = next(s for s in corpus if s.gold_gender is M)
-        tally = compute_confusion([classified(gold_male, N)], neutral_as_positive=True)
+        tally = compute_confusion(cells([classified(gold_male, N)]), neutral_as_positive=True)
         assert tally.tp_m == 1 and tally.fn_m == 0 and tally.neutral_count == 1
 
     def test_record_without_gold_rejected(self):
         source = _neutral_source("S1", 0)
         with pytest.raises(MetricsError):
-            compute_confusion([classified(source, M)])
+            compute_confusion(cells([classified(source, M)]))
 
     def test_gold_count_invariants(self):
         rng = random.Random(5)
         records = random_classified_corpus(rng)
-        tally = compute_confusion(records)
+        tally = compute_confusion(cells(records))
         gold_m = sum(1 for r in records if r.source.gold_gender is M)
         gold_f = sum(1 for r in records if r.source.gold_gender is F)
         assert tally.tp_m + tally.fn_m == gold_m
@@ -218,20 +232,15 @@ class TestConfusion:
 class TestClassF1:
     def test_half_precision_full_recall(self):
         tally = ConfusionTally(tp_m=50, fp_m=50, fn_m=0, total=100)
-        scores = class_f1(tally, M)
-        assert scores.precision == 0.5
-        assert scores.recall == 1.0
-        assert scores.f1 == pytest.approx(2 / 3)
+        assert class_f1(tally, M) == pytest.approx(2 / 3)
 
     def test_zero_denominators_score_zero(self):
         tally = ConfusionTally(tp_f=0, fp_f=0, fn_f=50, total=50)
-        scores = class_f1(tally, F)
-        assert (scores.precision, scores.recall, scores.f1) == (0.0, 0.0, 0.0)
+        assert class_f1(tally, F) == 0.0
 
     def test_perfect_class(self):
         tally = ConfusionTally(tp_m=10, total=10)
-        scores = class_f1(tally, M)
-        assert (scores.precision, scores.recall, scores.f1) == (1.0, 1.0, 1.0)
+        assert class_f1(tally, M) == 1.0
 
     def test_neutral_class_rejected(self):
         with pytest.raises(MetricsError):
@@ -241,11 +250,9 @@ class TestClassF1:
         rng = random.Random(11)
         for _ in range(100):
             records = random_classified_corpus(rng)
-            tally = compute_confusion(records)
+            tally = compute_confusion(cells(records))
             for cls in (M, F):
-                scores = class_f1(tally, cls)
-                assert (scores.precision, scores.recall, scores.f1) == \
-                    oracle_class_scores(records, cls)
+                assert class_f1(tally, cls) == oracle_class_scores(records, cls)[2]
 
 
 # --------------------------------------------------------------------------
@@ -350,10 +357,10 @@ class TestWinomtReport:
         records = [classified(s, rng.choice([M, F, N, A])) for s in winomt_corpus_400[:40]]
         single = compute_winomt(records)
         tripled = compute_winomt(records * 3)
-        assert tripled.acc == pytest.approx(single.acc)
-        assert tripled.delta_g == pytest.approx(single.delta_g)
-        assert tripled.n == pytest.approx(single.n)
-        assert tripled.delta_s == pytest.approx(single.delta_s)
+        assert tripled.acc == single.acc
+        assert tripled.delta_g == single.delta_g
+        assert tripled.n == single.n
+        assert tripled.delta_s == single.delta_s
 
 
 class TestOtscReport:
@@ -487,3 +494,92 @@ class TestOracleEquivalence:
                 for set_id, b in report.per_set.items()} == per_set
         assert list(report.per_set) == list(per_set)
         assert report.tgbi == tgbi
+
+
+# --------------------------------------------------------------------------
+# Metamorphic relations: what the metrics mean, as transformations of the input.
+# Floats are compared with ==, not as printed bytes: -0.0 and 0.0 print apart.
+
+SWAP_GENDER = {M: F, F: M, N: N, A: A, None: None}
+SWAP_STEREOTYPE = {Stereotype.PRO: Stereotype.ANTI, Stereotype.ANTI: Stereotype.PRO,
+                   Stereotype.UNLISTED: Stereotype.UNLISTED}
+
+
+def gender_swapped(records):
+    """Every record with M and F exchanged in its gold and predicted labels and
+    in its quadrant (FF<->MM, FM<->MF)."""
+    quadrant = str.maketrans("MF", "FM")
+    return [classified(replace(r.source, gold_gender=SWAP_GENDER[r.source.gold_gender],
+                               set_id=r.source.set_id.translate(quadrant)
+                               if r.source.suite is Suite.OTSC else r.source.set_id),
+                       SWAP_GENDER[r.predicted]) for r in records]
+
+
+def negated(value):
+    return None if value is None else -value
+
+
+class TestMetamorphic:
+    @pytest.mark.parametrize("strict_neutral", [False, True])
+    @pytest.mark.parametrize("neutral_as_positive", [False, True])
+    @settings(max_examples=150, deadline=None)
+    @given(records=winomt_records())
+    def test_gender_swap_negates_delta_g(self, records, strict_neutral, neutral_as_positive):
+        options = dict(strict_neutral=strict_neutral, neutral_as_positive=neutral_as_positive)
+        report = compute_winomt(records, **options)
+        swapped = compute_winomt(gender_swapped(records), **options)
+        assert swapped.delta_g == -report.delta_g
+        assert (swapped.f1_male, swapped.f1_female) == (report.f1_female, report.f1_male)
+        assert (swapped.acc, swapped.n, swapped.delta_s) == (report.acc, report.n, report.delta_s)
+
+    @settings(max_examples=150, deadline=None)
+    @given(records=otsc_records())
+    def test_gender_swap_mirrors_otsc_quadrants(self, records):
+        report = compute_otsc(records).quadrants
+        swapped = compute_otsc(gender_swapped(records)).quadrants
+        for quadrant, mirror in (("FF", "MM"), ("FM", "MF"), ("MF", "FM"), ("MM", "FF")):
+            stats, mirrored = report[quadrant], swapped[mirror]
+            assert (mirrored.p_m, mirrored.p_w) == (stats.p_w, stats.p_m)
+            assert (mirrored.p_n, mirrored.true_rate, mirrored.count) == \
+                (stats.p_n, stats.true_rate, stats.count)
+
+    @settings(max_examples=150, deadline=None)
+    @given(records=neutral_records())
+    def test_gender_swap_keeps_every_set_balance(self, records):
+        report = compute_tgbi_report(records)
+        swapped = compute_tgbi_report(gender_swapped(records))
+        for set_id, balance in report.per_set.items():
+            mirrored = swapped.per_set[set_id]
+            assert (mirrored.p_m, mirrored.p_f) == (balance.p_f, balance.p_m)
+            assert (mirrored.ps, mirrored.count) == (balance.ps, balance.count)
+        assert swapped.tgbi == report.tgbi
+
+    @settings(max_examples=150, deadline=None)
+    @given(records=winomt_records())
+    def test_stereotype_swap_negates_delta_s(self, records):
+        report = compute_winomt(records)
+        swapped = compute_winomt([
+            classified(replace(r.source, stereotype=SWAP_STEREOTYPE[r.source.stereotype]),
+                       r.predicted) for r in records])
+        assert swapped.delta_s == negated(report.delta_s)
+        assert (swapped.macro_f1_pro, swapped.macro_f1_anti) == \
+            (report.macro_f1_anti, report.macro_f1_pro)
+        assert (swapped.acc, swapped.delta_g, swapped.n, swapped.excluded_unlisted) == \
+            (report.acc, report.delta_g, report.n, report.excluded_unlisted)
+
+    @settings(max_examples=150, deadline=None)
+    @given(records=winomt_records())
+    def test_neutral_as_positive_raises_acc_by_the_neutral_share(self, records):
+        table, predicted = cells(records), Counter(r.predicted for r in records)
+        tally, credited = compute_confusion(table), compute_confusion(table, True)
+        assert credited.tp_m + credited.tp_f == tally.tp_m + tally.tp_f + predicted[N]
+        gain = compute_winomt(records, neutral_as_positive=True).acc - compute_winomt(records).acc
+        assert math.isclose(gain, 100.0 * predicted[N] / len(records), abs_tol=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(records=winomt_records())
+    def test_strict_neutral_lowers_n_by_the_ambiguous_share(self, records):
+        tally, predicted = compute_confusion(cells(records)), Counter(r.predicted for r in records)
+        assert (tally.neutral_count, tally.ambiguous_count) == (predicted[N], predicted[A])
+        drop = compute_winomt(records).n - compute_winomt(records, strict_neutral=True).n
+        assert math.isclose(drop, 100.0 * predicted[A] / len(records), abs_tol=1e-9)

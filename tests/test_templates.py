@@ -156,8 +156,8 @@ class TestExpandOtsc:
 
     def test_gold_matches_quadrant(self):
         for sentence in expand_otsc(["डॉक्टर", "वकील"]):
-            assert sentence.gold_gender.initial == sentence.set_id[1]
-            assert sentence.speaker_gender.initial == sentence.set_id[0]
+            assert sentence.gold_gender.value[0].upper() == sentence.set_id[1]
+            assert sentence.speaker_gender.value[0].upper() == sentence.set_id[0]
             assert sentence.occupation in sentence.text
 
     def test_gender_marker_invariant(self):
