@@ -164,7 +164,8 @@ def mock_translate(source: SourceSentence, spec: MockSpec) -> str:
 # Backend configuration
 
 # The longest wait, in seconds, the http backend takes: for a response
-# (timeout_s), between requests (1 / rate_limit) and for a Retry-After.
+# (timeout_s), between requests (1 / rate_limit), for a Retry-After and
+# between attempts.
 MAX_WAIT_S = 600.0
 
 
@@ -407,7 +408,9 @@ class _HttpTranslator:
         retry_after = 0.0
         for attempt in range(1, cfg.retry.max_attempts + 1):
             if attempt > 1:
-                backoff = cfg.retry.backoff_base_ms * 2 ** (attempt - 2) / 1000.0
+                # doubling stops at 2 ** 20 ms, past MAX_WAIT_S, so no attempt overflows
+                backoff = min(cfg.retry.backoff_base_ms * 2 ** min(attempt - 2, 20),
+                              MAX_WAIT_S * 1000) / 1000.0
                 self._sleep(max(backoff, retry_after))
             self.limiter.wait()
             try:

@@ -21,6 +21,8 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .backends import (
+    BackendConfig,
+    TranslationRecord,
     TranslationStatus,
     append_translations,
     backend_config_from_dict,
@@ -31,6 +33,7 @@ from .backends import (
 )
 from .classify import PronounLexicon, classify_batch
 from .corpus import (
+    SourceSentence,
     StereotypeLists,
     Suite,
     assign_stereotype,
@@ -40,10 +43,11 @@ from .corpus import (
 )
 from .fileio import (
     atomic_write_text, decode_document, dumps_record, file_errors, load_json,
-    sha256_text,
+    sha256_file, sha256_text,
 )
 from .manifest import (
-    TOOL_NAME, derive_run_id, file_ref, tool_version, verify_against_sidecar, write_sidecar,
+    TOOL_NAME, derive_run_id, file_ref, read_sidecar, tool_version, verify_against_sidecar,
+    write_sidecar,
 )
 from .metrics import (
     OtscReport,
@@ -131,19 +135,80 @@ def cmd_generate(args: argparse.Namespace) -> int:
 # translate
 
 
+def _holds(manifest: dict[str, Any], expected: dict[str, Any]) -> bool:
+    """Whether manifest has each expected key, with the value and its type."""
+    return all(key in manifest and type(manifest[key]) is type(value) and manifest[key] == value
+               for key, value in expected.items())
+
+
+def _previous_run(args: argparse.Namespace, out: Path, journal: Path) -> dict[str, Any] | None:
+    """The sidecar of out when the run that wrote it may have left nothing
+    pending: not --fresh, no journal, every source translated OK, the same
+    command, tool version and suite, and sentences of the digest it records."""
+    if args.fresh or journal.exists() or not out.exists():
+        return None
+    try:
+        previous = read_sidecar(out) or {}
+    except OSError:  # a sidecar it cannot read is replaced by the full path, as before
+        return None
+    n = previous.get("output.records")
+    recorded = {"command": "translate", "version": tool_version(), "suite": args.suite,
+                "counts.sources": n, "counts.translated_ok": n, "counts.translated_failed": 0}
+    # the sentences are digested only once the rest holds
+    if type(n) is int and _holds(previous, recorded) and (
+            previous.get("inputs.sentences.sha256") == sha256_file(args.sentences)):
+        return previous
+    return None
+
+
 def cmd_translate(args: argparse.Namespace) -> int:
     default_suite = Suite(args.suite) if args.suite else None
-    source_digest = hashlib.sha256()
-    sentences = read_sentences(args.sentences, default_suite, source_digest)
+    out = Path(args.out)
+    journal = Path(str(out) + ".partial")
+    previous = _previous_run(args, out, journal)
+    if previous is None:
+        source_digest = hashlib.sha256()
+        sentences = read_sentences(args.sentences, default_suite, source_digest)
+        source_sha256 = source_digest.hexdigest()
+    else:  # the sentences the previous run read: parsed below only if its output is not kept
+        sentences, source_sha256 = None, previous["inputs.sentences.sha256"]
     entry = find_backend_entry(args.config, args.backend)
     config = backend_config_from_dict(entry, args.config)
     config_hash = sha256_text(dumps_record(entry))[:16]
+    inputs = {"sentences": {"path": args.sentences, "sha256": source_sha256}}
+    run_id = derive_run_id("translate", inputs,
+                           backend={"name": config.name, "config": config_hash})
 
-    out = Path(args.out)
-    journal = Path(str(out) + ".partial")
+    if previous is not None and previous.get("run_id") == run_id and (
+            previous.get("output.sha256") == sha256_file(out)):
+        # the full path would reuse every record and re-encode the same bytes,
+        # so out is left as it is and only its sidecar is rewritten
+        n = reused = previous["output.records"]
+        failed, sha256 = 0, previous["output.sha256"]
+    else:
+        if sentences is None:
+            sentences = read_sentences(args.sentences, default_suite)
+        merged, sha256, reused = _translate_pending(sentences, config, out, journal, args.fresh)
+        n = len(merged)
+        failed = sum(1 for r in merged if r.status is TranslationStatus.FAILED)
+
+    counts = {"sources": n, "translated_ok": n - failed, "translated_failed": failed,
+              "reused": reused}
+    write_sidecar("translate", run_id, suite=args.suite, inputs=inputs, out=out, sha256=sha256,
+                  records=n, counts=counts,
+                  backend={"name": config.name, "config_hash": config_hash})
+    print(f"translated {n - failed}/{n} ok ({failed} failed, {reused} reused) via {config.name}")
+    return EXIT_PARTIAL if failed else EXIT_OK
+
+
+def _translate_pending(sentences: list[SourceSentence], config: BackendConfig, out: Path,
+                       journal: Path, fresh: bool) -> tuple[list[TranslationRecord], str, int]:
+    """Translate what the output and the journal hold no OK record for, and
+    write the output: (its records in sentence order, its sha256, the number
+    of records reused)."""
     known_ids = {s.id for s in sentences}
     records = {}  # source id -> record; a later record replaces an earlier one
-    if args.fresh:
+    if fresh:
         journal.unlink(missing_ok=True)
     else:
         # the OK records of the output, then of the journal, read leniently:
@@ -164,25 +229,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
     digest = hashlib.sha256()
     write_translations(out, merged, digest)
     journal.unlink(missing_ok=True)
-
-    failed = sum(1 for r in merged if r.status is TranslationStatus.FAILED)
-    counts = {
-        "sources": len(sentences),
-        "translated_ok": len(merged) - failed,
-        "translated_failed": failed,
-        "reused": reused,
-    }
-    inputs = {"sentences": {"path": args.sentences, "sha256": source_digest.hexdigest()}}
-    run_id = derive_run_id("translate", inputs,
-                           backend={"name": config.name, "config": config_hash})
-    write_sidecar("translate", run_id, suite=default_suite.value if default_suite else None,
-                  inputs=inputs, out=out, sha256=digest.hexdigest(), records=len(merged),
-                  counts=counts, backend={"name": config.name, "config_hash": config_hash})
-    print(
-        f"translated {counts['translated_ok']}/{len(merged)} ok "
-        f"({failed} failed, {reused} reused) via {config.name}"
-    )
-    return EXIT_PARTIAL if failed else EXIT_OK
+    return merged, digest.hexdigest(), reused
 
 
 # --------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Any
 
 from .fileio import atomic_write_text, sha256_file, sha256_text
 
@@ -58,6 +59,32 @@ def write_sidecar(command: str, run_id: str, *, suite: str | None, inputs: dict[
                                                     sort_keys=True) + "\n")
 
 
+def read_sidecar(output_path: str | Path) -> dict[str, Any] | None:
+    """The manifest in output_path's sidecar, its nested keys joined by dots
+    ("output.sha256"); None when there is no sidecar. A sidecar that is not a
+    UTF-8 JSON object reads as {}, as if every key were missing."""
+    sidecar = sidecar_path(output_path)
+    if not sidecar.exists():
+        return None
+    try:
+        manifest = json.loads(sidecar.read_text(encoding="utf-8"))
+    except ValueError:
+        return {}
+
+    flat: dict[str, Any] = {}
+
+    def flatten(node: dict, prefix: str) -> None:
+        for key, value in node.items():
+            if isinstance(value, dict):
+                flatten(value, f"{prefix}{key}.")
+            else:
+                flat[prefix + key] = value
+
+    if isinstance(manifest, dict):
+        flatten(manifest, "")
+    return flat
+
+
 def verify_against_sidecar(path: str | Path, digest: str) -> tuple[bool, str]:
     """Check a pipeline file's sha256 digest, computed by the caller, against
     its manifest.
@@ -66,15 +93,12 @@ def verify_against_sidecar(path: str | Path, digest: str) -> tuple[bool, str]:
     without a sidecar passes with a note, since externally produced corpora
     are legitimate inputs.
     """
-    sidecar = sidecar_path(path)
-    if not sidecar.exists():
+    manifest = read_sidecar(path)
+    if manifest is None:
         return True, f"{path}: no manifest sidecar"
-    try:
-        recorded = json.loads(sidecar.read_text(encoding="utf-8"))["output"]["sha256"]
-    except (ValueError, LookupError, TypeError):  # not UTF-8 JSON, or not shaped like a manifest
-        recorded = None
+    recorded = manifest.get("output.sha256")
     if not isinstance(recorded, str):
-        return False, f"{sidecar}: malformed manifest"
+        return False, f"{sidecar_path(path)}: malformed manifest"
     if digest != recorded:
         return False, (
             f"{path}: digest {digest[:12]}... does not match manifest {recorded[:12]}..."

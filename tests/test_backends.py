@@ -505,6 +505,24 @@ class TestHttpRetryPolicy:
         assert state.total_requests == 3
         assert sleeps == pytest.approx([0.001, 0.002])  # no Retry-After: the backoff alone
 
+    @pytest.mark.parametrize("max_attempts, backoff_base_ms", [
+        (20, 250), (2, 10 ** 300), (1100, 1),
+    ])
+    def test_every_backoff_wait_is_capped(self, http_server, max_attempts, backoff_base_ms):
+        """The backoff doubles per attempt up to MAX_WAIT_S and stays there,
+        whatever the base and however many attempts: no wait is longer and no
+        attempt number overflows."""
+        url, state = http_server
+        config = http_config(url, retry=RetryPolicy(max_attempts=max_attempts,
+                                                    backoff_base_ms=backoff_base_ms))
+        records, sleeps = translate_with_fake_sleep(config, [plain_source(0, "वाक्य RATELIMITED")])
+        assert records[0].reason == f"HTTP 429 after {max_attempts} attempts"
+        assert state.total_requests == max_attempts and len(sleeps) == max_attempts - 1
+        assert max(sleeps) <= MAX_WAIT_S
+        doubling = [backoff_base_ms * 2 ** k / 1000 for k in range(len(sleeps))
+                    if backoff_base_ms * 2 ** k < MAX_WAIT_S * 1000]
+        assert sleeps == pytest.approx(doubling + [MAX_WAIT_S] * (len(sleeps) - len(doubling)))
+
     @pytest.mark.parametrize("value", ["601", "86400", "100000000000000000000"])
     def test_a_retry_after_over_the_limit_fails_at_once(self, http_server, value):
         url, state = http_server

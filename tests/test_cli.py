@@ -395,6 +395,143 @@ def test_a_resume_from_any_split_is_byte_identical(finished_run, data):
     assert stdout.getvalue() == f"translated 16/16 ok (0 failed, {len(reused)} reused) via coin\n"
 
 
+def _finished_translate(root: Path) -> list[str]:
+    """The argv of a finished coin_flip translate over 16 OTSC sentences, its
+    files in root; the config also names a replay backend of root/replay.jsonl."""
+    occupations, sentences, config = root / "occ.txt", root / "otsc.jsonl", root / "backends.json"
+    occupations.write_text("डॉक्टर\nवकील\nनर्स\nमाली\n", encoding="utf-8")
+    config.write_text(json.dumps({"backends": [
+        {"name": "coin", "kind": "mock", "mock": {"spec": "coin_flip", "seed": 7}},
+        {"name": "replay", "kind": "file_replay", "replay_path": "replay.jsonl"}]}),
+        encoding="utf-8")
+    assert run(["generate", "--occupations", str(occupations), "--out", str(sentences)]) == EXIT_OK
+    argv = ["translate", "--sentences", str(sentences), "--config", str(config),
+            "--backend", "coin", "--out", str(root / "tr.jsonl")]
+    assert run(argv) == EXIT_OK
+    return argv
+
+
+def _sidecar_but_time(out: Path) -> dict:
+    manifest = read_report(Path(f"{out}.manifest.json"))
+    del manifest["created_utc"]
+    return manifest
+
+
+def test_a_resume_with_nothing_pending_rewrites_only_the_sidecar(tmp_path, monkeypatch, capsys):
+    """The same translate again leaves the output as it is, inode and bytes,
+    parses neither the sentences nor the output, and prints and writes what
+    the full path prints and writes to the sidecar."""
+    argv = _finished_translate(tmp_path)
+    out = Path(argv[-1])
+    before, clean = out.stat(), out.read_bytes()
+    with monkeypatch.context() as patch:
+        for name in ("read_sentences", "read_translations", "write_translations"):
+            patch.setattr(mtgender.cli, name,
+                          lambda *args, name=name, **kwargs: pytest.fail(f"{name} called"))
+        capsys.readouterr()
+        assert run(argv) == EXIT_OK
+    assert capsys.readouterr().out == "translated 16/16 ok (0 failed, 16 reused) via coin\n"
+    after = out.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert out.read_bytes() == clean
+    kept = _sidecar_but_time(out)
+    assert kept["counts"] == {"sources": 16, "translated_ok": 16, "translated_failed": 0,
+                              "reused": 16}
+
+    monkeypatch.setattr(mtgender.cli, "_previous_run", lambda *args: None)  # the full path
+    assert run(argv) == EXIT_OK
+    assert capsys.readouterr().out == "translated 16/16 ok (0 failed, 16 reused) via coin\n"
+    assert out.read_bytes() == clean and _sidecar_but_time(out) == kept
+
+
+def _edit_output(root: Path, argv: list[str]) -> list[str]:
+    records = read_translations(root / "tr.jsonl")
+    write_translations(root / "tr.jsonl", [TranslationRecord.ok(records[0].source_id,
+                                                                "She left.", "coin"),
+                                           *records[1:]])
+    return argv
+
+
+def _edit_config(root: Path, argv: list[str]) -> list[str]:
+    config = read_report(root / "backends.json")
+    config["backends"][0]["batch_size"] = 4  # the same translations from another entry
+    (root / "backends.json").write_text(json.dumps(config), encoding="utf-8")
+    return argv
+
+
+def _drop_a_sentence(root: Path, argv: list[str]) -> list[str]:
+    lines = (root / "otsc.jsonl").read_bytes().splitlines(keepends=True)
+    (root / "otsc.jsonl").write_bytes(b"".join(lines[:-1]))
+    return argv
+
+
+def _fail_three_items(root: Path, argv: list[str]) -> list[str]:
+    write_translations(root / "replay.jsonl", read_translations(root / "tr.jsonl")[:-3])
+    argv = [*argv[:6], "replay", *argv[7:]]
+    assert run([*argv, "--fresh"]) == EXIT_PARTIAL
+    return argv
+
+
+def _add_a_journal(root: Path, argv: list[str]) -> list[str]:
+    lines = (root / "tr.jsonl").read_bytes().splitlines(keepends=True)
+    (root / "tr.jsonl.partial").write_bytes(b"".join(lines[:5]))
+    return argv
+
+
+def _drop_the_sidecar(root: Path, argv: list[str]) -> list[str]:
+    (root / "tr.jsonl.manifest.json").unlink()
+    return argv
+
+
+def _garble_the_sidecar(root: Path, argv: list[str]) -> list[str]:
+    (root / "tr.jsonl.manifest.json").write_text("{", encoding="utf-8")
+    return argv
+
+
+_SOMETHING_CHANGED = {
+    "edited output": _edit_output,
+    "changed config entry": _edit_config,
+    "changed sentences": _drop_a_sentence,
+    "other suite": lambda root, argv: [*argv, "--suite", "otsc"],
+    "failed items": _fail_three_items,
+    "journal": _add_a_journal,
+    "missing sidecar": _drop_the_sidecar,
+    "malformed sidecar": _garble_the_sidecar,
+    "fresh": lambda root, argv: [*argv, "--fresh"],
+}
+
+
+@pytest.mark.parametrize("change", sorted(_SOMETHING_CHANGED))
+def test_a_resume_with_something_changed_takes_the_full_path(tmp_path, monkeypatch, capsys,
+                                                            change):
+    """A resume after any change that may leave an item pending, or that the
+    sidecar cannot vouch for, writes the output again and ends as a run
+    without the no-op path does: exit code, stdout, stderr, output bytes and
+    sidecar."""
+    argv = _SOMETHING_CHANGED[change](tmp_path, _finished_translate(tmp_path))
+    files = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    out = Path(argv[argv.index("--out") + 1])
+    write_translations = mtgender.cli.write_translations
+    ends = []
+    for full_path_only in (False, True):
+        for path in tmp_path.iterdir():
+            path.unlink()
+        for path, data in files.items():
+            path.write_bytes(data)
+        written = []
+        with monkeypatch.context() as patch:
+            patch.setattr(mtgender.cli, "write_translations", lambda path, *args:
+                          written.append(path) or write_translations(path, *args))
+            if full_path_only:
+                patch.setattr(mtgender.cli, "_previous_run", lambda *args: None)
+            capsys.readouterr()
+            code = run(argv)
+        std = capsys.readouterr()
+        ends.append((code, std.out, std.err, out.read_bytes(), _sidecar_but_time(out), written))
+    assert ends[0] == ends[1]
+    assert ends[0][-1] == [out]
+
+
 class TestEvaluate:
     def _translate(self, sentences, backends_config, tmp_path, backend="echo-gold",
                    suite=None, name="tr.jsonl"):
@@ -982,6 +1119,52 @@ def test_evaluate_on_mutated_files_ends_in_a_named_error(evaluate_inputs, suite,
         assert code == EXIT_ABORTED
         assert err.startswith((f"error: {sentences}: ", f"error: {translations}: ")), err
         assert err.count("\n") == 1, err
+
+
+def _key_paths(node: dict, prefix: tuple = ()):
+    for key, value in node.items():
+        yield (*prefix, key)
+        if isinstance(value, dict):
+            yield from _key_paths(value, (*prefix, key))
+
+
+_OTHER_VALUES = st.sampled_from([None, False, True, 0, 0.0, 16, 16.0, "16", "", [], {}])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_resume_after_any_sidecar_mutation_keeps_the_output(finished_run, data):
+    """Bytes replaced in a finished run's sidecar, a key deleted from it or a
+    value of another type put in it never change what the resume does: exit
+    0, the clean bytes, the full path's stdout and sidecar, no error."""
+    argv, _, clean = finished_run
+    with tempfile.TemporaryDirectory() as tmp:
+        out, sidecar = Path(tmp) / "tr.jsonl", Path(tmp) / "tr.jsonl.manifest.json"
+        out.write_bytes(clean)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run([*argv, "--out", str(out)]) == EXIT_OK
+        good = _sidecar_but_time(out)
+        how = data.draw(st.sampled_from(["bytes", "delete", "retype"]), label="mutation")
+        if how == "bytes":
+            sidecar.write_bytes(_mutate(data, sidecar.read_bytes(), "sidecar"))
+        else:
+            manifest = read_report(sidecar)
+            *parents, key = data.draw(st.sampled_from(list(_key_paths(manifest))), label="key")
+            node = manifest
+            for parent in parents:
+                node = node[parent]
+            if how == "delete":
+                del node[key]
+            else:
+                node[key] = data.draw(_OTHER_VALUES.filter(
+                    lambda value: type(value) is not type(node[key])), label="value")
+            sidecar.write_text(json.dumps(manifest), encoding="utf-8")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run([*argv, "--out", str(out)])
+        assert (code, stderr.getvalue()) == (EXIT_OK, "")
+        assert stdout.getvalue() == "translated 16/16 ok (0 failed, 16 reused) via coin\n"
+        assert out.read_bytes() == clean and _sidecar_but_time(out) == good
 
 
 def test_each_jsonl_input_is_read_once(tmp_path, otsc_setup, backends_config, monkeypatch):
