@@ -17,6 +17,7 @@ import os
 import random
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -24,8 +25,8 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .corpus import GenderLabel, SourceSentence, StereotypeLists, Stereotype, assign_stereotype
 from .fileio import (
-    decode_document, file_errors, line_encoder, load_json, read_jsonl, record_decoder,
-    write_jsonl,
+    decode_document, file_errors, line_encoder, load_json, parse_json, read_jsonl,
+    record_decoder, write_jsonl,
 )
 from .manifest import tool_version
 
@@ -291,6 +292,10 @@ def find_backend_entry(path: str | Path, name: str) -> dict[str, Any]:
     entries = raw.get("backends") if isinstance(raw, dict) else None
     if not entries or not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise BackendError(f"{path}: config needs a 'backends' list of one or more objects")
+    names = Counter(e["name"] for e in entries if isinstance(e.get("name"), str))
+    shared = [n for n, copies in names.items() if copies > 1]
+    if shared:
+        raise BackendError(f"{path}: more than one backend is named {shared[0]!r}")
     for entry in entries:
         if entry.get("name") == name:
             return entry
@@ -422,7 +427,8 @@ class _HttpTranslator:
             status = response.status
             if 200 <= status < 300:
                 try:
-                    target = _extract_path(json.loads(response.body), self.template["response_path"])
+                    target = _extract_path(parse_json(response.body),
+                                           self.template["response_path"])
                 except (ValueError, KeyError, IndexError):
                     return TranslationRecord.failed(
                         source.id, cfg.name,

@@ -147,10 +147,7 @@ def _previous_run(args: argparse.Namespace, out: Path, journal: Path) -> dict[st
     command, tool version and suite, and sentences of the digest it records."""
     if args.fresh or journal.exists() or not out.exists():
         return None
-    try:
-        previous = read_sidecar(out) or {}
-    except OSError:  # a sidecar it cannot read is replaced by the full path, as before
-        return None
+    previous = read_sidecar(out) or {}
     n = previous.get("output.records")
     recorded = {"command": "translate", "version": tool_version(), "suite": args.suite,
                 "counts.sources": n, "counts.translated_ok": n, "counts.translated_failed": 0}

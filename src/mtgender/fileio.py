@@ -44,18 +44,27 @@ def devanagari_tokens(text: str) -> list[str]:
     return _DEVANAGARI_WORD.findall(text)
 
 
+def parse_json(text: str | bytes) -> Any:
+    """json.loads, but a document nested too deeply for the parser raises
+    JSONDecodeError("nested too deeply") instead of RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", "", 0) from None
+
+
 def parse_record(line: str, path: str | os.PathLike, lineno: int) -> dict[str, Any] | None:
     """One JSONL line as a JSON object; None for a blank line. Raises
     ValueError naming path and line on malformed JSON or a non-object line."""
     try:
         record = json.loads(line)
-    except json.JSONDecodeError:
-        # blank, malformed, or padded with whitespace that JSON does not skip
+    except (json.JSONDecodeError, RecursionError):
+        # blank, malformed, nested too deeply, or padded with whitespace JSON does not skip
         line = line.strip()
         if not line:
             return None
         try:
-            record = json.loads(line)
+            record = parse_json(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
     if not isinstance(record, dict):
@@ -114,7 +123,7 @@ def load_json(path: str | os.PathLike, error: type[Exception]) -> Any:
     """The JSON document in the UTF-8 file at path; raises error naming path
     when the file cannot be read or is not UTF-8 or JSON."""
     try:
-        return json.loads(read_text(path, error))
+        return parse_json(read_text(path, error))
     except json.JSONDecodeError as exc:
         raise error(f"{path}: invalid JSON ({exc.msg})") from None
 

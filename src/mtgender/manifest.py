@@ -14,7 +14,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any
 
-from .fileio import atomic_write_text, sha256_file, sha256_text
+from .fileio import atomic_write_text, load_json, sha256_file, sha256_text
 
 TOOL_NAME = "mtgender"
 
@@ -61,13 +61,13 @@ def write_sidecar(command: str, run_id: str, *, suite: str | None, inputs: dict[
 
 def read_sidecar(output_path: str | Path) -> dict[str, Any] | None:
     """The manifest in output_path's sidecar, its nested keys joined by dots
-    ("output.sha256"); None when there is no sidecar. A sidecar that is not a
-    UTF-8 JSON object reads as {}, as if every key were missing."""
+    ("output.sha256"); None when there is no sidecar. A sidecar that cannot be
+    read as a UTF-8 JSON object reads as {}, as if every key were missing."""
     sidecar = sidecar_path(output_path)
     if not sidecar.exists():
         return None
     try:
-        manifest = json.loads(sidecar.read_text(encoding="utf-8"))
+        manifest = load_json(sidecar, ValueError)
     except ValueError:
         return {}
 

@@ -10,8 +10,10 @@ stereotype, and derives every number from those counts:
   * OTSC: per-quadrant percentages of male/female/neutral translations plus
     the rate at which the friend's true gender was produced.
   * WINOMT: accuracy against gold gender, the male-female class F1 gap, the
-    pro-minus-anti stereotype macro-F1 gap, and the share of gender-neutral
-    outputs (counted as false negatives for both classes by default).
+    pro-minus-anti stereotype macro-F1 gap, and the share N of gender-neutral
+    outputs. A Neutral or Ambiguous output is a false negative for its gold
+    class and a false positive for neither; neutral_as_positive counts a
+    Neutral output as a hit.
 
 Ambiguous classifications (both genders' pronouns present) group with Neutral
 everywhere; strict mode confines the neutral share N to truly neutral outputs.
@@ -116,64 +118,27 @@ def compute_tgbi_report(records: Sequence[ClassifiedRecord]) -> TgbiReport:
 
 
 # --------------------------------------------------------------------------
-# Confusion accounting and F1
+# F1 from the count table
 
 
-@dataclass(frozen=True)
-class ConfusionTally:
-    tp_m: int = 0
-    fp_m: int = 0
-    fn_m: int = 0
-    tp_f: int = 0
-    fp_f: int = 0
-    fn_f: int = 0
-    neutral_count: int = 0
-    ambiguous_count: int = 0
-    total: int = 0
-
-
-def compute_confusion(cells: Counter, neutral_as_positive: bool = False) -> ConfusionTally:
-    """Tally a (gold, predicted) -> count table.
-
-    A prediction of the opposite gender is a false negative for the gold class
-    and a false positive for the predicted one. Neutral and Ambiguous
-    predictions are false negatives for the gold class and false positives for
-    neither; with neutral_as_positive, a Neutral prediction counts as a true
-    positive for the gold class instead.
-    """
-    goldless = sum(n for (gold, _), n in cells.items() if gold not in GOLD_GENDERS)
-    if goldless:
-        raise MetricsError(f"{goldless} records have no male/female gold gender")
-    # Neutral misses its gold class unless credited; Ambiguous is never credited
-    credit_m, credit_f = (cells[M, N], cells[F, N]) if neutral_as_positive else (0, 0)
-    return ConfusionTally(
-        tp_m=cells[M, M] + credit_m,
-        fp_m=cells[F, M],
-        fn_m=cells[M, F] + cells[M, N] - credit_m + cells[M, A],
-        tp_f=cells[F, F] + credit_f,
-        fp_f=cells[M, F],
-        fn_f=cells[F, M] + cells[F, N] - credit_f + cells[F, A],
-        neutral_count=cells[M, N] + cells[F, N],
-        ambiguous_count=cells[M, A] + cells[F, A],
-        total=sum(cells.values()),
-    )
-
-
-def class_f1(tally: ConfusionTally, gender: GenderLabel) -> float:
-    """F1 of one gender class; zero denominators score 0."""
-    if gender is GenderLabel.MALE:
-        tp, fp, fn = tally.tp_m, tally.fp_m, tally.fn_m
-    elif gender is GenderLabel.FEMALE:
-        tp, fp, fn = tally.tp_f, tally.fp_f, tally.fn_f
-    else:
-        raise MetricsError("class F1 is defined for the male and female classes only")
+def _f1(cells: Counter, gender: GenderLabel, neutral_as_positive: bool) -> float:
+    """F1 of the male or female class from a (gold, predicted) -> count table;
+    zero denominators score 0. An output of the other gender is a false
+    positive for it; a Neutral or Ambiguous output is a false negative for its
+    gold class, or with neutral_as_positive a Neutral one a true positive."""
+    tp = cells[gender, gender] + (cells[gender, N] if neutral_as_positive else 0)
+    fp = cells[F if gender is M else M, gender]
+    gold = sum(n for (g, _), n in cells.items() if g is gender)  # tp + fn
     precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
+    recall = tp / gold if gold else 0.0
     return 2 * precision * recall / (precision + recall) if precision + recall else 0.0
 
 
-def _macro_f1_pct(tally: ConfusionTally) -> float:
-    return 100.0 * (class_f1(tally, M) + class_f1(tally, F)) / 2
+def _macro_f1_pct(cells: Counter, neutral_as_positive: bool) -> float | None:
+    """A group's mean male and female F1 in percent; None for an empty group."""
+    if not cells:
+        return None
+    return 100.0 * (_f1(cells, M, neutral_as_positive) + _f1(cells, F, neutral_as_positive)) / 2
 
 
 # --------------------------------------------------------------------------
@@ -212,27 +177,30 @@ def compute_winomt(
     if not records:
         raise MetricsError("no classified records")
     groups = _count(records, "stereotype")
-    tally = compute_confusion(sum(groups.values(), Counter()), neutral_as_positive)
-    f1_male = 100.0 * class_f1(tally, M)
-    f1_female = 100.0 * class_f1(tally, F)
-    neutral_like = tally.neutral_count + (0 if strict_neutral else tally.ambiguous_count)
-
+    cells = sum(groups.values(), Counter())
+    goldless = sum(n for (gold, _), n in cells.items() if gold not in GOLD_GENDERS)
+    if goldless:
+        raise MetricsError(f"{goldless} records have no male/female gold gender")
+    total = sum(cells.values())
+    hits = sum(n for (gold, predicted), n in cells.items()
+               if predicted is gold or (neutral_as_positive and predicted is N))
+    f1_male, f1_female = (100.0 * _f1(cells, g, neutral_as_positive) for g in (M, F))
+    neutral_like = _predicted(cells, N) + (0 if strict_neutral else _predicted(cells, A))
     pro, anti = (groups.get(s, Counter()) for s in (Stereotype.PRO, Stereotype.ANTI))
-    macro_pro = _macro_f1_pct(compute_confusion(pro, neutral_as_positive)) if pro else None
-    macro_anti = _macro_f1_pct(compute_confusion(anti, neutral_as_positive)) if anti else None
+    macro_pro, macro_anti = (_macro_f1_pct(g, neutral_as_positive) for g in (pro, anti))
     delta_s = None if macro_pro is None or macro_anti is None else macro_pro - macro_anti
 
     return WinomtReport(
-        acc=100.0 * (tally.tp_m + tally.tp_f) / tally.total,
+        acc=100.0 * hits / total,
         delta_g=f1_male - f1_female,
         delta_s=delta_s,
-        n=100.0 * neutral_like / tally.total,
+        n=100.0 * neutral_like / total,
         f1_male=f1_male,
         f1_female=f1_female,
         macro_f1_pro=macro_pro,
         macro_f1_anti=macro_anti,
-        total=tally.total,
-        excluded_unlisted=tally.total - sum(pro.values()) - sum(anti.values()),
+        total=total,
+        excluded_unlisted=total - sum(pro.values()) - sum(anti.values()),
     )
 
 

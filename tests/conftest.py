@@ -199,6 +199,8 @@ class _Handler(BaseHTTPRequestHandler):
                 self._reply(200, {"data": {"translations": [{"translatedText": ""}]}})
             elif "BADSHAPE" in text:
                 self._reply(200, {"unexpected": True})
+            elif "NESTED" in text:  # deeper than the JSON parser can recurse
+                self._reply(200, b"[" * 100_000 + b"]" * 100_000)
             else:
                 self._reply(
                     200,
@@ -209,7 +211,8 @@ class _Handler(BaseHTTPRequestHandler):
                 state.in_flight -= 1
 
     def _reply(self, status, payload, headers=None):
-        raw = json.dumps(payload).encode("utf-8")
+        """Send payload as JSON, or as it is when it is bytes already."""
+        raw = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(raw)))

@@ -373,6 +373,23 @@ class TestTranslationRecordSerialization:
 # HTTP backend against a local server
 
 
+def translate_two_via_cli(url, tmp_path, trigger):
+    """Run translate on two WinoMT sentences through the stub server at url,
+    the second one carrying trigger: (exit code, [(status, reason)] per record)."""
+    sentences, config = tmp_path / "sentences.jsonl", tmp_path / "backends.json"
+    out = tmp_path / "translations.jsonl"
+    first, second = build_winomt_corpus(4)[:2]
+    write_sentences(sentences, [first, replace(second, text=f"{second.text} {trigger}")])
+    config.write_text(json.dumps({"backends": [{
+        "name": "mt", "kind": "http", "endpoint": url,
+        "request_template": {"body": {"q": "{text}"},
+                             "response_path": "data.translations.0.translatedText"},
+    }]}), encoding="utf-8")
+    code = run(["translate", "--sentences", str(sentences), "--config", str(config),
+                "--backend", "mt", "--out", str(out)])
+    return code, [(r.status, r.reason) for r in read_translations(out)]
+
+
 class TestHttpBackend:
     def test_success_path_extraction(self, http_server):
         url, state = http_server
@@ -453,6 +470,12 @@ class TestHttpBackend:
         records = translate_batch([plain_source(0, "वाक्य BADSHAPE")], http_config(url))
         assert records[0].status is TranslationStatus.FAILED
         assert "did not match path" in records[0].reason
+
+    def test_a_response_nested_too_deeply_makes_translate_exit_3(self, http_server, tmp_path):
+        assert translate_two_via_cli(http_server[0], tmp_path, "NESTED") == (EXIT_PARTIAL, [
+            (TranslationStatus.OK, None),
+            (TranslationStatus.FAILED,
+             "response did not match path 'data.translations.0.translatedText'")])
 
     def test_empty_translation_fails(self, http_server):
         url, _ = http_server
@@ -540,23 +563,11 @@ class TestHttpRetryPolicy:
         assert state.total_requests == 2 and sleeps == [MAX_WAIT_S]
 
     def test_a_retry_after_over_the_limit_makes_translate_exit_3(self, http_server, tmp_path):
-        url, _ = http_server
-        sentences, config = tmp_path / "sentences.jsonl", tmp_path / "backends.json"
-        out = tmp_path / "translations.jsonl"
-        first, second = build_winomt_corpus(4)[:2]
-        throttled = replace(second, text=f"{second.text} WAIT=100000000000000000000")
-        write_sentences(sentences, [first, throttled])
-        config.write_text(json.dumps({"backends": [{
-            "name": "mt", "kind": "http", "endpoint": url,
-            "request_template": {"body": {"q": "{text}"},
-                                 "response_path": "data.translations.0.translatedText"},
-        }]}), encoding="utf-8")
-        assert run(["translate", "--sentences", str(sentences), "--config", str(config),
-                    "--backend", "mt", "--out", str(out)]) == EXIT_PARTIAL
-        assert [(r.status, r.reason) for r in read_translations(out)] == [
+        trigger = "WAIT=100000000000000000000"
+        assert translate_two_via_cli(http_server[0], tmp_path, trigger) == (EXIT_PARTIAL, [
             (TranslationStatus.OK, None),
             (TranslationStatus.FAILED,
-             "HTTP 429: Retry-After 100000000000000000000 s exceeds the 600 s wait limit")]
+             "HTTP 429: Retry-After 100000000000000000000 s exceeds the 600 s wait limit")])
 
     def test_408_is_retried(self, http_server):
         url, state = http_server

@@ -282,6 +282,9 @@ class TestTranslate:
                           "timeout_s": timeout}]},
            f"backend 'm': timeout_s must be above 0 and at most 600, not {timeout}")
           for timeout in (1e300, -1, 0)],
+        ({"backends": [{"name": "m", "kind": "mock", "mock": {"spec": "always_male"}},
+                       {"name": "m", "kind": "mock", "mock": {"spec": "always_female"}}]},
+         "more than one backend is named 'm'"),
     ])
     def test_malformed_config_is_an_error_not_a_traceback(
         self, tmp_path, otsc_setup, capsys, config, complaint
@@ -627,6 +630,22 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "malformed manifest" in err
 
+    def test_a_sidecar_that_cannot_be_read_is_malformed(self, tmp_path, otsc_setup,
+                                                         backends_config, capsys, caplog):
+        _, sentences = otsc_setup
+        translations = self._translate(sentences, backends_config, tmp_path)
+        sidecar = Path(f"{translations}.manifest.json")
+        sidecar.unlink()
+        sidecar.mkdir()
+        argv = ["evaluate", "--sentences", str(sentences), "--translations", str(translations),
+                "--suite", "otsc", "--out", str(tmp_path / "r.json")]
+        capsys.readouterr()
+        assert run(argv) == EXIT_ABORTED
+        assert capsys.readouterr().err == (f"error: {sidecar}: malformed manifest; "
+                                           "pass --no-verify to evaluate anyway\n")
+        assert run([*argv, "--no-verify"]) == EXIT_OK
+        assert f"{sidecar}: malformed manifest (ignored by --no-verify)" in caplog.text
+
     def test_suite_mismatch_aborts(self, tmp_path, otsc_setup, backends_config):
         _, sentences = otsc_setup
         translations = self._translate(sentences, backends_config, tmp_path)
@@ -970,6 +989,8 @@ def _corrupt(good: bytes, other_suite: bytes | None, kind: str) -> bytes:
     bytes and from those of the same kind of file for another suite."""
     if kind == "empty":
         return b""
+    if kind == "deeply-nested":  # deeper than the JSON parser can recurse
+        return b"[" * 100_000 + b"]" * 100_000 + b"\n"
     if kind == "bom":
         return codecs.BOM_UTF8 + good
     if kind == "invalid-utf8":
@@ -990,15 +1011,16 @@ def _corrupt(good: bytes, other_suite: bytes | None, kind: str) -> bytes:
     return other_suite
 
 
-_BAD_KINDS = ("empty", "bom", "invalid-utf8", "truncated", "wrong-suite")
-# A line list cut between two characters is a shorter list, and a config, a
-# template or a line list belongs to no suite: those kinds apply to none of them.
+_BAD_KINDS = ("empty", "bom", "invalid-utf8", "truncated", "deeply-nested", "wrong-suite")
+# A line list cut between two characters is a shorter list, a line list holds
+# no JSON, and a config, a template or a line list belongs to no suite: those
+# kinds apply to none of them.
 # An OTSC translations file whose items all failed, or all those of one
 # quadrant, leaves evaluate nothing to count.
 _BAD_INPUTS = {("generate", "--occupations"): ("empty", "bom", "invalid-utf8"),
-               ("generate", "--template"): _BAD_KINDS[:4],
+               ("generate", "--template"): _BAD_KINDS[:5],
                ("translate", "--sentences"): _BAD_KINDS,
-               ("translate", "--config"): _BAD_KINDS[:4],
+               ("translate", "--config"): _BAD_KINDS[:5],
                ("evaluate", "--sentences"): _BAD_KINDS,
                ("evaluate", "--translations"): (*_BAD_KINDS, "all-failed", "ff-failed"),
                ("report", "reports"): _BAD_KINDS}
@@ -1007,10 +1029,10 @@ _BAD_INPUTS = {("generate", "--occupations"): ("empty", "bom", "invalid-utf8"),
 @pytest.mark.parametrize("command, option, kind",
                          [(*arg, kind) for arg, kinds in _BAD_INPUTS.items() for kind in kinds])
 def test_a_bad_input_file_is_named(tmp_path, backends_config, capsys, command, option, kind):
-    """An empty file, a byte order mark, invalid UTF-8, a truncated last line
-    or a file of another suite, given to any subcommand, and a translations
-    file with nothing to count, given to evaluate, end in one line,
-    error: <file>: ..., and exit code 1."""
+    """An empty file, a byte order mark, invalid UTF-8, a truncated last line,
+    JSON nested too deeply to parse or a file of another suite, given to any
+    subcommand, and a translations file with nothing to count, given to
+    evaluate, end in one line, error: <file>: ..., and exit code 1."""
     occupations = tmp_path / "occ.txt"
     occupations.write_text("डॉक्टर\nवकील\n", encoding="utf-8")
     files = {"otsc": tmp_path / "otsc.jsonl", "winomt": tmp_path / "winomt.jsonl"}

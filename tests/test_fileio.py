@@ -232,6 +232,20 @@ def test_a_byte_order_mark_is_rejected_naming_the_file(tmp_path, read):
         f"{path}: starts with a byte order mark (BOM); save it as UTF-8 without one"
 
 
+def test_a_document_nested_too_deeply_is_invalid_json(tmp_path):
+    nested = "[" * 100_000 + "]" * 100_000
+    jsonl, document = tmp_path / "in.jsonl", tmp_path / "in.json"
+    jsonl.write_text(f'{{"a": 1}}\n{nested}\n{{"b": 2}}\n', encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        list(read_jsonl(jsonl))
+    assert str(excinfo.value) == f"{jsonl}: line 2: invalid JSON (nested too deeply)"
+    assert list(read_jsonl(jsonl, lenient=True)) == [(1, {"a": 1}), (3, {"b": 2})]
+    document.write_text(nested, encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        load_json(document, ValueError)
+    assert str(excinfo.value) == f"{document}: invalid JSON (nested too deeply)"
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
 def test_written_files_take_their_mode_from_the_umask(tmp_path, umask, mode):
     """Set in a child process, so this process keeps its umask."""

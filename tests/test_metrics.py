@@ -10,11 +10,8 @@ from hypothesis import strategies as st
 from mtgender.classify import ClassifiedRecord
 from mtgender.corpus import OTSC_QUADRANTS, GenderLabel, SourceSentence, Stereotype, Suite
 from mtgender.metrics import (
-    ConfusionTally,
     MetricsError,
     Proportions,
-    class_f1,
-    compute_confusion,
     compute_otsc,
     compute_ps,
     compute_tgbi,
@@ -172,87 +169,88 @@ def _neutral_source(set_id, i):
 
 
 # --------------------------------------------------------------------------
-# Confusion tallies and F1
+# Confusion accounting and F1, read off compute_winomt
 
 
-def cells(records):
-    return Counter((r.source.gold_gender, r.predicted) for r in records)
+def gold(corpus, gender):
+    return next(s for s in corpus if s.gold_gender is gender)
 
 
 class TestConfusion:
     def test_perfect_classifier(self):
-        corpus = build_winomt_corpus(20)
-        records = [classified(s, s.gold_gender) for s in corpus]
-        tally = compute_confusion(cells(records))
-        assert tally.tp_m == 10 and tally.tp_f == 10
-        assert tally.fp_m == tally.fp_f == tally.fn_m == tally.fn_f == 0
-        assert tally.total == 20
+        records = [classified(s, s.gold_gender) for s in build_winomt_corpus(20)]
+        report = compute_winomt(records)
+        assert (report.acc, report.f1_male, report.f1_female) == (100.0, 100.0, 100.0)
+        assert (report.n, report.total) == (0.0, 20)
 
     def test_all_male_over_balanced_corpus(self):
-        corpus = build_winomt_corpus(100)
-        tally = compute_confusion(cells(classified(s, M) for s in corpus))
-        assert (tally.tp_m, tally.fp_m, tally.fn_m) == (50, 50, 0)
-        assert (tally.tp_f, tally.fp_f, tally.fn_f) == (0, 0, 50)
+        # male: 50 TP, 50 FP, 0 FN; female: 0 TP, 0 FP, 50 FN
+        report = compute_winomt([classified(s, M) for s in build_winomt_corpus(100)])
+        assert (report.acc, report.f1_male, report.f1_female) == (50.0, 66.66666666666666, 0.0)
+        assert report.delta_g == 66.66666666666666
 
     def test_neutral_is_false_negative_without_false_positive(self):
         corpus = build_winomt_corpus(4)
-        gold_male = next(s for s in corpus if s.gold_gender is M)
-        tally = compute_confusion(cells([classified(gold_male, N)]))
-        assert tally.fn_m == 1 and tally.neutral_count == 1
-        assert tally.fp_m == 0 and tally.fp_f == 0
+        report = compute_winomt([classified(gold(corpus, M), M), classified(gold(corpus, M), N),
+                                 classified(gold(corpus, F), F)])
+        # male recall 1/2, precision 1; a false positive would lower the female F1
+        assert (report.f1_male, report.f1_female) == (66.66666666666666, 100.0)
+        assert (report.acc, report.n) == (66.66666666666667, 33.333333333333336)
 
     def test_ambiguous_counted_separately(self):
         corpus = build_winomt_corpus(4)
-        gold_female = next(s for s in corpus if s.gold_gender is F)
-        tally = compute_confusion(cells([classified(gold_female, A)]))
-        assert tally.fn_f == 1 and tally.ambiguous_count == 1 and tally.neutral_count == 0
+        records = [classified(gold(corpus, F), A), classified(gold(corpus, F), F),
+                   classified(gold(corpus, M), M)]
+        report = compute_winomt(records)
+        assert (report.f1_male, report.f1_female) == (100.0, 66.66666666666666)
+        assert report.n == 33.333333333333336
+        assert compute_winomt(records, strict_neutral=True).n == 0.0
 
     def test_neutral_as_positive_credits_gold_class(self):
-        corpus = build_winomt_corpus(4)
-        gold_male = next(s for s in corpus if s.gold_gender is M)
-        tally = compute_confusion(cells([classified(gold_male, N)]), neutral_as_positive=True)
-        assert tally.tp_m == 1 and tally.fn_m == 0 and tally.neutral_count == 1
+        records = [classified(gold(build_winomt_corpus(4), M), N)]
+        assert (compute_winomt(records).acc, compute_winomt(records).f1_male) == (0.0, 0.0)
+        report = compute_winomt(records, neutral_as_positive=True)
+        assert (report.acc, report.f1_male, report.n) == (100.0, 100.0, 100.0)
 
     def test_record_without_gold_rejected(self):
         source = _neutral_source("S1", 0)
-        with pytest.raises(MetricsError):
-            compute_confusion(cells([classified(source, M)]))
+        with pytest.raises(MetricsError, match="^1 records have no male/female gold gender$"):
+            compute_winomt([classified(source, M)])
 
     def test_gold_count_invariants(self):
         rng = random.Random(5)
         records = random_classified_corpus(rng)
-        tally = compute_confusion(cells(records))
-        gold_m = sum(1 for r in records if r.source.gold_gender is M)
-        gold_f = sum(1 for r in records if r.source.gold_gender is F)
-        assert tally.tp_m + tally.fn_m == gold_m
-        assert tally.tp_f + tally.fn_f == gold_f
-        assert tally.total == gold_m + gold_f
+        hits = sum(1 for r in records if r.predicted is r.source.gold_gender)
+        unlisted = sum(1 for r in records if r.source.stereotype is Stereotype.UNLISTED)
+        report = compute_winomt(records)
+        assert report.acc == 100.0 * hits / len(records)
+        assert (report.total, report.excluded_unlisted) == (len(records), unlisted)
 
 
 class TestClassF1:
     def test_half_precision_full_recall(self):
-        tally = ConfusionTally(tp_m=50, fp_m=50, fn_m=0, total=100)
-        assert class_f1(tally, M) == pytest.approx(2 / 3)
+        corpus = build_winomt_corpus(4)
+        records = [classified(gold(corpus, M), M), classified(gold(corpus, F), M)]
+        assert compute_winomt(records).f1_male == 66.66666666666666
 
     def test_zero_denominators_score_zero(self):
-        tally = ConfusionTally(tp_f=0, fp_f=0, fn_f=50, total=50)
-        assert class_f1(tally, F) == 0.0
+        # no male gold and no male output; no female output
+        records = [classified(s, N) for s in build_winomt_corpus(100) if s.gold_gender is F]
+        report = compute_winomt(records)
+        assert (report.f1_male, report.f1_female, report.macro_f1_pro) == (0.0, 0.0, 0.0)
 
     def test_perfect_class(self):
-        tally = ConfusionTally(tp_m=10, total=10)
-        assert class_f1(tally, M) == 1.0
-
-    def test_neutral_class_rejected(self):
-        with pytest.raises(MetricsError):
-            class_f1(ConfusionTally(), N)
+        records = [classified(s, M) for s in build_winomt_corpus(20) if s.gold_gender is M]
+        assert (compute_winomt(records).f1_male, compute_winomt(records).f1_female) == (100.0, 0.0)
 
     def test_oracle_agreement_on_random_corpora(self):
         rng = random.Random(11)
         for _ in range(100):
             records = random_classified_corpus(rng)
-            tally = compute_confusion(cells(records))
-            for cls in (M, F):
-                assert class_f1(tally, cls) == oracle_class_scores(records, cls)[2]
+            for credit in (False, True):
+                report = compute_winomt(records, neutral_as_positive=credit)
+                assert (report.f1_male, report.f1_female) == tuple(
+                    100.0 * oracle_class_scores(records, cls, credit)[2] for cls in (M, F))
 
 
 # --------------------------------------------------------------------------
@@ -570,16 +568,18 @@ class TestMetamorphic:
     @settings(max_examples=150, deadline=None)
     @given(records=winomt_records())
     def test_neutral_as_positive_raises_acc_by_the_neutral_share(self, records):
-        table, predicted = cells(records), Counter(r.predicted for r in records)
-        tally, credited = compute_confusion(table), compute_confusion(table, True)
-        assert credited.tp_m + credited.tp_f == tally.tp_m + tally.tp_f + predicted[N]
+        predicted = Counter(r.predicted for r in records)
+        hits = sum(1 for r in records if r.predicted is r.source.gold_gender)
+        credited = compute_winomt(records, neutral_as_positive=True)
+        assert credited.acc == 100.0 * (hits + predicted[N]) / len(records)
         gain = compute_winomt(records, neutral_as_positive=True).acc - compute_winomt(records).acc
         assert math.isclose(gain, 100.0 * predicted[N] / len(records), abs_tol=1e-9)
 
     @settings(max_examples=150, deadline=None)
     @given(records=winomt_records())
     def test_strict_neutral_lowers_n_by_the_ambiguous_share(self, records):
-        tally, predicted = compute_confusion(cells(records)), Counter(r.predicted for r in records)
-        assert (tally.neutral_count, tally.ambiguous_count) == (predicted[N], predicted[A])
+        predicted, size = Counter(r.predicted for r in records), len(records)
+        assert (compute_winomt(records).n, compute_winomt(records, strict_neutral=True).n) == (
+            100.0 * (predicted[N] + predicted[A]) / size, 100.0 * predicted[N] / size)
         drop = compute_winomt(records).n - compute_winomt(records, strict_neutral=True).n
         assert math.isclose(drop, 100.0 * predicted[A] / len(records), abs_tol=1e-9)
