@@ -5,8 +5,8 @@ gender cue matching its gold label, and none of the opposite gender?"""
 import argparse
 import sys
 
+from mtgender.cli import error_line
 from mtgender.corpus import Suite, read_sentences
-from mtgender.resources import data_path
 from mtgender.templates import CueInventory, validate_gender_cues
 
 
@@ -19,8 +19,7 @@ def main():
                         help="exit nonzero if any record warns")
     args = parser.parse_args()
 
-    cues = CueInventory.from_file(args.cues) if args.cues else CueInventory.from_file(
-        data_path("cue_inventory.json"))
+    cues = CueInventory.from_file(args.cues) if args.cues else CueInventory.default()
     corpus = read_sentences(args.corpus, Suite.WINOMT)
     warnings = 0
     for record in corpus:
@@ -34,4 +33,7 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except (ValueError, OSError) as exc:  # a bad input: one line, exit 1
+        sys.exit(error_line(exc))

@@ -17,6 +17,7 @@ import os
 import random
 import threading
 import time
+import urllib.parse
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -35,6 +36,10 @@ logger = logging.getLogger(__name__)
 
 class BackendError(ValueError):
     """Configuration or usage error that aborts a run before any request."""
+
+
+class RecordError(BackendError):
+    """A source record that a mock cannot translate; the caller names its file."""
 
 
 class TranslationStatus(enum.Enum):
@@ -79,14 +84,19 @@ def read_translations(
     path: str | Path, lenient: bool = False, digest: Any = None
 ) -> list[TranslationRecord]:
     """Read a translations file; digest, a hashlib object, when given, takes
-    its bytes. With lenient, an unreadable line (such as the last line of an
-    interrupted run's journal, torn mid-write, perhaps inside a character) is
-    logged and skipped instead of aborting the read."""
+    its bytes. An OK record needs a target_text; a failed one may lack it.
+    With lenient, a line that is unreadable (such as the last line of an
+    interrupted run's journal, torn mid-write, perhaps inside a character) or
+    invalid is logged and skipped instead of aborting the read."""
     decode = record_decoder(TranslationRecord, BackendError)
     records = []
     for lineno, record in read_jsonl(path, digest, lenient):
         try:
-            records.append(decode(record, path, lineno))
+            translation = decode(record, path, lineno)
+            if not translation.target_text and translation.status is TranslationStatus.OK:
+                raise BackendError(f"{path}: line {lineno}: record {translation.source_id!r}: "
+                                   "missing field 'target_text'")
+            records.append(translation)
         except BackendError as exc:
             if not lenient:
                 raise
@@ -138,16 +148,14 @@ def mock_translate(source: SourceSentence, spec: MockSpec) -> str:
     spec's kind picks for source."""
     if spec.kind == "echo_gold":
         if source.gold_gender is None:
-            raise BackendError(f"echo_gold needs a gold gender, record {source.id!r} has none")
+            raise RecordError(f"record {source.id!r}: echo_gold needs a gold gender")
         gender = source.gold_gender
     elif spec.kind == "coin_flip":
         draw = random.Random(f"{spec.seed}:{source.id}").random()
         gender = GenderLabel.MALE if draw < spec.p_male else GenderLabel.FEMALE
     elif spec.kind == "stereotype_follower":
         if source.occupation is None:
-            raise BackendError(
-                f"stereotype_follower needs an occupation, record {source.id!r} has none"
-            )
+            raise RecordError(f"record {source.id!r}: stereotype_follower needs an occupation")
         assert spec.lists is not None
         leaning = assign_stereotype(source.occupation, GenderLabel.MALE, spec.lists)
         # Pro for a male gold means the occupation is male-listed; Unlisted
@@ -219,17 +227,20 @@ class BackendConfig:
     timeout_s: float = 30.0
 
     def __post_init__(self) -> None:
+        if not self.name:
+            raise BackendError("backend entry is missing a name")
         if self.request_template is not None:
             keys = decode_document(self.request_template, _RequestTemplateKeys, BackendError,
                                    "request_template")
             for key, value in keys.headers.items():
                 _check_header(self.name, key, str(value))
+                if "{credential}" in str(value) and not self.auth_env:
+                    raise BackendError(f"backend {self.name!r}: header {key!r} references a "
+                                       "credential but auth_env is not configured")
         if self.batch_size < 1:
             raise BackendError("batch_size must be positive")
         if self.max_concurrency < 1:
             raise BackendError("max_concurrency must be positive")
-        if self.rate_limit is not None and self.rate_limit <= 0:
-            raise BackendError("rate_limit must be positive when set")
         if self.rate_limit is not None and not self.rate_limit >= 1 / MAX_WAIT_S:
             raise BackendError(f"backend {self.name!r}: rate_limit must be at least one "
                                f"request per {MAX_WAIT_S:g} s, not {self.rate_limit}")
@@ -245,6 +256,15 @@ class BackendConfig:
                 raise BackendError(
                     f"backend {self.name!r}: request_template needs 'body' and 'response_path'"
                 )
+            try:
+                url = urllib.parse.urlsplit(self.endpoint)
+                if url.scheme not in ("http", "https") or not url.hostname:
+                    raise ValueError(
+                        f"endpoint must be an http:// or https:// URL, not {self.endpoint!r}")
+                url.port  # raises ValueError for a port that is not a number in range
+                json.dumps(self.request_template["body"], allow_nan=False)
+            except ValueError as exc:
+                raise BackendError(f"backend {self.name!r}: {exc}") from None
         elif self.kind is BackendKind.FILE_REPLAY:
             if not self.replay_path:
                 raise BackendError(f"backend {self.name!r}: file_replay kind requires replay_path")
@@ -258,19 +278,14 @@ def backend_config_from_dict(raw: Mapping[str, Any], path: str | Path) -> Backen
     path; errors name path, and relative replay and stereotype-list paths
     resolve against its directory.
 
-    The entry is decoded by decode_document, but for the messages about name
-    and kind, and the mock's spec key and list files.
+    The entry is decoded by decode_document, but for the mock's spec key and
+    list files.
     """
 
     def resolve(p: str | None) -> str | None:
         return p if p is None else str(Path(path).parent / p)
 
     with file_errors(path, BackendError):
-        name = raw.get("name")
-        if not name:
-            raise BackendError("backend entry is missing a name")
-        if raw.get("kind") not in [kind.value for kind in BackendKind]:
-            raise BackendError(f"backend {name!r}: unknown kind {raw.get('kind')!r}")
         mock = raw.get("mock")
         if isinstance(mock, dict):  # anything else is left to the decoder
             if not isinstance(mock.get("spec", ""), str):
@@ -278,7 +293,7 @@ def backend_config_from_dict(raw: Mapping[str, Any], path: str | Path) -> Backen
             lists, files = None, [mock.get("male_list"), mock.get("female_list")]
             if files != [None, None]:
                 if not all(isinstance(f, str) for f in files):
-                    raise BackendError(f"backend {name!r}: stereotype mock needs both "
+                    raise BackendError(f"backend {raw.get('name')!r}: stereotype mock needs both "
                                        "male_list and female_list, each a file name")
                 lists = StereotypeLists.from_files(*map(resolve, files))
             mock = {**mock, "kind": mock.get("spec", ""), "lists": lists}
@@ -383,22 +398,15 @@ class _HttpTranslator:
                 )
         custom = {}
         for key, value in dict(self.template.get("headers", {})).items():
-            value = str(value)
-            if "{credential}" in value:
-                if self.credential is None:
-                    raise BackendError(
-                        f"backend {config.name!r}: header {key!r} references a credential "
-                        "but auth_env is not configured"
-                    )
-                value = value.replace("{credential}", self.credential)
+            # BackendConfig allows {credential} only with auth_env set, so it has a value
+            value = str(value).replace("{credential}", self.credential or "")
             _check_header(config.name, key, value)
             custom[key] = value
         # header names are case-insensitive: a template header replaces a default
         overridden = {key.lower() for key in custom}
         defaults = {"Content-Type": "application/json", "User-Agent": f"mtgender/{tool_version()}"}
         headers = {k: v for k, v in defaults.items() if k.lower() not in overridden} | custom
-        try:
-            json.dumps(self.template["body"], allow_nan=False)
+        try:  # the proxy, read from the environment, may be unusable
             self.client = KeepAliveClient(config.endpoint, config.timeout_s, headers)
         except ValueError as exc:
             raise BackendError(f"backend {config.name!r}: {exc}") from None
@@ -457,16 +465,8 @@ class _HttpTranslator:
 def load_replay_map(path: str | Path) -> dict[str, str]:
     """Read a replay file: either bare {source_id, target_text} lines or a full
     translations file, whose failed lines are ignored."""
-    path = Path(path)
-    if not path.exists():
-        raise BackendError(f"{path}: no such replay file")
-    replay: dict[str, str] = {}
-    for record in read_translations(path):
-        if record.status is TranslationStatus.OK:
-            if not record.target_text:
-                raise BackendError(f"{path}: record {record.source_id!r}: missing target_text")
-            replay[record.source_id] = record.target_text
-    return replay
+    return {record.source_id: record.target_text for record in read_translations(path)
+            if record.status is TranslationStatus.OK}
 
 
 def translate_batch(

@@ -22,6 +22,7 @@ from typing import Any, Mapping
 
 from .backends import (
     BackendConfig,
+    RecordError,
     TranslationRecord,
     TranslationStatus,
     append_translations,
@@ -185,7 +186,10 @@ def cmd_translate(args: argparse.Namespace) -> int:
     else:
         if sentences is None:
             sentences = read_sentences(args.sentences, default_suite)
-        merged, sha256, reused = _translate_pending(sentences, config, out, journal, args.fresh)
+        try:
+            merged, sha256, reused = _translate_pending(sentences, config, out, journal, args.fresh)
+        except RecordError as exc:
+            raise CliError(f"{args.sentences}: {exc}") from None
         n = len(merged)
         failed = sum(1 for r in merged if r.status is TranslationStatus.FAILED)
 
@@ -413,6 +417,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def error_line(exc: ValueError | OSError) -> str:
+    """The line that reports exc: "error: <path>: <strerror>" for an OSError
+    on a path, a rename's target ("out.<hex>.tmp" -> "out"); else "error:
+    <exc>", which for a domain error (CorpusError, TemplateError, BackendError,
+    ClassifyError, MetricsError, CliError) or malformed JSONL names the file."""
+    path = exc.filename2 or exc.filename if isinstance(exc, OSError) else None
+    return f"error: {exc}" if path is None else f"error: {path}: {exc.strerror}"
+
+
 def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
@@ -421,14 +434,8 @@ def run(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    # ValueError covers the domain errors (CorpusError, TemplateError,
-    # BackendError, ClassifyError, MetricsError, CliError) plus malformed JSONL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-    except OSError as exc:  # a rename names its target second: "out.<hex>.tmp" -> "out"
-        path = exc.filename if exc.filename2 is None else exc.filename2
-        print(f"error: {exc}" if path is None else f"error: {path}: {exc.strerror}",
-              file=sys.stderr)
+    except (ValueError, OSError) as exc:
+        print(error_line(exc), file=sys.stderr)
     return EXIT_ABORTED
 
 

@@ -205,9 +205,6 @@ def load_occupations(path: str | Path) -> list[str]:
     are rejected with both line numbers. A line with no Devanagari content is
     kept but logged, since occupation lists for other scripts are legal inputs.
     """
-    path = Path(path)
-    if not path.exists():
-        raise CorpusError(f"{path}: no such file")
     occupations: list[str] = []
     seen: dict[str, int] = {}
     for lineno, raw in enumerate(read_text(path, CorpusError).split("\n"), start=1):

@@ -108,20 +108,18 @@ def _reject_bom(path: str | os.PathLike, head: bytes, error: type[Exception]) ->
 
 def read_text(path: str | os.PathLike, error: type[Exception]) -> str:
     """The UTF-8 text of the file at path; raises error naming path when the
-    file cannot be read, starts with a byte order mark or is not UTF-8."""
+    file starts with a byte order mark or is not UTF-8."""
+    data = Path(path).read_bytes()
+    _reject_bom(path, data, error)
     try:
-        data = Path(path).read_bytes()
-        _reject_bom(path, data, error)
         return data.decode("utf-8")
-    except OSError as exc:
-        raise error(f"{path}: cannot read ({exc.strerror or exc})") from None
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
 
 
 def load_json(path: str | os.PathLike, error: type[Exception]) -> Any:
     """The JSON document in the UTF-8 file at path; raises error naming path
-    when the file cannot be read or is not UTF-8 or JSON."""
+    when the file is not UTF-8 or JSON, and OSError when it cannot be read."""
     try:
         return parse_json(read_text(path, error))
     except json.JSONDecodeError as exc:

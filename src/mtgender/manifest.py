@@ -62,13 +62,13 @@ def write_sidecar(command: str, run_id: str, *, suite: str | None, inputs: dict[
 def read_sidecar(output_path: str | Path) -> dict[str, Any] | None:
     """The manifest in output_path's sidecar, its nested keys joined by dots
     ("output.sha256"); None when there is no sidecar. A sidecar that cannot be
-    read as a UTF-8 JSON object reads as {}, as if every key were missing."""
-    sidecar = sidecar_path(output_path)
-    if not sidecar.exists():
-        return None
+    opened or read as a UTF-8 JSON object reads as {}, as if every key were
+    missing."""
     try:
-        manifest = load_json(sidecar, ValueError)
-    except ValueError:
+        manifest = load_json(sidecar_path(output_path), ValueError)
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError):
         return {}
 
     flat: dict[str, Any] = {}

@@ -8,7 +8,4 @@ from pathlib import Path
 
 def data_path(name: str) -> Path:
     """Path to a bundled data file (template, cue inventory, sample corpora)."""
-    path = Path(str(resources.files("mtgender").joinpath("data", name)))
-    if not path.exists():
-        raise FileNotFoundError(f"no bundled data file named {name!r}")
-    return path
+    return Path(str(resources.files("mtgender").joinpath("data", name)))

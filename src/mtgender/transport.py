@@ -45,9 +45,7 @@ class KeepAliveClient:
     ERRORS = (OSError, http.client.HTTPException)
 
     def __init__(self, url: str, timeout_s: float, headers: Mapping[str, str]) -> None:
-        parts = urllib.parse.urlsplit(url)
-        if parts.scheme not in ("http", "https") or not parts.hostname:
-            raise ValueError(f"endpoint must be an http:// or https:// URL, not {url!r}")
+        parts = urllib.parse.urlsplit(url)  # the caller checks: http(s), a host, a valid port
         self._https = parts.scheme == "https"
         host, port = parts.hostname, parts.port or (443 if self._https else 80)
         path = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))

@@ -204,6 +204,60 @@ class TestTranslate:
         assert "5 reused" in capsys.readouterr().out
         assert out.read_bytes() == clean.read_bytes()
 
+    @pytest.mark.parametrize("where", ["output", "journal"])
+    def test_an_ok_record_without_text_is_refused_or_skipped_by_a_resume(
+        self, tmp_path, otsc_setup, backends_config, capsys, where
+    ):
+        """A bare {"source_id"} line is an OK record without a translation: in
+        the output it aborts a resume, in the journal it is skipped and the
+        record translated again."""
+        _, sentences = otsc_setup
+        argv = ["translate", "--sentences", str(sentences), "--config", str(backends_config),
+                "--backend", "echo-gold"]
+        clean = tmp_path / "clean.jsonl"
+        assert run([*argv, "--out", str(clean)]) == EXIT_OK
+        lines = clean.read_text(encoding="utf-8").splitlines(keepends=True)
+        source_id = json.loads(lines[5])["source_id"]
+        out = tmp_path / "tr.jsonl"
+        written = out if where == "output" else tmp_path / "tr.jsonl.partial"
+        written.write_text("".join(lines[:5]) + json.dumps({"source_id": source_id}) + "\n",
+                           encoding="utf-8")
+        capsys.readouterr()
+        if where == "output":
+            assert run([*argv, "--out", str(out)]) == EXIT_ABORTED
+            assert capsys.readouterr().err == (
+                f"error: {out}: line 6: record {source_id!r}: missing field 'target_text'\n")
+        else:
+            assert run([*argv, "--out", str(out)]) == EXIT_OK
+            assert "5 reused" in capsys.readouterr().out
+            assert out.read_bytes() == clean.read_bytes()
+
+    @pytest.mark.parametrize("entry, complaint", [
+        ({"kind": "mock", "mock": {"spec": "echo_gold"}},
+         "{sentences}: record 'n-s1-1': echo_gold needs a gold gender"),
+        ({"kind": "mock", "mock": {"spec": "stereotype_follower", "male_list": "male.txt",
+                                   "female_list": "female.txt"}},
+         "{sentences}: record 'n-s1-1': stereotype_follower needs an occupation"),
+        ({"kind": "http", "endpoint": "http://127.0.0.1:9/", "auth_env": "MTGENDER_UNSET_KEY",
+          "request_template": {"body": {}, "response_path": "t"}},
+         "backend 'm': environment variable 'MTGENDER_UNSET_KEY' is not set"),
+    ], ids=["echo_gold", "stereotype_follower", "auth_env"])
+    def test_a_record_a_mock_cannot_translate_names_the_sentences_file(
+        self, tmp_path, capsys, monkeypatch, entry, complaint
+    ):
+        """A record error names the sentences file; an error of the environment
+        keeps naming the backend alone."""
+        monkeypatch.delenv("MTGENDER_UNSET_KEY", raising=False)
+        sentences = data_path("neutral_sample.jsonl")
+        (tmp_path / "male.txt").write_text("मैकेनिक\n", encoding="utf-8")
+        (tmp_path / "female.txt").write_text("नर्स\n", encoding="utf-8")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"backends": [{"name": "m", **entry}]}), encoding="utf-8")
+        assert run(["translate", "--sentences", str(sentences), "--config", str(path),
+                    "--backend", "m", "--suite", "neutral",
+                    "--out", str(tmp_path / "tr.jsonl")]) == EXIT_ABORTED
+        assert capsys.readouterr().err == f"error: {complaint.format(sentences=sentences)}\n"
+
     def test_malformed_sentences_abort(self, tmp_path, backends_config, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"id": "x1", "text": \n', encoding="utf-8")
@@ -285,6 +339,17 @@ class TestTranslate:
         ({"backends": [{"name": "m", "kind": "mock", "mock": {"spec": "always_male"}},
                        {"name": "m", "kind": "mock", "mock": {"spec": "always_female"}}]},
          "more than one backend is named 'm'"),
+        # the http settings that need no environment are checked with the config
+        ({"backends": [{"name": "m", "kind": "http", "endpoint": "ftp://x/",
+                        "request_template": {"body": {}, "response_path": "a"}}]},
+         "backend 'm': endpoint must be an http:// or https:// URL, not 'ftp://x/'"),
+        ({"backends": [{"name": "m", "kind": "http", "endpoint": "http://127.0.0.1:9/",
+                        "request_template": {"body": {}, "response_path": "a",
+                                             "headers": {"X-Key": "{credential}"}}}]},
+         "backend 'm': header 'X-Key' references a credential but auth_env is not configured"),
+        ({"backends": [{"name": "m", "kind": "http", "endpoint": "http://127.0.0.1:9/",
+                        "request_template": {"body": {"t": float("nan")}, "response_path": "a"}}]},
+         "backend 'm': Out of range float values are not JSON compliant"),
     ])
     def test_malformed_config_is_an_error_not_a_traceback(
         self, tmp_path, otsc_setup, capsys, config, complaint
@@ -298,7 +363,8 @@ class TestTranslate:
         assert err.startswith(f"error: {path}: ") and complaint in err
 
     @pytest.mark.parametrize("backend, complaint", [
-        ({"kind": "file_replay", "replay_path": "missing.jsonl"}, "no such replay file"),
+        ({"kind": "file_replay", "replay_path": "missing.jsonl"},
+         "missing.jsonl: No such file or directory"),
         ({"kind": "http", "endpoint": "http://127.0.0.1:9/", "auth_env": "MTGENDER_TEST_KEY",
           "request_template": {"body": {}, "response_path": "a",
                                "headers": {"Authorization": "Bearer {credential}"}}},
@@ -712,6 +778,29 @@ class TestEvaluate:
         assert err.startswith(f"error: {target}: line 3: record ")
         assert f"field {field!r} must be a str" in err
 
+    def test_an_ok_record_without_text_aborts(self, tmp_path, otsc_setup, backends_config,
+                                              capsys):
+        """An OK record needs a target_text; a failed one may leave it out."""
+        _, sentences = otsc_setup
+        translations = self._translate(sentences, backends_config, tmp_path)
+        lines = translations.read_text(encoding="utf-8").splitlines(keepends=True)
+        source_id = json.loads(lines[3])["source_id"]
+        argv = ["evaluate", "--sentences", str(sentences), "--translations", str(translations),
+                "--suite", "otsc", "--out", str(tmp_path / "r.json"), "--no-verify"]
+
+        def evaluate_with(record):
+            lines[3] = json.dumps(record) + "\n"
+            translations.write_text("".join(lines), encoding="utf-8")
+            capsys.readouterr()
+            return run(argv)
+
+        assert evaluate_with({"source_id": source_id, "status": "failed"}) == EXIT_OK
+        assert "note: 1 failed translations excluded from metrics" in capsys.readouterr().out
+        for record in ({"source_id": source_id}, {"source_id": source_id, "status": "ok"}):
+            assert evaluate_with(record) == EXIT_ABORTED
+            assert capsys.readouterr().err == (f"error: {translations}: line 4: record "
+                                               f"{source_id!r}: missing field 'target_text'\n")
+
     def test_duplicate_translation_id_aborts(self, tmp_path, otsc_setup, backends_config, capsys):
         _, sentences = otsc_setup
         translations = self._translate(sentences, backends_config, tmp_path)
@@ -933,7 +1022,8 @@ _INPUTS = [("generate", "--occupations"), ("generate", "--template"),
            ("translate", "--sentences"), ("translate", "--config"),
            ("evaluate", "--sentences"), ("evaluate", "--translations"),
            ("evaluate", "--male-stereotypes"), ("evaluate", "--female-stereotypes"),
-           ("evaluate", "--pronouns"), ("report", "reports")]
+           ("evaluate", "--pronouns"), ("report", "reports"),
+           ("translate", "replay_path")]  # a path a backend config names
 _OUTPUTS = [("generate", "--out"), ("translate", "--out"), ("evaluate", "--out"),
             ("evaluate", "--table"), ("report", "--out")]
 
@@ -944,8 +1034,9 @@ _OUTPUTS = [("generate", "--out"), ("translate", "--out"), ("evaluate", "--out")
 def test_a_path_that_is_missing_or_a_directory_is_named(
     tmp_path, backends_config, capsys, command, option, problem
 ):
-    """Every path argument that cannot be read or written ends in
-    error: <path>: ..., exit 1, whatever the system call that failed."""
+    """Every path argument that cannot be read or written, and a replay file
+    a config names, ends in error: <path>: <strerror>, exit 1, whatever the
+    system call that failed."""
     sentences = data_path("winomt_sample.jsonl")
     translations = tmp_path / "tr.jsonl"
     report = tmp_path / "report.json"
@@ -973,15 +1064,20 @@ def test_a_path_that_is_missing_or_a_directory_is_named(
     bad = tmp_path / "nowhere"
     if problem == "directory":
         bad.mkdir()
-    arguments[option] = bad
+    if option == "replay_path":
+        config = tmp_path / "replay.json"
+        config.write_text(json.dumps({"backends": [
+            {"name": "r", "kind": "file_replay", "replay_path": str(bad)}]}), encoding="utf-8")
+        arguments.update({"--config": config, "--backend": "r"})
+    else:
+        arguments[option] = bad
     argv = [command]
     for name, value in arguments.items():
         argv += [str(value)] if name == "reports" else [name, str(value)]
     capsys.readouterr()
     assert run(argv) == EXIT_ABORTED
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, err
-    assert "Traceback" not in err and "Errno" not in err
+    strerror = "Is a directory" if problem == "directory" else "No such file or directory"
+    assert capsys.readouterr().err == f"error: {bad}: {strerror}\n"
 
 
 def _corrupt(good: bytes, other_suite: bytes | None, kind: str) -> bytes:

@@ -62,7 +62,7 @@ class TestLoadOccupations:
             load_occupations(path)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(CorpusError, match="no such file"):
+        with pytest.raises(FileNotFoundError):
             load_occupations(tmp_path / "absent.txt")
 
     def test_empty_file(self, tmp_path):

@@ -138,6 +138,7 @@ def default_of(field):
 _KIND = "mock: unknown mock kind"
 _RANGE = "metrics.per_set.S1: {} must be within [0, 1], got {}"
 POST_INIT = {
+    ("config", "name", "empty"): "backend entry is missing a name",
     ("config", "mock", "absent"): "backend 'm': mock kind requires a mock spec",
     ("config", "mock", "null"): "backend 'm': mock kind requires a mock spec",
     ("config", "mock", "object"): f"{_KIND} ''",
@@ -156,12 +157,6 @@ POST_INIT = {
 }
 # fields whose messages are written by hand rather than by the decoder
 HAND_WRITTEN = {
-    ("config", "name"): lambda label: (
-        None if label == "string" else
-        "backend entry is missing a name" if label in ("absent", "null", "empty") else
-        f"name must be a string, not {VALUES[label]!r}"),
-    ("config", "kind"): lambda label: (
-        f"backend 'm': unknown kind {None if label == 'absent' else VALUES[label]!r}"),
     ("config", "mock.male_list"): lambda label: (
         None if label in ("absent", "null") else
         "backend 'm': stereotype mock needs both male_list and female_list, each a file name"),
