@@ -22,7 +22,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .corpus import GenderLabel, SourceSentence, StereotypeLists, Stereotype, assign_stereotype
 from .fileio import (
@@ -75,33 +75,45 @@ def write_translations(
 
 def append_translations(path: str | Path, records: Iterable[TranslationRecord]) -> None:
     """Append records to a translations file, which is created if need be: a
-    translate run's journal, one finished batch at a time."""
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write("".join(map(line_encoder(TranslationRecord), records)))
+    translate run's journal, one finished batch at a time. A last line that a
+    crash left torn is ended first, so that the records start on lines of
+    their own and a lenient read skips only the torn one."""
+    with open(path, "a+b") as fh:
+        if fh.seek(0, os.SEEK_END) > 0:
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1) != b"\n":
+                fh.write(b"\n")
+        fh.write("".join(map(line_encoder(TranslationRecord), records)).encode("utf-8"))
 
 
-def read_translations(
+def iter_translations(
     path: str | Path, lenient: bool = False, digest: Any = None
-) -> list[TranslationRecord]:
-    """Read a translations file; digest, a hashlib object, when given, takes
-    its bytes. An OK record needs a target_text; a failed one may lack it.
-    With lenient, a line that is unreadable (such as the last line of an
-    interrupted run's journal, torn mid-write, perhaps inside a character) or
-    invalid is logged and skipped instead of aborting the read."""
+) -> Iterator[TranslationRecord]:
+    """Yield the records of a translations file; digest, a hashlib object,
+    when given, takes its bytes. An OK record needs a target_text; a failed
+    one may lack it. With lenient, a line that is unreadable (such as the last
+    line of an interrupted run's journal, torn mid-write, perhaps inside a
+    character) or invalid is logged and skipped instead of aborting the read."""
     decode = record_decoder(TranslationRecord, BackendError)
-    records = []
     for lineno, record in read_jsonl(path, digest, lenient):
         try:
             translation = decode(record, path, lineno)
             if not translation.target_text and translation.status is TranslationStatus.OK:
                 raise BackendError(f"{path}: line {lineno}: record {translation.source_id!r}: "
                                    "missing field 'target_text'")
-            records.append(translation)
         except BackendError as exc:
             if not lenient:
                 raise
             logger.warning("%s; line skipped", exc)
-    return records
+            continue
+        yield translation
+
+
+def read_translations(
+    path: str | Path, lenient: bool = False, digest: Any = None
+) -> list[TranslationRecord]:
+    """The records of a translations file, as iter_translations yields them."""
+    return list(iter_translations(path, lenient, digest))
 
 
 # --------------------------------------------------------------------------

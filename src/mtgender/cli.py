@@ -17,17 +17,19 @@ import logging
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
+from functools import partial
+from itertools import islice
 from pathlib import Path
 from typing import Any, Mapping
 
 from .backends import (
     BackendConfig,
     RecordError,
-    TranslationRecord,
     TranslationStatus,
     append_translations,
     backend_config_from_dict,
     find_backend_entry,
+    iter_translations,
     read_translations,
     translate_batch,
     write_translations,
@@ -54,9 +56,10 @@ from .metrics import (
     OtscReport,
     TgbiReport,
     WinomtReport,
-    compute_otsc,
-    compute_tgbi_report,
-    compute_winomt,
+    count_cells,
+    otsc_from_table,
+    tgbi_from_table,
+    winomt_from_table,
 )
 from .tables import format_otsc_table, format_tgbi_table, format_winomt_table
 from .templates import OtscTemplate, expand_otsc
@@ -67,6 +70,7 @@ logger = logging.getLogger(__name__)
 EXIT_OK = 0
 EXIT_ABORTED = 1
 EXIT_PARTIAL = 3
+CLASSIFY_CHUNK = 1024  # translations that evaluate holds, classifies and counts at a time
 
 
 class CliError(ValueError):
@@ -187,11 +191,10 @@ def cmd_translate(args: argparse.Namespace) -> int:
         if sentences is None:
             sentences = read_sentences(args.sentences, default_suite)
         try:
-            merged, sha256, reused = _translate_pending(sentences, config, out, journal, args.fresh)
+            n, failed, sha256, reused = _translate_pending(sentences, config, out, journal,
+                                                           args.fresh)
         except RecordError as exc:
             raise CliError(f"{args.sentences}: {exc}") from None
-        n = len(merged)
-        failed = sum(1 for r in merged if r.status is TranslationStatus.FAILED)
 
     counts = {"sources": n, "translated_ok": n - failed, "translated_failed": failed,
               "reused": reused}
@@ -203,34 +206,35 @@ def cmd_translate(args: argparse.Namespace) -> int:
 
 
 def _translate_pending(sentences: list[SourceSentence], config: BackendConfig, out: Path,
-                       journal: Path, fresh: bool) -> tuple[list[TranslationRecord], str, int]:
+                       journal: Path, fresh: bool) -> tuple[int, int, str, int]:
     """Translate what the output and the journal hold no OK record for, and
-    write the output: (its records in sentence order, its sha256, the number
-    of records reused)."""
-    known_ids = {s.id for s in sentences}
-    records = {}  # source id -> record; a later record replaces an earlier one
+    write the output in sentence order: (its records, how many of them
+    failed, its sha256, how many were reused)."""
+    reused = {}  # source id -> OK record; a later record replaces an earlier one
     if fresh:
         journal.unlink(missing_ok=True)
-    else:
+    elif out.exists() or journal.exists():
+        known_ids = {s.id for s in sentences}
         # the OK records of the output, then of the journal, read leniently:
         # a crash mid-write can leave its last line torn
         for path, lenient in ((out, False), (journal, True)):
             if path.exists():
-                records.update((r.source_id, r) for r in read_translations(path, lenient)
-                               if r.status is TranslationStatus.OK and r.source_id in known_ids)
-    reused = len(records)
+                reused.update((r.source_id, r) for r in read_translations(path, lenient)
+                              if r.status is TranslationStatus.OK and r.source_id in known_ids)
 
-    pending = [s for s in sentences if s.id not in records]
-    if pending:
-        # the journal is appended to at each finished batch, so a run that
-        # aborts before translating anything leaves none behind
-        records.update((r.source_id, r) for r in translate_batch(
-            pending, config, on_batch=lambda batch: append_translations(journal, batch)))
-    merged = [records[s.id] for s in sentences]
+    pending = [s for s in sentences if s.id not in reused]
+    # the journal is appended to at each finished batch, so a run that
+    # aborts before translating anything leaves none behind
+    new = (translate_batch(pending, config, on_batch=partial(append_translations, journal))
+           if pending else [])
+    failed = sum(1 for r in new if r.status is TranslationStatus.FAILED)
+    # merged while written: each source's reused record, else its new one
+    new_records = iter(new)
     digest = hashlib.sha256()
-    write_translations(out, merged, digest)
+    n = write_translations(out, (reused.get(s.id) or next(new_records) for s in sentences),
+                           digest)
     journal.unlink(missing_ok=True)
-    return merged, digest.hexdigest(), reused
+    return n, failed, digest.hexdigest(), len(reused)
 
 
 # --------------------------------------------------------------------------
@@ -240,31 +244,7 @@ def _translate_pending(sentences: list[SourceSentence], config: BackendConfig, o
 def cmd_evaluate(args: argparse.Namespace) -> int:
     suite = Suite(args.suite)
     digests = {"sentences": hashlib.sha256(), "translations": hashlib.sha256()}
-    sentences = read_sentences(args.sentences, suite, digests["sentences"])
-    translations = read_translations(args.translations, digest=digests["translations"])
-
-    # each input is digested as it is read: for the manifest check and for the report
-    inputs = {name: {"path": getattr(args, name), "sha256": digest.hexdigest()}
-              for name, digest in digests.items()}
-    for ref in inputs.values():
-        ok, message = verify_against_sidecar(ref["path"], ref["sha256"])
-        if not ok:
-            if args.no_verify:
-                logger.warning("%s (ignored by --no-verify)", message)
-            else:
-                raise CliError(f"{message}; pass --no-verify to evaluate anyway")
-        else:
-            logger.info(message)
-
-    index = {s.id: s for s in sentences}
-    copies = Counter(t.source_id for t in translations)
-    for source_id, n in copies.items():
-        if n > 1:
-            raise CliError(f"{args.translations}: duplicate source_id {source_id!r}")
-    if index.keys() != copies.keys():
-        raise CliError(f"{args.translations}: ids do not match {args.sentences} "
-                       f"({len(index.keys() - copies.keys())} missing, "
-                       f"{len(copies.keys() - index.keys())} unknown)")
+    index = {s.id: s for s in read_sentences(args.sentences, suite, digests["sentences"])}
 
     stereotype_paths = None
     if bool(args.male_stereotypes) != bool(args.female_stereotypes):
@@ -284,27 +264,56 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     else:
         lexicon = PronounLexicon.default()
 
-    classified, excluded = classify_batch(translations, index, lexicon)
-    counts = {
-        "sources": len(sentences),
-        "translated_ok": len(classified),
-        "translated_failed": len(excluded),
-        "classified": len(classified),
-    }
+    # the translations are read once and never held whole: a chunk at a time
+    # is classified and counted, and of each record only its id and backend kept
+    copies, backends, cells, failed = Counter(), set(), Counter(), 0
+    stream = iter_translations(args.translations, digest=digests["translations"])
+    while chunk := list(islice(stream, CLASSIFY_CHUNK)):
+        copies.update(t.source_id for t in chunk)
+        backends.update(t.backend for t in chunk)
+        classified, excluded = classify_batch([t for t in chunk if t.source_id in index], index,
+                                              lexicon)
+        cells.update(count_cells(classified, suite))
+        failed += len(excluded)
+
+    # each input is digested as it is read: for the manifest check and for the report
+    inputs = {name: {"path": getattr(args, name), "sha256": digest.hexdigest()}
+              for name, digest in digests.items()}
+    for ref in inputs.values():
+        ok, message = verify_against_sidecar(ref["path"], ref["sha256"])
+        if not ok:
+            if args.no_verify:
+                logger.warning("%s (ignored by --no-verify)", message)
+            else:
+                raise CliError(f"{message}; pass --no-verify to evaluate anyway")
+        else:
+            logger.info(message)
+
+    for source_id, n in copies.items():
+        if n > 1:
+            raise CliError(f"{args.translations}: duplicate source_id {source_id!r}")
+    if index.keys() != copies.keys():
+        raise CliError(f"{args.translations}: ids do not match {args.sentences} "
+                       f"({len(index.keys() - copies.keys())} missing, "
+                       f"{len(copies.keys() - index.keys())} unknown)")
+
+    counted = sum(cells.values())
+    counts = {"sources": len(index), "translated_ok": counted, "translated_failed": failed,
+              "classified": counted}
     # a file with nothing to count, or too little for a metric, is named
     with file_errors(args.translations, CliError):
-        if not classified:
+        if not cells:
             raise CliError("no successful translations to evaluate")
         if suite is Suite.WINOMT:
-            report = compute_winomt(classified, strict_neutral=args.strict,
-                                    neutral_as_positive=args.neutral_as_positive)
+            report = winomt_from_table(cells, strict_neutral=args.strict,
+                                       neutral_as_positive=args.neutral_as_positive)
             counts["excluded_unlisted"] = report.excluded_unlisted
         elif suite is Suite.OTSC:
-            report = compute_otsc(classified)
+            report = otsc_from_table(cells)
         else:
-            report = compute_tgbi_report(classified)
+            report = tgbi_from_table(cells)
 
-    backend_name = "+".join(sorted({t.backend for t in translations}))
+    backend_name = "+".join(sorted(backends))
     options = {
         "strict": bool(args.strict),
         "neutral_as_positive": bool(args.neutral_as_positive),
@@ -336,8 +345,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                   sha256=sha256_text(text), records=1, counts=counts,
                   backend={"name": backend_name})
     sys.stdout.write(table)
-    if excluded:
-        print(f"note: {len(excluded)} failed translations excluded from metrics")
+    if failed:
+        print(f"note: {failed} failed translations excluded from metrics")
     return EXIT_OK
 
 

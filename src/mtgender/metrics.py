@@ -2,7 +2,8 @@
 
 Each suite counts its records once into a table of (group, gold, predicted)
 cells, the group being the neutral set, the OTSC quadrant or the WinoMT
-stereotype, and derives every number from those counts:
+stereotype, and derives every number from those counts in its *_from_table
+entry; compute_* count a list of records and call that entry:
 
   * NEUTRAL: per-set masculine/feminine/neutral proportions reduced to a
     balance score P = sqrt(p_m * p_f + p_n), averaged across sets into a
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
 from .classify import ClassifiedRecord
-from .corpus import GOLD_GENDERS, OTSC_QUADRANTS, GenderLabel, Stereotype
+from .corpus import GOLD_GENDERS, OTSC_QUADRANTS, GenderLabel, Stereotype, Suite
 
 M, F, N, A = GenderLabel.MALE, GenderLabel.FEMALE, GenderLabel.NEUTRAL, GenderLabel.AMBIGUOUS
 
@@ -38,13 +39,17 @@ class MetricsError(ValueError):
     """Raised for empty inputs or records that violate a metric's precondition."""
 
 
-def _count(records: Iterable[ClassifiedRecord], group: str) -> dict[Any, Counter]:
-    """Count the records once per (group, gold, predicted) cell, the group
-    being the named SourceSentence field, and split the table by group:
-    group -> Counter of (gold, predicted), in order of first appearance."""
-    table = Counter(
-        (getattr(r.source, group), r.source.gold_gender, r.predicted) for r in records
-    )
+def count_cells(records: Iterable[ClassifiedRecord], suite: Suite) -> Counter:
+    """The (group, gold, predicted) -> count table of records, the group being
+    a record's stereotype in the winomt suite, else its set id."""
+    group = "stereotype" if suite is Suite.WINOMT else "set_id"
+    return Counter((getattr(r.source, group), r.source.gold_gender, r.predicted) for r in records)
+
+
+def _by_group(table: Counter) -> dict[Any, Counter]:
+    """Split a count table by group, in order of first appearance; empty is an error."""
+    if not table:
+        raise MetricsError("no classified records")
     groups: dict[Any, Counter] = {}
     for (key, gold, predicted), n in table.items():
         groups.setdefault(key, Counter())[gold, predicted] = n
@@ -105,9 +110,12 @@ class TgbiReport:
 
 def compute_tgbi_report(records: Sequence[ClassifiedRecord]) -> TgbiReport:
     """Group classified neutral-suite records by set and aggregate their balance."""
-    if not records:
-        raise MetricsError("no classified records")
-    groups = _count(records, "set_id")
+    return tgbi_from_table(count_cells(records, Suite.NEUTRAL))
+
+
+def tgbi_from_table(table: Counter) -> TgbiReport:
+    """The TGBI report of a neutral-suite count table."""
+    groups = _by_group(table)
     per_set: dict[str, SetBalance] = {}
     for set_id in sorted(groups):
         cells = groups[set_id]
@@ -174,9 +182,15 @@ def compute_winomt(
     strict_neutral: bool = False,
     neutral_as_positive: bool = False,
 ) -> WinomtReport:
-    if not records:
-        raise MetricsError("no classified records")
-    groups = _count(records, "stereotype")
+    return winomt_from_table(count_cells(records, Suite.WINOMT), strict_neutral=strict_neutral,
+                             neutral_as_positive=neutral_as_positive)
+
+
+def winomt_from_table(
+    table: Counter, *, strict_neutral: bool = False, neutral_as_positive: bool = False
+) -> WinomtReport:
+    """The WinoMT report of a winomt count table."""
+    groups = _by_group(table)
     cells = sum(groups.values(), Counter())
     goldless = sum(n for (gold, _), n in cells.items() if gold not in GOLD_GENDERS)
     if goldless:
@@ -228,9 +242,12 @@ class OtscReport:
 
 def compute_otsc(records: Sequence[ClassifiedRecord]) -> OtscReport:
     """Per-quadrant outcome percentages; every quadrant must be populated."""
-    if not records:
-        raise MetricsError("no classified records")
-    groups = _count(records, "set_id")
+    return otsc_from_table(count_cells(records, Suite.OTSC))
+
+
+def otsc_from_table(table: Counter) -> OtscReport:
+    """The OTSC report of an otsc count table."""
+    groups = _by_group(table)
     stray = [set_id for set_id in groups if set_id not in OTSC_QUADRANTS]
     if stray:
         raise MetricsError(f"records have non-quadrant set ids {stray}")

@@ -4,9 +4,12 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
+import weakref
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -17,12 +20,17 @@ import mtgender
 from mtgender.backends import (
     TranslationRecord, TranslationStatus, read_translations, write_translations,
 )
-from mtgender.cli import EXIT_ABORTED, EXIT_OK, EXIT_PARTIAL, run
-from mtgender.corpus import write_sentences
+from mtgender.classify import PronounLexicon, classify_batch
+from mtgender.cli import CLASSIFY_CHUNK, EXIT_ABORTED, EXIT_OK, EXIT_PARTIAL, run
+from mtgender.corpus import (
+    NEUTRAL_SET_IDS, OTSC_QUADRANTS, GenderLabel, ReferencedEntity, SourceSentence,
+    StereotypeLists, Stereotype, Suite, assign_stereotype, write_sentences,
+)
 from mtgender.fileio import line_encoder
+from mtgender.metrics import MetricsError, compute_otsc, compute_tgbi_report, compute_winomt
 from mtgender.resources import data_path
 
-from conftest import build_winomt_corpus
+from conftest import FEMALE_OCC, MALE_OCC, build_winomt_corpus
 
 
 @pytest.fixture
@@ -203,6 +211,32 @@ class TestTranslate:
         assert code == EXIT_OK
         assert "5 reused" in capsys.readouterr().out
         assert out.read_bytes() == clean.read_bytes()
+
+    def test_a_torn_journal_tail_does_not_swallow_the_next_record(self, tmp_path, capsys):
+        """A run that appends to a journal whose last line a crash tore ends
+        that line first, so a resume reuses every record the run journaled."""
+        corpus = build_winomt_corpus(4)
+        neutral = SourceSentence("n-1", "वह डॉक्टर है", Suite.NEUTRAL, "S1")
+        sentences, mixed = tmp_path / "winomt.jsonl", tmp_path / "mixed.jsonl"
+        write_sentences(sentences, corpus)
+        write_sentences(mixed, [*corpus, neutral])
+        config = tmp_path / "backends.json"
+        config.write_text(json.dumps({"backends": [{"name": "e", "kind": "mock", "batch_size": 2,
+                                                    "mock": {"spec": "echo_gold"}}]}),
+                          encoding="utf-8")
+        argv = ["translate", "--config", str(config), "--backend", "e"]
+        clean, out = tmp_path / "clean.jsonl", tmp_path / "tr.jsonl"
+        assert run([*argv, "--sentences", str(sentences), "--out", str(clean)]) == EXIT_OK
+        journal = tmp_path / "tr.jsonl.partial"
+        journal.write_text('{"backend": "e", "source_id": "zz", "sta', encoding="utf-8")
+        # echo_gold cannot render the neutral record: the run aborts after
+        # journaling the two batches before it
+        assert run([*argv, "--sentences", str(mixed), "--out", str(out)]) == EXIT_ABORTED
+        capsys.readouterr()
+        assert run([*argv, "--sentences", str(sentences), "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == "translated 4/4 ok (0 failed, 4 reused) via e\n"
+        assert out.read_bytes() == clean.read_bytes()
+        assert not journal.exists()
 
     @pytest.mark.parametrize("where", ["output", "journal"])
     def test_an_ok_record_without_text_is_refused_or_skipped_by_a_resume(
@@ -816,6 +850,77 @@ class TestEvaluate:
             f"error: {translations}: duplicate source_id {source_id!r}\n"
         assert not report.exists()
 
+    @pytest.mark.parametrize("case", ["duplicates", "duplicate then bad JSON", "unknown id",
+                                      "digest mismatch then bad JSON"])
+    def test_translations_errors_keep_their_order(self, tmp_path, otsc_setup, backends_config,
+                                                  capsys, case):
+        """A line that does not parse wins over a duplicate, a duplicate over a
+        mismatch, and the first id repeated, in order of first appearance, is
+        named; an unknown id is a mismatch, never a classification error."""
+        _, sentences = otsc_setup
+        translations = self._translate(sentences, backends_config, tmp_path)
+        lines = translations.read_text(encoding="utf-8").splitlines(keepends=True)
+        ids = [json.loads(line)["source_id"] for line in lines]
+        argv = ["evaluate", "--sentences", str(sentences), "--translations", str(translations),
+                "--suite", "otsc", "--out", str(tmp_path / "r.json"), "--no-verify"]
+        bad_json = f"error: {translations}: line 5: invalid JSON (Expecting value)\n"
+        if case == "duplicates":
+            lines = [lines[0], lines[1], lines[1], lines[0]]
+            expected = f"error: {translations}: duplicate source_id {ids[0]!r}\n"
+        elif case == "duplicate then bad JSON":
+            lines = [lines[0], lines[0], lines[1], lines[2], "oops\n", *lines[3:]]
+            expected = bad_json
+        elif case == "unknown id":
+            unknown = {"source_id": "zz", "target_text": "he", "backend": "x"}
+            lines.append(json.dumps(unknown) + "\n")
+            expected = (f"error: {translations}: ids do not match {sentences} "
+                        "(0 missing, 1 unknown)\n")
+        else:
+            with open(sentences, "a", encoding="utf-8") as fh:
+                fh.write("\n")
+            lines[4] = "oops\n"
+            argv.remove("--no-verify")
+            expected = bad_json
+        translations.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert run(argv) == EXIT_ABORTED
+        assert capsys.readouterr().err == expected
+
+    @pytest.mark.parametrize("suite, options, expected", [
+        ("otsc", ["--pronouns", "{tmp}/lexicon.json"],
+         "{tmp}/lexicon.json: invalid JSON (Expecting value)"),
+        ("otsc", ["--male-stereotypes", "{tmp}/male.txt"],
+         "--male-stereotypes and --female-stereotypes must be given together"),
+        ("otsc", ["--male-stereotypes", "{tmp}/male.txt", "--female-stereotypes",
+                  "{tmp}/female.txt"], "stereotype lists only apply to the winomt suite"),
+        ("winomt", ["--male-stereotypes", "{tmp}/male.txt", "--female-stereotypes",
+                    "{tmp}/male.txt"],
+         "{tmp}/male.txt and {tmp}/male.txt: stereotype lists overlap: नर्स"),
+        ("winomt", ["--male-stereotypes", "{tmp}/male.txt", "--female-stereotypes",
+                    "{tmp}/missing.txt"], "{tmp}/missing.txt: No such file or directory"),
+    ], ids=["pronouns", "lone list", "lists off winomt", "overlap", "missing list"])
+    def test_option_files_are_checked_before_the_translations(
+        self, tmp_path, otsc_setup, backends_config, capsys, suite, options, expected
+    ):
+        """The lexicon and the stereotype lists are loaded before the
+        translations are read, so their errors win over a translations line
+        that does not parse."""
+        if suite == "otsc":
+            sentences = otsc_setup[1]
+        else:
+            sentences = tmp_path / "winomt.jsonl"
+            write_sentences(sentences, build_winomt_corpus(8))
+        translations = self._translate(sentences, backends_config, tmp_path, suite=suite)
+        translations.write_text("oops\n", encoding="utf-8")
+        (tmp_path / "lexicon.json").write_text("oops", encoding="utf-8")
+        (tmp_path / "male.txt").write_text("नर्स\n", encoding="utf-8")
+        (tmp_path / "female.txt").write_text("मैकेनिक\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["evaluate", "--sentences", str(sentences), "--translations",
+                    str(translations), "--suite", suite, "--out", str(tmp_path / "r.json"),
+                    "--no-verify", *(o.format(tmp=tmp_path) for o in options)]) == EXIT_ABORTED
+        assert capsys.readouterr().err == f"error: {expected.format(tmp=tmp_path)}\n"
+
     def test_unwritable_table_leaves_no_report(self, tmp_path, otsc_setup, backends_config,
                                                capsys):
         _, sentences = otsc_setup
@@ -1316,3 +1421,120 @@ def test_each_jsonl_input_is_read_once(tmp_path, otsc_setup, backends_config, mo
     assert manifest["output"]["sha256"] == sha256_file(report)
     assert {name: ref["sha256"] for name, ref in manifest["inputs"].items()} == {
         "sentences": sha256_file(sentences), "translations": sha256_file(translations)}
+
+
+_OUTPUTS = ("he is here", "she is here", "they are here", "he and she", "hers is here", "his work")
+
+
+def _stream_inputs(suite: str, size: int, rng) -> tuple[list[SourceSentence], list]:
+    """size sentences of suite, their groups and golds drawn by rng, and a
+    translation of each in shuffled order, one in ten failed."""
+    genders = {"M": GenderLabel.MALE, "F": GenderLabel.FEMALE}
+    occupations = [MALE_OCC, FEMALE_OCC, "माली"]
+    sentences = []
+    for i in range(size):
+        text = f"वाक्य {i}"
+        if suite == "otsc":
+            quadrant = OTSC_QUADRANTS[i % 4]
+            sentences.append(SourceSentence(
+                f"o-{i}", text, Suite.OTSC, quadrant, gold_gender=genders[quadrant[1]],
+                speaker_gender=genders[quadrant[0]], occupation="डॉक्टर"))
+        elif suite == "winomt":
+            sentences.append(SourceSentence(
+                f"w-{i}", text, Suite.WINOMT, "synthetic",
+                gold_gender=rng.choice(list(genders.values())),
+                occupation=rng.choice(occupations), stereotype=rng.choice(list(Stereotype)),
+                referenced_entity=ReferencedEntity.ENTITY1))
+        else:
+            sentences.append(SourceSentence(f"n-{i}", text, Suite.NEUTRAL,
+                                            rng.choice(NEUTRAL_SET_IDS)))
+    records = [TranslationRecord.failed(s.id, "b", "HTTP 503") if rng.random() < 0.1
+               else TranslationRecord.ok(s.id, rng.choice(_OUTPUTS), rng.choice("ab"))
+               for s in sentences]
+    rng.shuffle(records)
+    return sentences, records
+
+
+@settings(max_examples=30, deadline=None)
+@given(suite=st.sampled_from(["otsc", "winomt", "neutral"]),
+       size=st.sampled_from([1, 5, CLASSIFY_CHUNK - 1, CLASSIFY_CHUNK, CLASSIFY_CHUNK + 1,
+                             2 * CLASSIFY_CHUNK + 1]),
+       strict=st.booleans(), neutral_as_positive=st.booleans(), lists=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_evaluate_reports_what_the_whole_file_gives(suite, size, strict, neutral_as_positive,
+                                                    lists, seed):
+    """The report evaluate writes, counting a chunk at a time, holds the
+    numbers compute_* give for classify_batch over the whole file, equal as
+    floats; where those raise, evaluate ends in the same error. The inputs
+    are drawn from a seeded generator: thousands of draws are more than
+    Hypothesis can shrink."""
+    sentences, records = _stream_inputs(suite, size, random.Random(seed))
+    lists = lists and suite == "winomt"
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        sentences_path, translations, report = tmp / "s.jsonl", tmp / "tr.jsonl", tmp / "r.json"
+        write_sentences(sentences_path, sentences)
+        write_translations(translations, records)
+        (tmp / "male.txt").write_text(f"{MALE_OCC}\n", encoding="utf-8")
+        (tmp / "female.txt").write_text(f"{FEMALE_OCC}\n", encoding="utf-8")
+        argv = ["evaluate", "--sentences", str(sentences_path), "--translations",
+                str(translations), "--suite", suite, "--out", str(report)]
+        argv += ["--strict"] * strict + ["--neutral-as-positive"] * neutral_as_positive
+        if lists:
+            argv += ["--male-stereotypes", str(tmp / "male.txt"),
+                     "--female-stereotypes", str(tmp / "female.txt")]
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = run(argv)
+
+        index = {s.id: s for s in sentences}
+        if lists:
+            read = StereotypeLists.from_files(tmp / "male.txt", tmp / "female.txt")
+            index = {k: replace(s, stereotype=assign_stereotype(s.occupation, s.gold_gender, read))
+                     for k, s in index.items()}
+        lexicon = PronounLexicon.strict() if strict else PronounLexicon.default()
+        classified, excluded = classify_batch(read_translations(translations), index, lexicon)
+        try:
+            if not classified:
+                raise MetricsError("no successful translations to evaluate")
+            if suite == "winomt":
+                expected = compute_winomt(classified, strict_neutral=strict,
+                                          neutral_as_positive=neutral_as_positive)
+            elif suite == "otsc":
+                expected = compute_otsc(classified)
+            else:
+                expected = compute_tgbi_report(classified)
+        except MetricsError as exc:
+            assert (code, stderr.getvalue()) == (EXIT_ABORTED, f"error: {translations}: {exc}\n")
+            return
+        assert (code, stderr.getvalue()) == (EXIT_OK, "")
+        payload = read_report(report)
+    assert payload["metrics"] == json.loads(json.dumps(asdict(expected)))
+    assert payload["counts"]["translated_ok"] == len(classified)
+    assert payload["counts"]["translated_failed"] == len(excluded)
+    assert payload["backend"] == "+".join(sorted({r.backend for r in records}))
+
+
+def test_evaluate_holds_one_chunk_of_translations(tmp_path, monkeypatch):
+    """evaluate hands classify_batch at most CLASSIFY_CHUNK translations at a
+    time, and the records of a call are gone two calls later."""
+    sentences = build_winomt_corpus(4 * CLASSIFY_CHUNK + 8)
+    records = [TranslationRecord.failed(s.id, "x", "HTTP 503") if i % 5 == 0
+               else TranslationRecord.ok(s.id, "he said", "x") for i, s in enumerate(sentences)]
+    write_sentences(tmp_path / "s.jsonl", sentences)
+    write_translations(tmp_path / "tr.jsonl", records)
+    del records
+    calls = []  # per call, weak references to its translations
+
+    def spy(translations, sources, lexicon=None):
+        assert len(translations) <= CLASSIFY_CHUNK
+        if len(calls) >= 2:
+            assert all(ref() is None for ref in calls[-2])
+        calls.append([weakref.ref(t) for t in translations])
+        return classify_batch(translations, sources, lexicon)
+
+    monkeypatch.setattr(mtgender.cli, "classify_batch", spy)
+    assert run(["evaluate", "--sentences", str(tmp_path / "s.jsonl"), "--translations",
+                str(tmp_path / "tr.jsonl"), "--suite", "winomt",
+                "--out", str(tmp_path / "r.json")]) == EXIT_OK
+    assert len(calls) == 5
