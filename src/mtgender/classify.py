@@ -12,9 +12,8 @@ import re
 from dataclasses import dataclass, field
 from itertools import groupby
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
-from .backends import TranslationRecord, TranslationStatus
 from .corpus import GenderLabel, SourceSentence
 from .fileio import decode_document, file_errors, load_json
 
@@ -27,7 +26,8 @@ STRICT_FEMALE_PRONOUNS = frozenset({"she", "her"})
 
 
 class ClassifyError(ValueError):
-    """Raised when a batch references an unknown source id or a bad lexicon."""
+    """Raised for a bad pronoun lexicon: overlapping sets, or a lexicon file
+    that is malformed or holds a token that can never match."""
 
 
 def _token_pattern(tokens: Iterable[str]) -> re.Pattern[str]:
@@ -74,10 +74,14 @@ class PronounLexicon:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PronounLexicon":
-        """Read a lexicon, lower-casing its tokens as the text they match is."""
+        """Read a lexicon, lower-casing its tokens as the text they match is;
+        a token that is not a single \\w+ word then can never match, and is refused."""
         raw = load_json(path, ClassifyError)
         with file_errors(path, ClassifyError):
             read = decode_document(raw, cls, ClassifyError)
+            for token in sorted(read.male_tokens | read.female_tokens):
+                if not _WORD.fullmatch(token.lower()):
+                    raise ClassifyError(f"token {token!r} is not a single word and can never match")
             return cls(*(frozenset(t.lower() for t in tokens)
                          for tokens in (read.male_tokens, read.female_tokens)))
 
@@ -111,33 +115,3 @@ def classify_gender(
         label = GenderLabel.NEUTRAL
     return label, matched
 
-
-def classify_batch(
-    translations: Sequence[TranslationRecord],
-    sources: Mapping[str, SourceSentence],
-    lexicon: PronounLexicon | None = None,
-) -> tuple[list[ClassifiedRecord], list[TranslationRecord]]:
-    """Classify every Ok translation; Failed ones are returned as exclusions.
-
-    Raises ClassifyError if an Ok translation's source_id does not resolve.
-    """
-    lexicon = lexicon or _DEFAULT_LEXICON
-    classified: list[ClassifiedRecord] = []
-    excluded: list[TranslationRecord] = []
-    for translation in translations:
-        if translation.status is not TranslationStatus.OK:
-            excluded.append(translation)
-            continue
-        source = sources.get(translation.source_id)
-        if source is None:
-            raise ClassifyError(f"translation references unknown source id {translation.source_id!r}")
-        label, tokens = classify_gender(translation.target_text, lexicon)
-        classified.append(
-            ClassifiedRecord(
-                source=source,
-                target_text=translation.target_text,
-                predicted=label,
-                matched_tokens=tokens,
-            )
-        )
-    return classified, excluded

@@ -16,9 +16,9 @@ import json
 import logging
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import partial
-from itertools import islice
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -34,7 +34,7 @@ from .backends import (
     translate_batch,
     write_translations,
 )
-from .classify import PronounLexicon, classify_batch
+from .classify import PronounLexicon, classify_gender
 from .corpus import (
     SourceSentence,
     StereotypeLists,
@@ -56,7 +56,6 @@ from .metrics import (
     OtscReport,
     TgbiReport,
     WinomtReport,
-    count_cells,
     otsc_from_table,
     tgbi_from_table,
     winomt_from_table,
@@ -70,7 +69,6 @@ logger = logging.getLogger(__name__)
 EXIT_OK = 0
 EXIT_ABORTED = 1
 EXIT_PARTIAL = 3
-CLASSIFY_CHUNK = 1024  # translations that evaluate holds, classifies and counts at a time
 
 
 class CliError(ValueError):
@@ -244,8 +242,9 @@ def _translate_pending(sentences: list[SourceSentence], config: BackendConfig, o
 def cmd_evaluate(args: argparse.Namespace) -> int:
     suite = Suite(args.suite)
     digests = {"sentences": hashlib.sha256(), "translations": hashlib.sha256()}
-    index = {s.id: s for s in read_sentences(args.sentences, suite, digests["sentences"])}
+    sentences = read_sentences(args.sentences, suite, digests["sentences"])
 
+    group = attrgetter("stereotype" if suite is Suite.WINOMT else "set_id")
     stereotype_paths = None
     if bool(args.male_stereotypes) != bool(args.female_stereotypes):
         raise CliError("--male-stereotypes and --female-stereotypes must be given together")
@@ -253,9 +252,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if suite is not Suite.WINOMT:
             raise CliError("stereotype lists only apply to the winomt suite")
         lists = StereotypeLists.from_files(args.male_stereotypes, args.female_stereotypes)
-        index = {id_: replace(s, stereotype=assign_stereotype(s.occupation, s.gold_gender, lists))
-                 for id_, s in index.items()}
+        group = lambda s: assign_stereotype(s.occupation, s.gold_gender, lists)
         stereotype_paths = [args.male_stereotypes, args.female_stereotypes]
+    # of each sentence only its (group, gold) cell key is kept, one tuple per distinct key
+    keys: dict[tuple, tuple] = {}
+    index = {s.id: keys.setdefault(key, key) for s in sentences
+             for key in [(group(s), s.gold_gender)]}
+    del sentences
 
     if args.pronouns:
         lexicon = PronounLexicon.from_file(args.pronouns)
@@ -264,17 +267,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     else:
         lexicon = PronounLexicon.default()
 
-    # the translations are read once and never held whole: a chunk at a time
-    # is classified and counted, and of each record only its id and backend kept
-    copies, backends, cells, failed = Counter(), set(), Counter(), 0
-    stream = iter_translations(args.translations, digest=digests["translations"])
-    while chunk := list(islice(stream, CLASSIFY_CHUNK)):
-        copies.update(t.source_id for t in chunk)
-        backends.update(t.backend for t in chunk)
-        classified, excluded = classify_batch([t for t in chunk if t.source_id in index], index,
-                                              lexicon)
-        cells.update(count_cells(classified, suite))
-        failed += len(excluded)
+    # the translations are read once and none is held: each OK one of a known
+    # id is classified into its cell, and of each record only its id and backend kept
+    copies, backends, cells, failed = {}, set(), Counter(), 0
+    for t in iter_translations(args.translations, digest=digests["translations"]):
+        copies[t.source_id] = copies.get(t.source_id, 0) + 1
+        backends.add(t.backend)
+        if t.status is not TranslationStatus.OK:
+            failed += 1
+        elif t.source_id in index:
+            cells[(*index[t.source_id], classify_gender(t.target_text, lexicon)[0])] += 1
 
     # each input is digested as it is read: for the manifest check and for the report
     inputs = {name: {"path": getattr(args, name), "sha256": digest.hexdigest()}

@@ -13,9 +13,9 @@ import time
 
 import pytest
 
-from mtgender.backends import MockSpec, TranslationRecord, mock_translate
+from mtgender.backends import MockSpec, mock_translate
 from mtgender.cli import run
-from mtgender.classify import ClassifiedRecord, classify_batch, classify_gender
+from mtgender.classify import ClassifiedRecord, classify_gender
 from mtgender.corpus import GenderLabel, SourceSentence, Stereotype, Suite
 from mtgender.resources import data_path
 from mtgender.metrics import (
@@ -35,10 +35,8 @@ M, F, N, A = GenderLabel.MALE, GenderLabel.FEMALE, GenderLabel.NEUTRAL, GenderLa
 
 def run_pipeline(corpus, spec):
     """mock-translate then classify, returning the classified records."""
-    translations = [TranslationRecord.ok(s.id, mock_translate(s, spec), "mock") for s in corpus]
-    classified, excluded = classify_batch(translations, {s.id: s for s in corpus})
-    assert not excluded
-    return classified
+    return [ClassifiedRecord(s, text, *classify_gender(text))
+            for s in corpus for text in [mock_translate(s, spec)]]
 
 
 def test_c1_tgbi_aggregation_fidelity():

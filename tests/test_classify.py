@@ -4,16 +4,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mtgender.backends import MockSpec, TranslationRecord, mock_translate
-from mtgender.classify import (
-    ClassifyError,
-    PronounLexicon,
-    classify_batch,
-    classify_gender,
-)
+from mtgender.classify import ClassifyError, PronounLexicon, classify_gender
 from mtgender.corpus import GenderLabel
 
-from conftest import build_winomt_corpus
 from oracles import oracle_classify_gender
 
 
@@ -99,6 +92,8 @@ class TestClassifyGender:
         ('{"male_tokens": ["he"]', "invalid JSON"),
         ('{"male_tokens": ["he"]}', "missing female_tokens"),
         ('{"male_tokens": ["he"], "female_tokens": ["He"]}', "pronoun sets overlap: he"),
+        ('{"male_tokens": ["he"], "female_tokens": ["she ", "her"]}',
+         "token 'she ' is not a single word and can never match"),
     ])
     def test_malformed_lexicon_file_names_the_file(self, tmp_path, content, complaint):
         path = tmp_path / "pronouns.json"
@@ -156,45 +151,3 @@ class TestOracleEquivalence:
         text = text + " " + " ".join(is_male)
         assert classify_gender(text, lexicon) == oracle_classify_gender(text, lexicon)
 
-
-class TestClassifyBatch:
-    def _translations(self, corpus, spec):
-        return [
-            TranslationRecord.ok(s.id, mock_translate(s, spec), "mock") for s in corpus
-        ]
-
-    def test_always_male_all_male(self):
-        corpus = build_winomt_corpus(40)
-        index = {s.id: s for s in corpus}
-        classified, excluded = classify_batch(
-            self._translations(corpus, MockSpec("always_male")), index
-        )
-        assert len(classified) == 40 and not excluded
-        assert all(r.predicted is GenderLabel.MALE for r in classified)
-
-    def test_neutralizing_all_neutral(self):
-        corpus = build_winomt_corpus(40)
-        index = {s.id: s for s in corpus}
-        classified, _ = classify_batch(
-            self._translations(corpus, MockSpec("neutralizing")), index
-        )
-        assert all(r.predicted is GenderLabel.NEUTRAL for r in classified)
-        assert all(not r.matched_tokens for r in classified)
-
-    def test_failed_translations_become_exclusions(self):
-        corpus = build_winomt_corpus(40)
-        index = {s.id: s for s in corpus}
-        translations = self._translations(corpus, MockSpec("echo_gold"))
-        translations[3] = TranslationRecord.failed(corpus[3].id, "mock", "boom")
-        translations[17] = TranslationRecord.failed(corpus[17].id, "mock", "boom")
-        classified, excluded = classify_batch(translations, index)
-        assert len(classified) == 38
-        assert len(excluded) == 2
-        assert {t.source_id for t in excluded} == {corpus[3].id, corpus[17].id}
-
-    def test_unresolvable_id_aborts(self):
-        corpus = build_winomt_corpus(4)
-        index = {s.id: s for s in corpus}
-        translations = [TranslationRecord.ok("ghost", "He left.", "mock")]
-        with pytest.raises(ClassifyError, match="ghost"):
-            classify_batch(translations, index)

@@ -20,8 +20,8 @@ import mtgender
 from mtgender.backends import (
     TranslationRecord, TranslationStatus, read_translations, write_translations,
 )
-from mtgender.classify import PronounLexicon, classify_batch
-from mtgender.cli import CLASSIFY_CHUNK, EXIT_ABORTED, EXIT_OK, EXIT_PARTIAL, run
+from mtgender.classify import ClassifiedRecord, PronounLexicon, classify_gender
+from mtgender.cli import EXIT_ABORTED, EXIT_OK, EXIT_PARTIAL, run
 from mtgender.corpus import (
     NEUTRAL_SET_IDS, OTSC_QUADRANTS, GenderLabel, ReferencedEntity, SourceSentence,
     StereotypeLists, Stereotype, Suite, assign_stereotype, write_sentences,
@@ -469,8 +469,24 @@ def test_a_resume_from_any_split_is_byte_identical(finished_run, data):
     """Any split of a finished run into an output, which also holds FAILED
     records and unknown ids, and a journal, perhaps ending in a torn line,
     resumes to the bytes of the uninterrupted run, reusing each id that has
-    an OK record in either file."""
+    an OK record in either file. The lines of both files may be written as
+    another JSON writer would: keys in any order, non-ASCII escaped, padded
+    with spaces, ended in CRLF."""
     argv, records, clean = finished_run
+    reserialised = data.draw(st.booleans(), label="reserialised")
+    shuffle = data.draw(st.randoms(use_true_random=False), label="key order").shuffle
+
+    def write(path, written):
+        if not reserialised:
+            write_translations(path, written)
+            return
+        with open(path, "wb") as fh:
+            for record in written:
+                items = list(json.loads(line_encoder(TranslationRecord)(record)).items())
+                shuffle(items)
+                line = json.dumps(dict(items), ensure_ascii=True, separators=(" , ", " : "))
+                fh.write(f"  {line} \r\n".encode("ascii"))
+
     extra = [TranslationRecord.failed(r.source_id, "coin", "HTTP 503") for r in records]
     extra += [TranslationRecord.ok(f"ghost-{i}", "He left.", "coin") for i in range(3)]
     pool = st.sampled_from(records + extra)
@@ -485,9 +501,9 @@ def test_a_resume_from_any_split_is_byte_identical(finished_run, data):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "tr.jsonl"
         if output is not None:
-            write_translations(out, output)
+            write(out, output)
         if journal is not None:
-            write_translations(f"{out}.partial", journal)
+            write(f"{out}.partial", journal)
             with open(f"{out}.partial", "ab") as fh:
                 fh.write(torn)
         stdout = io.StringIO()
@@ -1457,17 +1473,16 @@ def _stream_inputs(suite: str, size: int, rng) -> tuple[list[SourceSentence], li
 
 @settings(max_examples=30, deadline=None)
 @given(suite=st.sampled_from(["otsc", "winomt", "neutral"]),
-       size=st.sampled_from([1, 5, CLASSIFY_CHUNK - 1, CLASSIFY_CHUNK, CLASSIFY_CHUNK + 1,
-                             2 * CLASSIFY_CHUNK + 1]),
+       size=st.sampled_from([1, 5, 1023, 1024, 1025, 2049]),
        strict=st.booleans(), neutral_as_positive=st.booleans(), lists=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
 def test_evaluate_reports_what_the_whole_file_gives(suite, size, strict, neutral_as_positive,
                                                     lists, seed):
-    """The report evaluate writes, counting a chunk at a time, holds the
-    numbers compute_* give for classify_batch over the whole file, equal as
-    floats; where those raise, evaluate ends in the same error. The inputs
-    are drawn from a seeded generator: thousands of draws are more than
-    Hypothesis can shrink."""
+    """The report evaluate writes, counting each translation as it is read,
+    holds the numbers compute_* give for the whole file classified at once,
+    equal as floats; where those raise, evaluate ends in the same error. The
+    inputs are drawn from a seeded generator: thousands of draws are more
+    than Hypothesis can shrink."""
     sentences, records = _stream_inputs(suite, size, random.Random(seed))
     lists = lists and suite == "winomt"
     with tempfile.TemporaryDirectory() as tmp:
@@ -1493,7 +1508,11 @@ def test_evaluate_reports_what_the_whole_file_gives(suite, size, strict, neutral
             index = {k: replace(s, stereotype=assign_stereotype(s.occupation, s.gold_gender, read))
                      for k, s in index.items()}
         lexicon = PronounLexicon.strict() if strict else PronounLexicon.default()
-        classified, excluded = classify_batch(read_translations(translations), index, lexicon)
+        translated = read_translations(translations)
+        classified = [ClassifiedRecord(index[t.source_id], t.target_text,
+                                       *classify_gender(t.target_text, lexicon))
+                      for t in translated if t.status is TranslationStatus.OK]
+        failed = len(translated) - len(classified)
         try:
             if not classified:
                 raise MetricsError("no successful translations to evaluate")
@@ -1511,30 +1530,38 @@ def test_evaluate_reports_what_the_whole_file_gives(suite, size, strict, neutral
         payload = read_report(report)
     assert payload["metrics"] == json.loads(json.dumps(asdict(expected)))
     assert payload["counts"]["translated_ok"] == len(classified)
-    assert payload["counts"]["translated_failed"] == len(excluded)
+    assert payload["counts"]["translated_failed"] == failed
     assert payload["backend"] == "+".join(sorted({r.backend for r in records}))
 
 
-def test_evaluate_holds_one_chunk_of_translations(tmp_path, monkeypatch):
-    """evaluate hands classify_batch at most CLASSIFY_CHUNK translations at a
-    time, and the records of a call are gone two calls later."""
-    sentences = build_winomt_corpus(4 * CLASSIFY_CHUNK + 8)
+def test_evaluate_holds_no_sentence_and_no_translation(tmp_path, monkeypatch):
+    """evaluate drops the sentences it read before it reads a translation,
+    and by the time translation k is read, translation k-2 is gone."""
+    sentences = build_winomt_corpus(200)
     records = [TranslationRecord.failed(s.id, "x", "HTTP 503") if i % 5 == 0
                else TranslationRecord.ok(s.id, "he said", "x") for i, s in enumerate(sentences)]
     write_sentences(tmp_path / "s.jsonl", sentences)
     write_translations(tmp_path / "tr.jsonl", records)
-    del records
-    calls = []  # per call, weak references to its translations
+    del sentences, records
+    read_sentences, iter_translations = mtgender.cli.read_sentences, mtgender.cli.iter_translations
+    sentence_refs, translation_refs = [], []  # weak references to what evaluate read
 
-    def spy(translations, sources, lexicon=None):
-        assert len(translations) <= CLASSIFY_CHUNK
-        if len(calls) >= 2:
-            assert all(ref() is None for ref in calls[-2])
-        calls.append([weakref.ref(t) for t in translations])
-        return classify_batch(translations, sources, lexicon)
+    def sentences_spy(*args, **kwargs):
+        sentences = read_sentences(*args, **kwargs)
+        sentence_refs.extend(weakref.ref(s) for s in sentences)
+        return sentences
 
-    monkeypatch.setattr(mtgender.cli, "classify_batch", spy)
+    def translations_spy(*args, **kwargs):
+        for translation in iter_translations(*args, **kwargs):
+            assert all(ref() is None for ref in sentence_refs)
+            if len(translation_refs) >= 2:
+                assert translation_refs[-2]() is None
+            translation_refs.append(weakref.ref(translation))
+            yield translation
+
+    monkeypatch.setattr(mtgender.cli, "read_sentences", sentences_spy)
+    monkeypatch.setattr(mtgender.cli, "iter_translations", translations_spy)
     assert run(["evaluate", "--sentences", str(tmp_path / "s.jsonl"), "--translations",
                 str(tmp_path / "tr.jsonl"), "--suite", "winomt",
                 "--out", str(tmp_path / "r.json")]) == EXIT_OK
-    assert len(calls) == 5
+    assert (len(sentence_refs), len(translation_refs)) == (200, 200)
