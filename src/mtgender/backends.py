@@ -73,16 +73,24 @@ def write_translations(
     return write_jsonl(path, map(line_encoder(TranslationRecord), records), digest)
 
 
+def journal_offset(path: str | Path) -> int:
+    """Where the records next appended to a translate run's journal at path
+    start: its size, 0 when there is none. A last line that a crash left torn
+    is ended first, so that the records start on lines of their own and a
+    lenient read skips only the torn one."""
+    if not os.path.exists(path):
+        return 0
+    with open(path, "r+b") as fh:
+        fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))
+        if fh.read(1) not in (b"", b"\n"):
+            fh.write(b"\n")
+        return fh.tell()
+
+
 def append_translations(path: str | Path, records: Iterable[TranslationRecord]) -> None:
     """Append records to a translations file, which is created if need be: a
-    translate run's journal, one finished batch at a time. A last line that a
-    crash left torn is ended first, so that the records start on lines of
-    their own and a lenient read skips only the torn one."""
-    with open(path, "a+b") as fh:
-        if fh.seek(0, os.SEEK_END) > 0:
-            fh.seek(-1, os.SEEK_END)
-            if fh.read(1) != b"\n":
-                fh.write(b"\n")
+    translate run's journal, one finished batch at a time, after journal_offset."""
+    with open(path, "ab") as fh:
         fh.write("".join(map(line_encoder(TranslationRecord), records)).encode("utf-8"))
 
 
@@ -477,21 +485,19 @@ class _HttpTranslator:
 def load_replay_map(path: str | Path) -> dict[str, str]:
     """Read a replay file: either bare {source_id, target_text} lines or a full
     translations file, whose failed lines are ignored."""
-    return {record.source_id: record.target_text for record in read_translations(path)
+    return {record.source_id: record.target_text for record in iter_translations(path)
             if record.status is TranslationStatus.OK}
 
 
 def translate_batch(
     sources: Sequence[SourceSentence],
     config: BackendConfig,
-    on_batch: Callable[[list[TranslationRecord]], None] | None = None,
-) -> list[TranslationRecord]:
-    """Translate sources through the configured backend.
-
-    Returns one record per source in input order; failures become Failed
-    records, never dropped. on_batch, when given, receives each completed
-    batch so callers can flush partial progress.
-    """
+    on_batch: Callable[[list[TranslationRecord]], None],
+) -> int:
+    """Translate sources through the configured backend, handing each
+    finished batch, in input order, to on_batch, the one place its records
+    are kept: a failure becomes a failed record, never dropped. Returns how
+    many of the records failed."""
     if not sources:
         raise BackendError("no sources to translate")
 
@@ -519,17 +525,16 @@ def translate_batch(
         per_item = translator.translate
 
     concurrent = translator is not None and config.max_concurrency > 1
-    results: list[TranslationRecord] = []
+    failed = 0
     try:
         with (ThreadPoolExecutor(config.max_concurrency) if concurrent
               else contextlib.nullcontext()) as pool:
             for start in range(0, len(sources), config.batch_size):
                 batch = list((pool.map if pool else map)(
                     per_item, sources[start : start + config.batch_size]))
-                results.extend(batch)
-                if on_batch is not None:
-                    on_batch(batch)
+                failed += sum(r.status is TranslationStatus.FAILED for r in batch)
+                on_batch(batch)
     finally:
         if translator is not None:
             translator.client.close()
-    return results
+    return failed

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import logging
 import sys
@@ -25,14 +26,15 @@ from typing import Any, Mapping
 from .backends import (
     BackendConfig,
     RecordError,
+    TranslationRecord,
     TranslationStatus,
     append_translations,
     backend_config_from_dict,
     find_backend_entry,
     iter_translations,
+    journal_offset,
     read_translations,
     translate_batch,
-    write_translations,
 )
 from .classify import PronounLexicon, classify_gender
 from .corpus import (
@@ -45,8 +47,8 @@ from .corpus import (
     write_sentences,
 )
 from .fileio import (
-    atomic_write_text, decode_document, dumps_record, file_errors, load_json,
-    sha256_file, sha256_text,
+    atomic_write_text, decode_document, dumps_record, file_errors, line_encoder, load_json,
+    sha256_file, sha256_text, write_jsonl,
 )
 from .manifest import (
     TOOL_NAME, derive_run_id, file_ref, read_sidecar, tool_version, verify_against_sidecar,
@@ -221,16 +223,19 @@ def _translate_pending(sentences: list[SourceSentence], config: BackendConfig, o
                               if r.status is TranslationStatus.OK and r.source_id in known_ids)
 
     pending = [s for s in sentences if s.id not in reused]
-    # the journal is appended to at each finished batch, so a run that
-    # aborts before translating anything leaves none behind
-    new = (translate_batch(pending, config, on_batch=partial(append_translations, journal))
-           if pending else [])
-    failed = sum(1 for r in new if r.status is TranslationStatus.FAILED)
-    # merged while written: each source's reused record, else its new one
-    new_records = iter(new)
-    digest = hashlib.sha256()
-    n = write_translations(out, (reused.get(s.id) or next(new_records) for s in sentences),
-                           digest)
+    # this run's records are kept only in the journal, from start on, appended at each
+    # finished batch: a run that aborts before translating anything leaves none behind
+    start = journal_offset(journal)
+    failed = (translate_batch(pending, config, partial(append_translations, journal))
+              if pending else 0)
+    # merged while written: each source's reused record, else the next line
+    # this run journaled, copied as it is, since a journal line is canonical
+    encode, digest = line_encoder(TranslationRecord), hashlib.sha256()
+    with (open(journal, "rb") if pending else io.BytesIO()) as fh:
+        fh.seek(start)
+        new_lines = map(bytes.decode, fh)
+        n = write_jsonl(out, (encode(reused[s.id]) if s.id in reused else next(new_lines)
+                              for s in sentences), digest)
     journal.unlink(missing_ok=True)
     return n, failed, digest.hexdigest(), len(reused)
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import warnings
+import weakref
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -209,18 +210,20 @@ class TestMockTranslate:
 class TestTranslateBatch:
     def test_order_and_length_preserved(self):
         corpus = build_winomt_corpus(40)
-        records = translate_batch(corpus, mock_config(MockSpec("echo_gold"), batch_size=7))
+        records = []
+        translate_batch(corpus, mock_config(MockSpec("echo_gold"), batch_size=7), records.extend)
         assert [r.source_id for r in records] == [s.id for s in corpus]
         assert all(r.status is TranslationStatus.OK for r in records)
 
     def test_source_id_multiset_preserved(self):
         corpus = build_winomt_corpus(24)
-        records = translate_batch(corpus, mock_config(MockSpec("always_male"), batch_size=5))
+        records = []
+        translate_batch(corpus, mock_config(MockSpec("always_male"), batch_size=5), records.extend)
         assert Counter(r.source_id for r in records) == Counter(s.id for s in corpus)
 
     def test_empty_sources_rejected(self):
         with pytest.raises(BackendError, match="no sources"):
-            translate_batch([], mock_config(MockSpec("always_male")))
+            translate_batch([], mock_config(MockSpec("always_male")), lambda batch: None)
 
     def test_on_batch_sees_everything_in_order(self):
         corpus = build_winomt_corpus(20)
@@ -229,17 +232,40 @@ class TestTranslateBatch:
                         on_batch=flushed.extend)
         assert [r.source_id for r in flushed] == [s.id for s in corpus]
 
+    @pytest.mark.parametrize("backend", ["mock", "http"])
+    def test_a_batch_handed_over_is_not_kept(self, request, backend):
+        """When batch k is handed to on_batch, every record of batch k-2 is
+        gone: translate_batch keeps none of the records it hands over."""
+        if backend == "mock":
+            sources = build_winomt_corpus(32)[:30]
+            config = mock_config(MockSpec("echo_gold"), batch_size=4)
+        else:
+            url, _ = request.getfixturevalue("http_server")
+            sources = [plain_source(i, f"वाक्य {i}") for i in range(30)]
+            config = http_config(url, max_concurrency=2, batch_size=4)
+        handed = []
+
+        def on_batch(batch):
+            handed.append([weakref.ref(r) for r in batch])
+            for k, refs in enumerate(handed[:-2]):
+                assert [ref() for ref in refs] == [None] * len(refs), f"batch {k} is kept"
+
+        assert translate_batch(sources, config, on_batch) == 0
+        assert [len(refs) for refs in handed] == [4] * 7 + [2]
+
     def test_file_replay_full_coverage(self, tmp_path, occupations_1071):
         from mtgender.corpus import load_occupations
 
         corpus = expand_otsc(load_occupations(occupations_1071))
         assert len(corpus) == 4284
         replay_path = tmp_path / "replay.jsonl"
-        source_records = translate_batch(corpus, mock_config(MockSpec("echo_gold")))
+        source_records = []
+        translate_batch(corpus, mock_config(MockSpec("echo_gold")), source_records.extend)
         write_translations(replay_path, source_records)
         config = BackendConfig(name="replay", kind=BackendKind.FILE_REPLAY,
                                replay_path=str(replay_path))
-        records = translate_batch(corpus, config)
+        records = []
+        translate_batch(corpus, config, records.extend)
         assert len(records) == 4284
         assert all(r.status is TranslationStatus.OK for r in records)
         assert [r.target_text for r in records] == [r.target_text for r in source_records]
@@ -247,11 +273,13 @@ class TestTranslateBatch:
     def test_file_replay_missing_ids_fail_without_drop(self, tmp_path):
         corpus = build_winomt_corpus(12)
         replay_path = tmp_path / "replay.jsonl"
-        kept = translate_batch(corpus[:9], mock_config(MockSpec("echo_gold")))
+        kept = []
+        translate_batch(corpus[:9], mock_config(MockSpec("echo_gold")), kept.extend)
         write_translations(replay_path, kept)
         config = BackendConfig(name="replay", kind=BackendKind.FILE_REPLAY,
                                replay_path=str(replay_path))
-        records = translate_batch(corpus, config)
+        records = []
+        assert translate_batch(corpus, config, records.extend) == 3  # the failed ones
         assert len(records) == 12
         failed = [r for r in records if r.status is TranslationStatus.FAILED]
         assert len(failed) == 3
@@ -270,7 +298,7 @@ class TestTranslateBatch:
         config = BackendConfig(name="replay", kind=BackendKind.FILE_REPLAY,
                                replay_path="/nonexistent/replay.jsonl")
         with pytest.raises(FileNotFoundError):
-            translate_batch(build_winomt_corpus(4), config)
+            translate_batch(build_winomt_corpus(4), config, lambda batch: None)
 
 
 # --------------------------------------------------------------------------
@@ -394,7 +422,8 @@ class TestHttpBackend:
     def test_success_path_extraction(self, http_server):
         url, state = http_server
         sources = [plain_source(i, f"वाक्य {i}") for i in range(5)]
-        records = translate_batch(sources, http_config(url))
+        records = []
+        translate_batch(sources, http_config(url), records.extend)
         assert all(r.status is TranslationStatus.OK for r in records)
         assert all(r.target_text.startswith("He works.") for r in records)
         assert [r.source_id for r in records] == [s.id for s in sources]
@@ -405,7 +434,8 @@ class TestHttpBackend:
         monkeypatch.setenv("TEST_MT_KEY", "sekrit")
         config = http_config(url, auth_env="TEST_MT_KEY",
                              headers={"Authorization": "Bearer {credential}"})
-        records = translate_batch([plain_source(0, "वाक्य")], config)
+        records = []
+        translate_batch([plain_source(0, "वाक्य")], config, records.extend)
         assert records[0].status is TranslationStatus.OK
 
     def test_wrong_credential_is_permanent_failure(self, http_server, monkeypatch):
@@ -414,7 +444,8 @@ class TestHttpBackend:
         monkeypatch.setenv("TEST_MT_KEY", "wrong")
         config = http_config(url, auth_env="TEST_MT_KEY",
                              headers={"Authorization": "Bearer {credential}"})
-        records = translate_batch([plain_source(0, "वाक्य")], config)
+        records = []
+        translate_batch([plain_source(0, "वाक्य")], config, records.extend)
         assert records[0].status is TranslationStatus.FAILED
         assert records[0].reason == "HTTP 401"
         assert state.total_requests == 1  # 4xx is not retried
@@ -424,26 +455,29 @@ class TestHttpBackend:
         monkeypatch.delenv("TEST_MT_KEY", raising=False)
         config = http_config(url, auth_env="TEST_MT_KEY")
         with pytest.raises(BackendError, match="TEST_MT_KEY"):
-            translate_batch([plain_source(0, "वाक्य")], config)
+            translate_batch([plain_source(0, "वाक्य")], config, lambda batch: None)
         assert state.total_requests == 0
 
     def test_permanent_404(self, http_server):
         url, state = http_server
-        records = translate_batch([plain_source(0, "वाक्य NOTFOUND")], http_config(url))
+        records = []
+        translate_batch([plain_source(0, "वाक्य NOTFOUND")], http_config(url), records.extend)
         assert records[0].status is TranslationStatus.FAILED
         assert records[0].reason == "HTTP 404"
         assert state.total_requests == 1
 
     def test_transient_500_retried_to_success(self, http_server):
         url, state = http_server
-        records = translate_batch([plain_source(0, "वाक्य FLAKY")], http_config(url))
+        records = []
+        translate_batch([plain_source(0, "वाक्य FLAKY")], http_config(url), records.extend)
         assert records[0].status is TranslationStatus.OK
         assert state.total_requests == 2
 
     def test_exhausted_retries_fail_with_attempt_count(self, http_server):
         url, state = http_server
         config = http_config(url, retry=RetryPolicy(max_attempts=3, backoff_base_ms=1))
-        records = translate_batch([plain_source(0, "वाक्य FAIL500")], config)
+        records = []
+        translate_batch([plain_source(0, "वाक्य FAIL500")], config, records.extend)
         assert records[0].status is TranslationStatus.FAILED
         assert "after 3 attempts" in records[0].reason
         assert state.total_requests == 3
@@ -453,21 +487,23 @@ class TestHttpBackend:
         sources = [plain_source(i, f"वाक्य {i} FAIL500" if i % 2 else f"वाक्य {i}")
                    for i in range(10)]
         config = http_config(url, retry=RetryPolicy(max_attempts=2, backoff_base_ms=1))
-        translate_batch(sources, config)
+        translate_batch(sources, config, lambda batch: None)
         assert state.total_requests <= len(sources) * config.retry.max_attempts
 
     def test_partial_failures_never_dropped(self, http_server):
         url, _ = http_server
         sources = [plain_source(0, "वाक्य"), plain_source(1, "वाक्य NOTFOUND"),
                    plain_source(2, "वाक्य")]
-        records = translate_batch(sources, http_config(url))
+        records = []
+        translate_batch(sources, http_config(url), records.extend)
         assert [r.status for r in records] == [
             TranslationStatus.OK, TranslationStatus.FAILED, TranslationStatus.OK,
         ]
 
     def test_bad_response_shape_fails(self, http_server):
         url, _ = http_server
-        records = translate_batch([plain_source(0, "वाक्य BADSHAPE")], http_config(url))
+        records = []
+        translate_batch([plain_source(0, "वाक्य BADSHAPE")], http_config(url), records.extend)
         assert records[0].status is TranslationStatus.FAILED
         assert "did not match path" in records[0].reason
 
@@ -479,7 +515,8 @@ class TestHttpBackend:
 
     def test_empty_translation_fails(self, http_server):
         url, _ = http_server
-        records = translate_batch([plain_source(0, "वाक्य EMPTY")], http_config(url))
+        records = []
+        translate_batch([plain_source(0, "वाक्य EMPTY")], http_config(url), records.extend)
         assert records[0].status is TranslationStatus.FAILED
         assert records[0].reason == "empty translation"
 
@@ -487,7 +524,8 @@ class TestHttpBackend:
         url, state = http_server
         sources = [plain_source(i, f"वाक्य {i}") for i in range(30)]
         config = http_config(url, max_concurrency=4, batch_size=10)
-        records = translate_batch(sources, config)
+        records = []
+        translate_batch(sources, config, records.extend)
         assert [r.source_id for r in records] == [s.id for s in sources]
         assert state.max_in_flight <= 4
 
@@ -495,7 +533,8 @@ class TestHttpBackend:
         config = http_config("http://127.0.0.1:9/translate",
                              retry=RetryPolicy(max_attempts=2, backoff_base_ms=1),
                              timeout_s=0.5)
-        records = translate_batch([plain_source(0, "वाक्य")], config)
+        records = []
+        translate_batch([plain_source(0, "वाक्य")], config, records.extend)
         assert records[0].status is TranslationStatus.FAILED
         assert "transport error" in records[0].reason
 
@@ -594,7 +633,8 @@ class TestHttpRetryPolicy:
 class TestHttpTransport:
     def test_request_bytes_and_default_headers(self, http_server):
         url, state = http_server
-        records = translate_batch([plain_source(0, "वाक्य")], http_config(url))
+        records = []
+        translate_batch([plain_source(0, "वाक्य")], http_config(url), records.extend)
         assert records[0].status is TranslationStatus.OK
         body = {"q": "वाक्य", "source": "hi", "target": "en"}
         assert state.last_body == json.dumps(body, allow_nan=False).encode("utf-8")
@@ -604,7 +644,7 @@ class TestHttpTransport:
     def test_template_header_replaces_default_in_any_case(self, http_server):
         url, state = http_server
         config = http_config(url, headers={"content-TYPE": "application/json; charset=utf-8"})
-        translate_batch([plain_source(0, "वाक्य")], config)
+        translate_batch([plain_source(0, "वाक्य")], config, lambda batch: None)
         assert state.last_headers.get_all("Content-Type") == ["application/json; charset=utf-8"]
 
     @pytest.mark.parametrize("concurrency, count", [(2, 30), (8, 200)])
@@ -616,8 +656,9 @@ class TestHttpTransport:
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", ResourceWarning)
-                records = translate_batch(sources, http_config(url, max_concurrency=concurrency,
-                                                               batch_size=10))
+                records = []
+                translate_batch(sources, http_config(url, max_concurrency=concurrency,
+                                                               batch_size=10), records.extend)
                 gc.collect()
         finally:
             sys.setswitchinterval(interval)
@@ -636,16 +677,19 @@ class TestHttpTransport:
         state.close_after_reply = True  # but no Connection: close header
         sources = [plain_source(i, f"वाक्य {i}") for i in range(5)]
         config = http_config(url, retry=RetryPolicy(max_attempts=1, backoff_base_ms=1))
-        records = translate_batch(sources, config)
+        records = []
+        translate_batch(sources, config, records.extend)
         assert [r.status for r in records] == [TranslationStatus.OK] * 5
         assert state.total_requests == 5 and state.connections == 5
 
     def test_truncated_response_is_a_transient_transport_error(self, http11_server):
         url, state = http11_server
         config = http_config(url, retry=RetryPolicy(max_attempts=1, backoff_base_ms=1))
-        records = translate_batch([plain_source(0, "वाक्य TRUNCATED")], config)
+        records = []
+        translate_batch([plain_source(0, "वाक्य TRUNCATED")], config, records.extend)
         assert records[0].reason == "transport error: IncompleteRead after 1 attempts"
-        records = translate_batch([plain_source(1, "वाक्य 1 TRUNCATED")], http_config(url))
+        records = []
+        translate_batch([plain_source(1, "वाक्य 1 TRUNCATED")], http_config(url), records.extend)
         assert records[0].status is TranslationStatus.OK  # second attempt, new connection
         assert state.total_requests == 3 and state.connections == 3
 
@@ -653,7 +697,8 @@ class TestHttpTransport:
         url, _ = http_server
         config = http_config(url, retry=RetryPolicy(max_attempts=1, backoff_base_ms=1),
                              timeout_s=0.1)
-        records = translate_batch([plain_source(0, "वाक्य SLOW")], config)
+        records = []
+        translate_batch([plain_source(0, "वाक्य SLOW")], config, records.extend)
         assert records[0].reason == "transport error: TimeoutError after 1 attempts"
 
     @pytest.mark.parametrize("endpoint, complaint", [
@@ -663,7 +708,7 @@ class TestHttpTransport:
     ])
     def test_unusable_endpoint_aborts_before_requests(self, endpoint, complaint):
         with pytest.raises(BackendError, match=complaint):
-            translate_batch([plain_source(0, "वाक्य")], http_config(endpoint))
+            translate_batch([plain_source(0, "वाक्य")], http_config(endpoint), lambda batch: None)
 
     def test_body_template_that_is_not_json_aborts(self, http_server):
         url, state = http_server
@@ -671,7 +716,7 @@ class TestHttpTransport:
             config = BackendConfig(name="nan", kind=BackendKind.HTTP, endpoint=url,
                                    request_template={"body": {"q": "{text}", "t": float("nan")},
                                                      "response_path": "x"})
-            translate_batch([plain_source(0, "वाक्य")], config)
+            translate_batch([plain_source(0, "वाक्य")], config, lambda batch: None)
         assert state.total_requests == 0
 
 
@@ -688,8 +733,9 @@ class TestHttpProxy:
         url, state = http_server
         proxy = url.rsplit("/", 1)[0].replace("http://", "http://user:p%40ss@")
         monkeypatch.setenv("HTTP_PROXY", proxy)
-        records = translate_batch([plain_source(0, "वाक्य")],
-                                  http_config("http://mt.invalid/translate"))
+        records = []
+        translate_batch([plain_source(0, "वाक्य")],
+                                  http_config("http://mt.invalid/translate"), records.extend)
         assert records[0].status is TranslationStatus.OK
         assert state.paths == ["http://mt.invalid/translate"]
         assert state.last_headers["Host"] == "mt.invalid"
@@ -699,7 +745,8 @@ class TestHttpProxy:
         url, state = http_server
         monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")  # nothing listens there
         monkeypatch.setenv("NO_PROXY", "127.0.0.1")
-        records = translate_batch([plain_source(0, "वाक्य")], http_config(url))
+        records = []
+        translate_batch([plain_source(0, "वाक्य")], http_config(url), records.extend)
         assert records[0].status is TranslationStatus.OK
         assert state.paths == ["/translate"]
 
@@ -708,7 +755,8 @@ class TestHttpProxy:
         monkeypatch.setenv("HTTPS_PROXY", url.rsplit("/", 1)[0])
         config = http_config("https://mt.invalid/translate",
                              retry=RetryPolicy(max_attempts=1, backoff_base_ms=1))
-        records = translate_batch([plain_source(0, "वाक्य")], config)
+        records = []
+        translate_batch([plain_source(0, "वाक्य")], config, records.extend)
         # the test server refuses the tunnel, but the CONNECT reached it
         assert records[0].reason == "transport error: OSError after 1 attempts"
         assert state.paths == ["mt.invalid:443"]
@@ -717,7 +765,8 @@ class TestHttpProxy:
         url, state = http_server
         config = http_config(url.replace("http://", "https://"),
                              retry=RetryPolicy(max_attempts=1, backoff_base_ms=1))
-        records = translate_batch([plain_source(0, "वाक्य")], config)
+        records = []
+        translate_batch([plain_source(0, "वाक्य")], config, records.extend)
         assert records[0].reason.startswith("transport error: SSL")
         assert state.total_requests == 0
 

@@ -514,6 +514,26 @@ def test_a_resume_from_any_split_is_byte_identical(finished_run, data):
     assert stdout.getvalue() == f"translated 16/16 ok (0 failed, {len(reused)} reused) via coin\n"
 
 
+def test_a_resume_copies_only_the_lines_it_journals(tmp_path, capsys):
+    """A journal that already holds failed lines, an unknown id and a line a
+    crash tore: the records this run appends after them are the ones copied
+    to the output, which is the uninterrupted run's, byte for byte."""
+    argv = _finished_translate(tmp_path)
+    out, journal = tmp_path / "tr.jsonl", tmp_path / "tr.jsonl.partial"
+    clean, records = out.read_bytes(), read_translations(out)
+    encode = line_encoder(TranslationRecord)
+    write_translations(out, records[12:])
+    old = [TranslationRecord.failed(r.source_id, "coin", "HTTP 503") for r in records[:6]]
+    old += [TranslationRecord.ok("ghost", "He left.", "coin"), *records[6:9]]
+    journal.write_bytes("".join(map(encode, old)).encode("utf-8")
+                        + encode(records[9]).encode("utf-8")[:20])
+    capsys.readouterr()
+    assert run(argv) == EXIT_OK
+    assert capsys.readouterr().out == "translated 16/16 ok (0 failed, 7 reused) via coin\n"
+    assert out.read_bytes() == clean
+    assert not journal.exists()
+
+
 def _finished_translate(root: Path) -> list[str]:
     """The argv of a finished coin_flip translate over 16 OTSC sentences, its
     files in root; the config also names a replay backend of root/replay.jsonl."""
@@ -544,7 +564,7 @@ def test_a_resume_with_nothing_pending_rewrites_only_the_sidecar(tmp_path, monke
     out = Path(argv[-1])
     before, clean = out.stat(), out.read_bytes()
     with monkeypatch.context() as patch:
-        for name in ("read_sentences", "read_translations", "write_translations"):
+        for name in ("read_sentences", "read_translations", "write_jsonl"):
             patch.setattr(mtgender.cli, name,
                           lambda *args, name=name, **kwargs: pytest.fail(f"{name} called"))
         capsys.readouterr()
@@ -630,7 +650,7 @@ def test_a_resume_with_something_changed_takes_the_full_path(tmp_path, monkeypat
     argv = _SOMETHING_CHANGED[change](tmp_path, _finished_translate(tmp_path))
     files = {path: path.read_bytes() for path in tmp_path.iterdir()}
     out = Path(argv[argv.index("--out") + 1])
-    write_translations = mtgender.cli.write_translations
+    write_jsonl = mtgender.cli.write_jsonl
     ends = []
     for full_path_only in (False, True):
         for path in tmp_path.iterdir():
@@ -639,8 +659,8 @@ def test_a_resume_with_something_changed_takes_the_full_path(tmp_path, monkeypat
             path.write_bytes(data)
         written = []
         with monkeypatch.context() as patch:
-            patch.setattr(mtgender.cli, "write_translations", lambda path, *args:
-                          written.append(path) or write_translations(path, *args))
+            patch.setattr(mtgender.cli, "write_jsonl", lambda path, *args:
+                          written.append(path) or write_jsonl(path, *args))
             if full_path_only:
                 patch.setattr(mtgender.cli, "_previous_run", lambda *args: None)
             capsys.readouterr()
