@@ -27,7 +27,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 from .corpus import GenderLabel, SourceSentence, StereotypeLists, Stereotype, assign_stereotype
 from .fileio import (
     decode_document, file_errors, line_encoder, load_json, parse_json, read_jsonl,
-    record_decoder, write_jsonl,
+    record_decoder,
 )
 from .manifest import tool_version
 
@@ -64,13 +64,6 @@ class TranslationRecord:
     @classmethod
     def failed(cls, source_id: str, backend: str, reason: str) -> "TranslationRecord":
         return cls(source_id, "", backend, TranslationStatus.FAILED, reason)
-
-
-def write_translations(
-    path: str | Path, records: Iterable[TranslationRecord], digest: Any = None
-) -> int:
-    """Write a translations file; digest, a hashlib object, when given, takes its bytes."""
-    return write_jsonl(path, map(line_encoder(TranslationRecord), records), digest)
 
 
 def journal_offset(path: str | Path) -> int:

@@ -38,10 +38,12 @@ from .backends import (
 )
 from .classify import PronounLexicon, classify_gender
 from .corpus import (
+    OTSC_QUADRANTS,
     SourceSentence,
     StereotypeLists,
     Suite,
     assign_stereotype,
+    iter_sentences,
     load_occupations,
     read_sentences,
     write_sentences,
@@ -63,7 +65,7 @@ from .metrics import (
     winomt_from_table,
 )
 from .tables import format_otsc_table, format_tgbi_table, format_winomt_table
-from .templates import OtscTemplate, expand_otsc
+from .templates import OtscTemplate, iter_otsc
 from .resources import data_path
 
 logger = logging.getLogger(__name__)
@@ -120,19 +122,18 @@ def cmd_generate(args: argparse.Namespace) -> int:
     template_path = Path(args.template) if args.template else data_path("otsc_template.json")
     occupations = load_occupations(args.occupations)
     template = OtscTemplate.from_file(template_path)
-    sentences = expand_otsc(occupations, template)
     digest = hashlib.sha256()
-    write_sentences(args.out, sentences, digest)
+    # each sentence is written as it is made; each quadrant has one per occupation
+    n = write_sentences(args.out, iter_otsc(occupations, template), digest)
 
-    per_quadrant = Counter(sentence.set_id for sentence in sentences)
     inputs = {"occupations": file_ref(args.occupations), "template": file_ref(template_path)}
-    counts = {"generated": len(sentences), **{f"quadrant_{q}": n for q, n in per_quadrant.items()}}
+    counts = {"generated": n, **{f"quadrant_{q}": len(occupations) for q in OTSC_QUADRANTS}}
     write_sidecar("generate", derive_run_id("generate", inputs), suite=Suite.OTSC.value,
                   inputs=inputs, out=args.out, sha256=digest.hexdigest(),
-                  records=len(sentences), counts=counts)
-    print(f"generated {len(sentences)} sentences from {len(occupations)} occupations")
-    for quadrant in sorted(per_quadrant):
-        print(f"  {quadrant}: {per_quadrant[quadrant]}")
+                  records=n, counts=counts)
+    print(f"generated {n} sentences from {len(occupations)} occupations")
+    for quadrant in OTSC_QUADRANTS:
+        print(f"  {quadrant}: {len(occupations)}")
     return EXIT_OK
 
 
@@ -247,9 +248,17 @@ def _translate_pending(sentences: list[SourceSentence], config: BackendConfig, o
 def cmd_evaluate(args: argparse.Namespace) -> int:
     suite = Suite(args.suite)
     digests = {"sentences": hashlib.sha256(), "translations": hashlib.sha256()}
-    sentences = read_sentences(args.sentences, suite, digests["sentences"])
+    # the sentences are read once and none is held: of each only its id and
+    # its (group, gold) key are kept, one tuple per distinct key. The lists
+    # are loaded once the sentences are read, whose errors come first, so
+    # with lists a key holds the occupation, which they map to its stereotype
+    group = attrgetter("set_id" if suite is not Suite.WINOMT else
+                       "occupation" if args.male_stereotypes else "stereotype")
+    keys: dict[tuple, tuple] = {}
+    index = {s.id: keys.setdefault(key, key)
+             for s in iter_sentences(args.sentences, suite, digests["sentences"])
+             for key in [(group(s), s.gold_gender)]}
 
-    group = attrgetter("stereotype" if suite is Suite.WINOMT else "set_id")
     stereotype_paths = None
     if bool(args.male_stereotypes) != bool(args.female_stereotypes):
         raise CliError("--male-stereotypes and --female-stereotypes must be given together")
@@ -257,13 +266,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if suite is not Suite.WINOMT:
             raise CliError("stereotype lists only apply to the winomt suite")
         lists = StereotypeLists.from_files(args.male_stereotypes, args.female_stereotypes)
-        group = lambda s: assign_stereotype(s.occupation, s.gold_gender, lists)
+        keys = {key: (assign_stereotype(*key, lists), key[1]) for key in keys}
         stereotype_paths = [args.male_stereotypes, args.female_stereotypes]
-    # of each sentence only its (group, gold) cell key is kept, one tuple per distinct key
-    keys: dict[tuple, tuple] = {}
-    index = {s.id: keys.setdefault(key, key) for s in sentences
-             for key in [(group(s), s.gold_gender)]}
-    del sentences
 
     if args.pronouns:
         lexicon = PronounLexicon.from_file(args.pronouns)
@@ -281,7 +285,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if t.status is not TranslationStatus.OK:
             failed += 1
         elif t.source_id in index:
-            cells[(*index[t.source_id], classify_gender(t.target_text, lexicon)[0])] += 1
+            cells[(*keys[index[t.source_id]], classify_gender(t.target_text, lexicon)[0])] += 1
 
     # each input is digested as it is read: for the manifest check and for the report
     inputs = {name: {"path": getattr(args, name), "sha256": digest.hexdigest()}

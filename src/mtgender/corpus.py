@@ -17,7 +17,7 @@ import enum
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from .fileio import (
     contains_devanagari, file_errors, line_encoder, read_jsonl, read_text, record_decoder,
@@ -156,23 +156,28 @@ def write_sentences(
     return write_jsonl(path, map(line_encoder(SourceSentence), sentences), digest)
 
 
-def read_sentences(
+def iter_sentences(
     path: str | Path, suite: Suite | None = None, digest: Any = None
-) -> list[SourceSentence]:
-    """Read and validate a sentence file of any suite; digest, a hashlib
-    object, when given, takes its bytes.
+) -> Iterator[SourceSentence]:
+    """Yield the validated records of a sentence file of any suite; digest, a
+    hashlib object, when given, takes its bytes.
 
     Records may carry their suite inline (generated files always do); suite,
     when given, supplies it for records without one and rejects records of
     another suite. Neutral set ids outside the canonical S1..S7 are accepted
-    with one warning per set.
+    with one warning per set, once the file is read. The records of one read
+    share one copy of each distinct set_id and occupation.
     """
     decode = record_decoder(SourceSentence, CorpusError)
-    sentences: list[SourceSentence] = []
     seen_ids: dict[str, int] = {}
+    shared: dict[str, str] = {}
+    neutral_sets: dict[str, None] = {}
     for lineno, record in read_jsonl(path, digest):
         if suite is not None and record.get("suite") is None:
             record["suite"] = suite.value
+        for name in ("set_id", "occupation"):
+            if type(value := record.get(name)) is str:
+                record[name] = shared.setdefault(value, value)
         sentence = decode(record, path, lineno)
         try:
             if suite is not None and sentence.suite is not suite:
@@ -188,13 +193,21 @@ def read_sentences(
                 )
         except CorpusError as exc:
             raise CorpusError(f"{path}: line {lineno}: {exc}") from None
-        sentences.append(sentence)
-    if not sentences:
+        if sentence.suite is Suite.NEUTRAL:
+            neutral_sets[sentence.set_id] = None
+        yield sentence
+    if not seen_ids:
         raise CorpusError(f"{path}: no records found")
-    for set_id in dict.fromkeys(s.set_id for s in sentences if s.suite is Suite.NEUTRAL):
+    for set_id in neutral_sets:
         if set_id not in NEUTRAL_SET_IDS:
             logger.warning("%s: set id %r is outside the canonical S1..S7", path, set_id)
-    return sentences
+
+
+def read_sentences(
+    path: str | Path, suite: Suite | None = None, digest: Any = None
+) -> list[SourceSentence]:
+    """The records of a sentence file, as iter_sentences yields them."""
+    return list(iter_sentences(path, suite, digest))
 
 
 def load_occupations(path: str | Path) -> list[str]:

@@ -18,7 +18,7 @@ import logging
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .corpus import (
     OTSC_QUADRANTS,
@@ -112,10 +112,11 @@ class OtscTemplate:
         return before + occupation + after
 
 
-def expand_otsc(
+def iter_otsc(
     occupations: Sequence[str], template: OtscTemplate | None = None
-) -> list[SourceSentence]:
-    """Expand an occupation list into 4 x len(occupations) quadrant sentences.
+) -> Iterator[SourceSentence]:
+    """The 4 x len(occupations) quadrant sentences of an occupation list, made
+    as they are taken; the list and the template are checked before the first.
 
     Output is deterministic and ordered by occupation, then by quadrant in
     FF, FM, MF, MM order; ids encode the quadrant and the occupation index.
@@ -126,21 +127,25 @@ def expand_otsc(
         raise TemplateError("occupation list contains duplicates")
     template = template or OtscTemplate.default()
     gender_of = {"M": GenderLabel.MALE, "F": GenderLabel.FEMALE}
-    sentences: list[SourceSentence] = []
-    for index, occupation in enumerate(occupations):
-        for quadrant in OTSC_QUADRANTS:
-            sentences.append(
-                SourceSentence(
-                    id=f"otsc-{quadrant}-{index:05d}",
-                    text=template.render_quadrant(quadrant, occupation),
-                    suite=Suite.OTSC,
-                    set_id=quadrant,
-                    gold_gender=gender_of[quadrant[1]],
-                    speaker_gender=gender_of[quadrant[0]],
-                    occupation=occupation,
-                )
-            )
-    return sentences
+    return (
+        SourceSentence(
+            id=f"otsc-{quadrant}-{index:05d}",
+            text=template.render_quadrant(quadrant, occupation),
+            suite=Suite.OTSC,
+            set_id=quadrant,
+            gold_gender=gender_of[quadrant[1]],
+            speaker_gender=gender_of[quadrant[0]],
+            occupation=occupation,
+        )
+        for index, occupation in enumerate(occupations) for quadrant in OTSC_QUADRANTS
+    )
+
+
+def expand_otsc(
+    occupations: Sequence[str], template: OtscTemplate | None = None
+) -> list[SourceSentence]:
+    """The sentences of an occupation list, as iter_otsc makes them."""
+    return list(iter_otsc(occupations, template))
 
 
 @dataclass(frozen=True)

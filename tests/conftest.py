@@ -6,6 +6,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from mtgender.backends import TranslationRecord
 from mtgender.corpus import (
     GenderLabel,
     ReferencedEntity,
@@ -14,10 +15,16 @@ from mtgender.corpus import (
     StereotypeLists,
     Suite,
 )
+from mtgender.fileio import line_encoder, write_jsonl
 from mtgender.resources import data_path
 
 MALE_OCC = "मैकेनिक"
 FEMALE_OCC = "नर्स"
+
+
+def write_translations(path, records) -> None:
+    """Write records as a translations file, in the lines translate writes."""
+    write_jsonl(path, map(line_encoder(TranslationRecord), records))
 
 
 def dev_digits(n: int) -> str:

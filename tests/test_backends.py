@@ -31,7 +31,6 @@ from mtgender.backends import (
     mock_translate,
     read_translations,
     translate_batch,
-    write_translations,
 )
 from mtgender.classify import classify_gender
 from mtgender.cli import EXIT_PARTIAL, run
@@ -41,7 +40,7 @@ from mtgender.corpus import (
 from mtgender.fileio import line_encoder, record_decoder
 from mtgender.templates import expand_otsc
 
-from conftest import FEMALE_OCC, MALE_OCC, build_winomt_corpus
+from conftest import FEMALE_OCC, MALE_OCC, build_winomt_corpus, write_translations
 
 
 def mock_config(spec: MockSpec, **kwargs) -> BackendConfig:

@@ -17,9 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mtgender
-from mtgender.backends import (
-    TranslationRecord, TranslationStatus, read_translations, write_translations,
-)
+from mtgender.backends import TranslationRecord, TranslationStatus, read_translations
 from mtgender.classify import ClassifiedRecord, PronounLexicon, classify_gender
 from mtgender.cli import EXIT_ABORTED, EXIT_OK, EXIT_PARTIAL, run
 from mtgender.corpus import (
@@ -30,7 +28,7 @@ from mtgender.fileio import line_encoder
 from mtgender.metrics import MetricsError, compute_otsc, compute_tgbi_report, compute_winomt
 from mtgender.resources import data_path
 
-from conftest import FEMALE_OCC, MALE_OCC, build_winomt_corpus
+from conftest import FEMALE_OCC, MALE_OCC, build_winomt_corpus, write_translations
 
 
 @pytest.fixture
@@ -957,6 +955,41 @@ class TestEvaluate:
                     "--no-verify", *(o.format(tmp=tmp_path) for o in options)]) == EXIT_ABORTED
         assert capsys.readouterr().err == f"error: {expected.format(tmp=tmp_path)}\n"
 
+    @pytest.mark.parametrize("suite, options", [
+        ("winomt", ["--male-stereotypes", "{tmp}/male.txt"]),
+        ("otsc", ["--male-stereotypes", "{tmp}/male.txt", "--female-stereotypes",
+                  "{tmp}/female.txt"]),
+        ("winomt", ["--male-stereotypes", "{tmp}/male.txt", "--female-stereotypes",
+                    "{tmp}/missing.txt"]),
+        ("winomt", ["--male-stereotypes", "{tmp}/male.txt", "--female-stereotypes",
+                    "{tmp}/male.txt"]),
+        ("otsc", ["--pronouns", "{tmp}/missing.json"]),
+    ], ids=["lone list", "lists off winomt", "missing list", "overlap", "missing pronouns"])
+    def test_a_sentences_error_wins_over_an_option_error(
+        self, tmp_path, otsc_setup, capsys, suite, options
+    ):
+        """The sentences are read to their last line before the stereotype
+        lists and the lexicon are loaded: an error on that line is the one
+        reported, whatever is wrong with the options."""
+        if suite == "otsc":
+            sentences = otsc_setup[1]
+        else:
+            sentences = tmp_path / "winomt.jsonl"
+            write_sentences(sentences, build_winomt_corpus(8))
+        lines = len(sentences.read_bytes().splitlines()) + 1
+        with open(sentences, "a", encoding="utf-8") as fh:
+            fh.write("oops\n")
+        translations = tmp_path / "tr.jsonl"
+        translations.write_text("oops\n", encoding="utf-8")
+        (tmp_path / "male.txt").write_text("नर्स\n", encoding="utf-8")
+        (tmp_path / "female.txt").write_text("मैकेनिक\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["evaluate", "--sentences", str(sentences), "--translations",
+                    str(translations), "--suite", suite, "--out", str(tmp_path / "r.json"),
+                    *(o.format(tmp=tmp_path) for o in options)]) == EXIT_ABORTED
+        assert capsys.readouterr().err == \
+            f"error: {sentences}: line {lines}: invalid JSON (Expecting value)\n"
+
     def test_unwritable_table_leaves_no_report(self, tmp_path, otsc_setup, backends_config,
                                                capsys):
         _, sentences = otsc_setup
@@ -1554,34 +1587,93 @@ def test_evaluate_reports_what_the_whole_file_gives(suite, size, strict, neutral
     assert payload["backend"] == "+".join(sorted({r.backend for r in records}))
 
 
+def _held_for_two_at_most(items, refs: list):
+    """Yield items, noting a weak reference to each: by the time item k is
+    taken, item k-2 must be gone."""
+    for item in items:
+        if len(refs) >= 2:
+            assert refs[-2]() is None, f"item {len(refs) - 2} is kept"
+        refs.append(weakref.ref(item))
+        yield item
+
+
 def test_evaluate_holds_no_sentence_and_no_translation(tmp_path, monkeypatch):
-    """evaluate drops the sentences it read before it reads a translation,
-    and by the time translation k is read, translation k-2 is gone."""
+    """evaluate reads the sentences one at a time, holding none: by the time
+    sentence k is read, sentence k-2 is gone, and every sentence is gone
+    before a translation is read; by the time translation k is read,
+    translation k-2 is gone."""
     sentences = build_winomt_corpus(200)
     records = [TranslationRecord.failed(s.id, "x", "HTTP 503") if i % 5 == 0
                else TranslationRecord.ok(s.id, "he said", "x") for i, s in enumerate(sentences)]
     write_sentences(tmp_path / "s.jsonl", sentences)
     write_translations(tmp_path / "tr.jsonl", records)
     del sentences, records
-    read_sentences, iter_translations = mtgender.cli.read_sentences, mtgender.cli.iter_translations
+    iter_sentences, iter_translations = mtgender.cli.iter_sentences, mtgender.cli.iter_translations
     sentence_refs, translation_refs = [], []  # weak references to what evaluate read
 
-    def sentences_spy(*args, **kwargs):
-        sentences = read_sentences(*args, **kwargs)
-        sentence_refs.extend(weakref.ref(s) for s in sentences)
-        return sentences
-
     def translations_spy(*args, **kwargs):
-        for translation in iter_translations(*args, **kwargs):
+        for translation in _held_for_two_at_most(iter_translations(*args, **kwargs),
+                                                 translation_refs):
             assert all(ref() is None for ref in sentence_refs)
-            if len(translation_refs) >= 2:
-                assert translation_refs[-2]() is None
-            translation_refs.append(weakref.ref(translation))
             yield translation
 
-    monkeypatch.setattr(mtgender.cli, "read_sentences", sentences_spy)
+    monkeypatch.setattr(mtgender.cli, "iter_sentences", lambda *args, **kwargs:
+                        _held_for_two_at_most(iter_sentences(*args, **kwargs), sentence_refs))
     monkeypatch.setattr(mtgender.cli, "iter_translations", translations_spy)
     assert run(["evaluate", "--sentences", str(tmp_path / "s.jsonl"), "--translations",
                 str(tmp_path / "tr.jsonl"), "--suite", "winomt",
                 "--out", str(tmp_path / "r.json")]) == EXIT_OK
     assert (len(sentence_refs), len(translation_refs)) == (200, 200)
+
+
+def test_generate_holds_no_sentence(tmp_path, monkeypatch):
+    """generate writes each sentence as it is made: by the time sentence k
+    is made, sentence k-2 is gone."""
+    occupations = tmp_path / "occ.txt"
+    occupations.write_text("".join(f"पेशा {i}\n" for i in range(50)), encoding="utf-8")
+    iter_otsc, refs = mtgender.cli.iter_otsc, []
+    monkeypatch.setattr(mtgender.cli, "iter_otsc", lambda *args, **kwargs:
+                        _held_for_two_at_most(iter_otsc(*args, **kwargs), refs))
+    assert run(["generate", "--occupations", str(occupations),
+                "--out", str(tmp_path / "s.jsonl")]) == EXIT_OK
+    assert len(refs) == 200
+
+
+# a fresh process runs one stage as its only child, so the children's peak
+# RSS is that stage's: within one process it only ever grows
+_PEAK_RSS_KIB = ("import resource, subprocess, sys; "
+                 "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL); "
+                 "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_generate_and_evaluate_memory_does_not_grow_with_the_sentence_list(tmp_path):
+    """generate and evaluate hold no sentence list: from n occupations to 4n,
+    generate's peak RSS stays flat, and evaluate's grows only by its id
+    index, about 250 bytes a sentence. Holding the list, they grew by 9 and
+    13 MB from 1,500 occupations to 6,000."""
+    src = str(Path(mtgender.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def peak_mib(*argv: str) -> float:
+        result = subprocess.run([sys.executable, "-c", _PEAK_RSS_KIB, sys.executable, "-m",
+                                 "mtgender", *argv], env=env, capture_output=True, text=True,
+                                check=True)
+        return int(result.stdout) / 1024
+
+    peaks = {}
+    for n in (1500, 6000):
+        occupations, sentences = tmp_path / f"occ-{n}.txt", tmp_path / f"s-{n}.jsonl"
+        translations = tmp_path / f"tr-{n}.jsonl"
+        occupations.write_text("".join(f"पेशा {i}\n" for i in range(n)), encoding="utf-8")
+        generate = peak_mib("generate", "--occupations", str(occupations), "--out", str(sentences))
+        write_translations(translations, (
+            TranslationRecord.ok(f"otsc-{quadrant}-{i:05d}", ("he", "she")[i % 2], "x")
+            for i in range(n) for quadrant in OTSC_QUADRANTS))
+        evaluate = peak_mib("evaluate", "--sentences", str(sentences), "--translations",
+                            str(translations), "--suite", "otsc", "--out", str(tmp_path / "r.json"))
+        peaks[n] = generate, evaluate
+    (generate_n, evaluate_n), (generate_4n, evaluate_4n) = peaks.values()
+    assert generate_4n - generate_n < 3
+    assert evaluate_4n - evaluate_n < 4 * 4500 * 350 / 2**20  # 350 bytes an added sentence

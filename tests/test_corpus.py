@@ -293,6 +293,17 @@ class TestRoundTrip:
         write_sentences(out, [sentence])
         assert read_sentences(out, Suite.OTSC) == [sentence]
 
+    @pytest.mark.parametrize("name", ["set_id", "occupation"])
+    def test_records_of_one_read_share_each_set_id_and_occupation(self, tmp_path,
+                                                                  winomt_corpus_400, name):
+        """json gives each record fresh copies of its strings; a read keeps
+        one object per distinct set_id and occupation."""
+        out = tmp_path / "syn.jsonl"
+        write_sentences(out, winomt_corpus_400)
+        first, *rest = read_sentences(out, Suite.WINOMT)
+        same = [s for s in rest if getattr(s, name) == getattr(first, name)]
+        assert len(same) > 1 and all(getattr(s, name) is getattr(first, name) for s in same)
+
     def test_otsc_quadrant_consistency_enforced(self):
         sentence = SourceSentence(
             id="otsc-MF-00000",
