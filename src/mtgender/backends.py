@@ -110,13 +110,6 @@ def iter_translations(
         yield translation
 
 
-def read_translations(
-    path: str | Path, lenient: bool = False, digest: Any = None
-) -> list[TranslationRecord]:
-    """The records of a translations file, as iter_translations yields them."""
-    return list(iter_translations(path, lenient, digest))
-
-
 # --------------------------------------------------------------------------
 # Mock translators
 

@@ -33,7 +33,6 @@ from .backends import (
     find_backend_entry,
     iter_translations,
     journal_offset,
-    read_translations,
     translate_batch,
 )
 from .classify import PronounLexicon, classify_gender
@@ -220,7 +219,7 @@ def _translate_pending(sentences: list[SourceSentence], config: BackendConfig, o
         # a crash mid-write can leave its last line torn
         for path, lenient in ((out, False), (journal, True)):
             if path.exists():
-                reused.update((r.source_id, r) for r in read_translations(path, lenient)
+                reused.update((r.source_id, r) for r in iter_translations(path, lenient)
                               if r.status is TranslationStatus.OK and r.source_id in known_ids)
 
     pending = [s for s in sentences if s.id not in reused]

@@ -3,7 +3,8 @@
 Each suite counts its records once into a table of (group, gold, predicted)
 cells, the group being the neutral set, the OTSC quadrant or the WinoMT
 stereotype, and derives every number from those counts in its *_from_table
-entry; compute_* count a list of records and call that entry:
+entry; compute_winomt, the one entry that takes a list, counts its records
+into that table:
 
   * NEUTRAL: per-set masculine/feminine/neutral proportions reduced to a
     balance score P = sqrt(p_m * p_f + p_n), averaged across sets into a
@@ -25,10 +26,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from .classify import ClassifiedRecord
-from .corpus import GOLD_GENDERS, OTSC_QUADRANTS, GenderLabel, Stereotype, Suite
+from .corpus import GOLD_GENDERS, OTSC_QUADRANTS, GenderLabel, Stereotype
 
 M, F, N, A = GenderLabel.MALE, GenderLabel.FEMALE, GenderLabel.NEUTRAL, GenderLabel.AMBIGUOUS
 
@@ -37,13 +38,6 @@ _SUM_TOLERANCE = 1e-9
 
 class MetricsError(ValueError):
     """Raised for empty inputs or records that violate a metric's precondition."""
-
-
-def count_cells(records: Iterable[ClassifiedRecord], suite: Suite) -> Counter:
-    """The (group, gold, predicted) -> count table of records, the group being
-    a record's stereotype in the winomt suite, else its set id."""
-    group = "stereotype" if suite is Suite.WINOMT else "set_id"
-    return Counter((getattr(r.source, group), r.source.gold_gender, r.predicted) for r in records)
 
 
 def _by_group(table: Counter) -> dict[Any, Counter]:
@@ -106,11 +100,6 @@ class SetBalance(Proportions):
 class TgbiReport:
     per_set: dict[str, SetBalance]
     tgbi: float
-
-
-def compute_tgbi_report(records: Sequence[ClassifiedRecord]) -> TgbiReport:
-    """Group classified neutral-suite records by set and aggregate their balance."""
-    return tgbi_from_table(count_cells(records, Suite.NEUTRAL))
 
 
 def tgbi_from_table(table: Counter) -> TgbiReport:
@@ -182,7 +171,9 @@ def compute_winomt(
     strict_neutral: bool = False,
     neutral_as_positive: bool = False,
 ) -> WinomtReport:
-    return winomt_from_table(count_cells(records, Suite.WINOMT), strict_neutral=strict_neutral,
+    """The WinoMT report of a list of classified winomt records."""
+    table = Counter((r.source.stereotype, r.source.gold_gender, r.predicted) for r in records)
+    return winomt_from_table(table, strict_neutral=strict_neutral,
                              neutral_as_positive=neutral_as_positive)
 
 
@@ -238,11 +229,6 @@ class OtscReport:
         if sorted(self.quadrants) != list(OTSC_QUADRANTS):
             raise MetricsError(
                 f"quadrants must be {list(OTSC_QUADRANTS)}, not {sorted(self.quadrants)}")
-
-
-def compute_otsc(records: Sequence[ClassifiedRecord]) -> OtscReport:
-    """Per-quadrant outcome percentages; every quadrant must be populated."""
-    return otsc_from_table(count_cells(records, Suite.OTSC))
 
 
 def otsc_from_table(table: Counter) -> OtscReport:

@@ -2,11 +2,12 @@ import json
 import socket
 import threading
 import time
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from mtgender.backends import TranslationRecord
+from mtgender.backends import TranslationRecord, iter_translations
 from mtgender.corpus import (
     GenderLabel,
     ReferencedEntity,
@@ -25,6 +26,17 @@ FEMALE_OCC = "नर्स"
 def write_translations(path, records) -> None:
     """Write records as a translations file, in the lines translate writes."""
     write_jsonl(path, map(line_encoder(TranslationRecord), records))
+
+
+def read_translations(path, lenient=False, digest=None) -> list[TranslationRecord]:
+    """The records of a translations file, as iter_translations yields them."""
+    return list(iter_translations(path, lenient, digest))
+
+
+def set_table(records) -> Counter:
+    """The (set id, gold, predicted) count table of classified otsc or neutral
+    records, as evaluate counts them."""
+    return Counter((r.source.set_id, r.source.gold_gender, r.predicted) for r in records)
 
 
 def dev_digits(n: int) -> str:

@@ -29,7 +29,6 @@ from mtgender.backends import (
     find_backend_entry,
     load_replay_map,
     mock_translate,
-    read_translations,
     translate_batch,
 )
 from mtgender.classify import classify_gender
@@ -40,7 +39,9 @@ from mtgender.corpus import (
 from mtgender.fileio import line_encoder, record_decoder
 from mtgender.templates import expand_otsc
 
-from conftest import FEMALE_OCC, MALE_OCC, build_winomt_corpus, write_translations
+from conftest import (
+    FEMALE_OCC, MALE_OCC, build_winomt_corpus, read_translations, write_translations,
+)
 
 
 def mock_config(spec: MockSpec, **kwargs) -> BackendConfig:

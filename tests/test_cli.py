@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mtgender
-from mtgender.backends import TranslationRecord, TranslationStatus, read_translations
+from mtgender.backends import TranslationRecord, TranslationStatus
 from mtgender.classify import ClassifiedRecord, PronounLexicon, classify_gender
 from mtgender.cli import EXIT_ABORTED, EXIT_OK, EXIT_PARTIAL, run
 from mtgender.corpus import (
@@ -25,10 +25,12 @@ from mtgender.corpus import (
     StereotypeLists, Stereotype, Suite, assign_stereotype, write_sentences,
 )
 from mtgender.fileio import line_encoder
-from mtgender.metrics import MetricsError, compute_otsc, compute_tgbi_report, compute_winomt
+from mtgender.metrics import MetricsError, compute_winomt, otsc_from_table, tgbi_from_table
 from mtgender.resources import data_path
 
-from conftest import FEMALE_OCC, MALE_OCC, build_winomt_corpus, write_translations
+from conftest import (
+    FEMALE_OCC, MALE_OCC, build_winomt_corpus, read_translations, set_table, write_translations,
+)
 
 
 @pytest.fixture
@@ -562,7 +564,7 @@ def test_a_resume_with_nothing_pending_rewrites_only_the_sidecar(tmp_path, monke
     out = Path(argv[-1])
     before, clean = out.stat(), out.read_bytes()
     with monkeypatch.context() as patch:
-        for name in ("read_sentences", "read_translations", "write_jsonl"):
+        for name in ("read_sentences", "iter_translations", "write_jsonl"):
             patch.setattr(mtgender.cli, name,
                           lambda *args, name=name, **kwargs: pytest.fail(f"{name} called"))
         capsys.readouterr()
@@ -1254,6 +1256,43 @@ def test_a_path_that_is_missing_or_a_directory_is_named(
     assert capsys.readouterr().err == f"error: {bad}: {strerror}\n"
 
 
+@pytest.mark.parametrize("command, option", [("generate", "--out"), ("evaluate", "--table"),
+                                             ("evaluate", "--out"), ("report", "--out")])
+def test_an_output_whose_temp_file_cannot_be_created_is_named_as_given(
+    tmp_path, otsc_setup, backends_config, monkeypatch, capsys, command, option
+):
+    """An output is written through a temp file beside it; when that file
+    cannot be created, the error names the output, exit 1, and no temp file
+    is left."""
+    occupations, sentences = otsc_setup
+    translations, report = tmp_path / "tr.jsonl", tmp_path / "report.json"
+    assert run(["translate", "--sentences", str(sentences), "--config", str(backends_config),
+                "--backend", "coin", "--out", str(translations)]) == EXIT_OK
+    assert run(["evaluate", "--sentences", str(sentences), "--translations", str(translations),
+                "--suite", "otsc", "--out", str(report)]) == EXIT_OK
+    out = tmp_path / "out"
+    argv = {
+        "generate": ["generate", "--occupations", str(occupations)],
+        "evaluate": ["evaluate", "--sentences", str(sentences), "--translations",
+                     str(translations), "--suite", "otsc"],
+        "report": ["report", str(report)],
+    }[command] + [option, str(out)]
+    if option == "--table":
+        argv += ["--out", str(tmp_path / "r2.json")]
+    real_open = os.open
+
+    def refuse_temp_files(path, *args, **kwargs):
+        if str(path).endswith(".tmp"):
+            raise PermissionError(13, "Permission denied", str(path))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr("mtgender.fileio.os.open", refuse_temp_files)
+    capsys.readouterr()
+    assert run(argv) == EXIT_ABORTED
+    assert capsys.readouterr().err == f"error: {out}: Permission denied\n"
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def _corrupt(good: bytes, other_suite: bytes | None, kind: str) -> bytes:
     """The bytes of a bad input of the given kind, made from a good file's
     bytes and from those of the same kind of file for another suite."""
@@ -1532,10 +1571,10 @@ def _stream_inputs(suite: str, size: int, rng) -> tuple[list[SourceSentence], li
 def test_evaluate_reports_what_the_whole_file_gives(suite, size, strict, neutral_as_positive,
                                                     lists, seed):
     """The report evaluate writes, counting each translation as it is read,
-    holds the numbers compute_* give for the whole file classified at once,
-    equal as floats; where those raise, evaluate ends in the same error. The
-    inputs are drawn from a seeded generator: thousands of draws are more
-    than Hypothesis can shrink."""
+    holds the numbers compute_winomt or *_from_table give for the whole file
+    classified at once, equal as floats; where those raise, evaluate ends in
+    the same error. The inputs are drawn from a seeded generator: thousands of
+    draws are more than Hypothesis can shrink."""
     sentences, records = _stream_inputs(suite, size, random.Random(seed))
     lists = lists and suite == "winomt"
     with tempfile.TemporaryDirectory() as tmp:
@@ -1573,9 +1612,9 @@ def test_evaluate_reports_what_the_whole_file_gives(suite, size, strict, neutral
                 expected = compute_winomt(classified, strict_neutral=strict,
                                           neutral_as_positive=neutral_as_positive)
             elif suite == "otsc":
-                expected = compute_otsc(classified)
+                expected = otsc_from_table(set_table(classified))
             else:
-                expected = compute_tgbi_report(classified)
+                expected = tgbi_from_table(set_table(classified))
         except MetricsError as exc:
             assert (code, stderr.getvalue()) == (EXIT_ABORTED, f"error: {translations}: {exc}\n")
             return

@@ -20,9 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtgender.backends import (
-    BackendError, TranslationRecord, TranslationStatus, read_translations,
-)
+from mtgender.backends import BackendError, TranslationRecord, TranslationStatus
 import mtgender
 from mtgender.corpus import (
     CorpusError,
@@ -38,6 +36,7 @@ from mtgender.fileio import (
     dumps_record, line_encoder, load_json, parse_record, read_jsonl, record_decoder,
 )
 
+from conftest import read_translations
 from oracles import oracle_from_record, oracle_to_record
 
 ERRORS = {SourceSentence: CorpusError, TranslationRecord: BackendError}

@@ -12,14 +12,14 @@ from mtgender.corpus import OTSC_QUADRANTS, GenderLabel, SourceSentence, Stereot
 from mtgender.metrics import (
     MetricsError,
     Proportions,
-    compute_otsc,
     compute_ps,
     compute_tgbi,
-    compute_tgbi_report,
     compute_winomt,
+    otsc_from_table,
+    tgbi_from_table,
 )
 
-from conftest import build_winomt_corpus, dev_digits
+from conftest import build_winomt_corpus, dev_digits, set_table
 from oracles import oracle_class_scores, oracle_otsc, oracle_tgbi, oracle_winomt
 
 M, F, N, A = GenderLabel.MALE, GenderLabel.FEMALE, GenderLabel.NEUTRAL, GenderLabel.AMBIGUOUS
@@ -55,9 +55,9 @@ def random_classified_corpus(rng, max_size=200):
 
 
 def set_proportions(labels):
-    """The proportions compute_tgbi_report gives a single set of these labels."""
-    report = compute_tgbi_report(
-        [classified(_neutral_source("S1", i), label) for i, label in enumerate(labels)])
+    """The proportions tgbi_from_table gives a single set of these labels."""
+    report = tgbi_from_table(set_table(
+        [classified(_neutral_source("S1", i), label) for i, label in enumerate(labels)]))
     balance = report.per_set["S1"]
     return Proportions(balance.p_m, balance.p_f, balance.p_n)
 
@@ -75,7 +75,7 @@ class TestProportions:
 
     def test_empty_rejected(self):
         with pytest.raises(MetricsError):
-            compute_tgbi_report([])
+            tgbi_from_table(set_table([]))
 
     def test_invalid_sum_rejected(self):
         with pytest.raises(MetricsError, match="sum to 1"):
@@ -156,7 +156,7 @@ class TestTgbi:
         # one big all-male set and one tiny all-neutral set average to 0.5
         big = [classified(_neutral_source("S1", i), M) for i in range(90)]
         small = [classified(_neutral_source("S2", i), N) for i in range(2)]
-        report = compute_tgbi_report(big + small)
+        report = tgbi_from_table(set_table(big + small))
         assert report.tgbi == 0.5
         assert report.per_set["S1"].count == 90
         assert report.per_set["S2"].count == 2
@@ -369,13 +369,13 @@ class TestOtscReport:
 
     def test_always_female(self):
         sentences = self._expand()
-        report = compute_otsc([classified(s, F) for s in sentences])
+        report = otsc_from_table(set_table([classified(s, F) for s in sentences]))
         for stats in report.quadrants.values():
             assert stats.p_w == 100.0 and stats.p_m == 0.0 and stats.p_n == 0.0
 
     def test_echo_gold_quadrants(self):
         sentences = self._expand()
-        report = compute_otsc([classified(s, s.gold_gender) for s in sentences])
+        report = otsc_from_table(set_table([classified(s, s.gold_gender) for s in sentences]))
         assert report.quadrants["FF"].p_w == 100.0
         assert report.quadrants["MF"].p_w == 100.0
         assert report.quadrants["FM"].p_m == 100.0
@@ -384,7 +384,7 @@ class TestOtscReport:
 
     def test_true_rate_tracks_gold(self):
         sentences = self._expand()
-        report = compute_otsc([classified(s, M) for s in sentences])
+        report = otsc_from_table(set_table([classified(s, M) for s in sentences]))
         assert report.quadrants["MM"].true_rate == 100.0
         assert report.quadrants["MF"].true_rate == 0.0
 
@@ -392,7 +392,7 @@ class TestOtscReport:
         rng = random.Random(3)
         sentences = self._expand(("डॉक्टर", "वकील", "नर्स", "माली", "धोबी"))
         records = [classified(s, rng.choice([M, F, N, A])) for s in sentences]
-        report = compute_otsc(records)
+        report = otsc_from_table(set_table(records))
         for stats in report.quadrants.values():
             assert stats.p_m + stats.p_w + stats.p_n == pytest.approx(100.0)
 
@@ -408,7 +408,7 @@ class TestOtscReport:
         sentences = expand_otsc(load_occupations(occupations_1071))
         records = [classified(s, classify_gender(mock_translate(s, spec))[0])
                    for s in sentences]
-        report = compute_otsc(records)
+        report = otsc_from_table(set_table(records))
         for stats in report.quadrants.values():
             assert stats.count == 1071
             assert abs(stats.p_m / 100.0 - 0.5) <= 0.05
@@ -416,15 +416,15 @@ class TestOtscReport:
     def test_missing_quadrant_rejected(self):
         sentences = [s for s in self._expand() if s.set_id != "MF"]
         with pytest.raises(MetricsError, match="MF"):
-            compute_otsc([classified(s, M) for s in sentences])
+            otsc_from_table(set_table([classified(s, M) for s in sentences]))
 
     def test_non_quadrant_set_id_rejected(self, winomt_corpus_400):
         with pytest.raises(MetricsError, match="non-quadrant"):
-            compute_otsc([classified(winomt_corpus_400[0], M)])
+            otsc_from_table(set_table([classified(winomt_corpus_400[0], M)]))
 
     def test_empty_rejected(self):
         with pytest.raises(MetricsError):
-            compute_otsc([])
+            otsc_from_table(set_table([]))
 
 
 # --------------------------------------------------------------------------
@@ -479,14 +479,14 @@ class TestOracleEquivalence:
     @settings(max_examples=150, deadline=None)
     @given(records=otsc_records())
     def test_otsc(self, records):
-        report = compute_otsc(records)
+        report = otsc_from_table(set_table(records))
         assert {quadrant: vars(stats) for quadrant, stats in report.quadrants.items()} == \
             oracle_otsc(records)
 
     @settings(max_examples=150, deadline=None)
     @given(records=neutral_records())
     def test_tgbi(self, records):
-        report = compute_tgbi_report(records)
+        report = tgbi_from_table(set_table(records))
         per_set, tgbi = oracle_tgbi(records)
         assert {set_id: (b.p_m, b.p_f, b.p_n, b.ps, b.count)
                 for set_id, b in report.per_set.items()} == per_set
@@ -533,8 +533,8 @@ class TestMetamorphic:
     @settings(max_examples=150, deadline=None)
     @given(records=otsc_records())
     def test_gender_swap_mirrors_otsc_quadrants(self, records):
-        report = compute_otsc(records).quadrants
-        swapped = compute_otsc(gender_swapped(records)).quadrants
+        report = otsc_from_table(set_table(records)).quadrants
+        swapped = otsc_from_table(set_table(gender_swapped(records))).quadrants
         for quadrant, mirror in (("FF", "MM"), ("FM", "MF"), ("MF", "FM"), ("MM", "FF")):
             stats, mirrored = report[quadrant], swapped[mirror]
             assert (mirrored.p_m, mirrored.p_w) == (stats.p_w, stats.p_m)
@@ -544,8 +544,8 @@ class TestMetamorphic:
     @settings(max_examples=150, deadline=None)
     @given(records=neutral_records())
     def test_gender_swap_keeps_every_set_balance(self, records):
-        report = compute_tgbi_report(records)
-        swapped = compute_tgbi_report(gender_swapped(records))
+        report = tgbi_from_table(set_table(records))
+        swapped = tgbi_from_table(set_table(gender_swapped(records)))
         for set_id, balance in report.per_set.items():
             mirrored = swapped.per_set[set_id]
             assert (mirrored.p_m, mirrored.p_f) == (balance.p_f, balance.p_m)
