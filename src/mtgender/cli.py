@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import logging
+import os
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -113,11 +114,24 @@ def report_from_dict(
     return header.suite, header.backend, report
 
 
+def _refuse_inputs_as_outputs(args: argparse.Namespace, outputs: str, inputs: str) -> None:
+    """End a stage before it reads anything when an output option names the
+    same file as an input option, which it would replace; a link counts."""
+    def paths(option: str) -> list[str]:  # the paths given that exist; option as typed
+        value = getattr(args, option.lstrip("-").replace("-", "_"))
+        return [p for p in (value if type(value) is list else [value]) if p and os.path.exists(p)]
+    for out in (out for option in outputs.split() for out in paths(option)):
+        for option in inputs.split():
+            if any(os.path.samefile(out, path) for path in paths(option)):
+                raise CliError(f"{out}: is also the {option} input")
+
+
 # --------------------------------------------------------------------------
 # generate
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    _refuse_inputs_as_outputs(args, "--out", "--occupations --template")
     template_path = Path(args.template) if args.template else data_path("otsc_template.json")
     occupations = load_occupations(args.occupations)
     template = OtscTemplate.from_file(template_path)
@@ -164,6 +178,7 @@ def _previous_run(args: argparse.Namespace, out: Path, journal: Path) -> dict[st
 
 
 def cmd_translate(args: argparse.Namespace) -> int:
+    _refuse_inputs_as_outputs(args, "--out", "--sentences --config")
     default_suite = Suite(args.suite) if args.suite else None
     out = Path(args.out)
     journal = Path(str(out) + ".partial")
@@ -223,6 +238,7 @@ def _translate_pending(sentences: list[SourceSentence], config: BackendConfig, o
                               if r.status is TranslationStatus.OK and r.source_id in known_ids)
 
     pending = [s for s in sentences if s.id not in reused]
+    out.parent.mkdir(parents=True, exist_ok=True)  # before any request, not at the first append
     # this run's records are kept only in the journal, from start on, appended at each
     # finished batch: a run that aborts before translating anything leaves none behind
     start = journal_offset(journal)
@@ -245,6 +261,8 @@ def _translate_pending(sentences: list[SourceSentence], config: BackendConfig, o
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    _refuse_inputs_as_outputs(args, "--out --table", "--sentences --translations --pronouns "
+                              "--male-stereotypes --female-stereotypes")
     suite = Suite(args.suite)
     digests = {"sentences": hashlib.sha256(), "translations": hashlib.sha256()}
     # the sentences are read once and none is held: of each only its id and
@@ -365,6 +383,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    _refuse_inputs_as_outputs(args, "--out", "reports")
     suite, named_reports = None, []
     for path in args.reports:
         this_suite, backend, report = report_from_dict(load_json(path, CliError), path)

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import socket
 import threading
@@ -139,6 +140,12 @@ class _ServerState:
         self.paths = []  # request targets, CONNECT included
         self.last_headers = None
         self.last_body = None
+        # the number of the request (counting from 1) that is held open, once
+        # held is set, until release is set, and then closed with no reply:
+        # a test's window to stop its client
+        self.hold_at = None
+        self.held = threading.Event()
+        self.release = threading.Event()
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -176,6 +183,7 @@ class _Handler(BaseHTTPRequestHandler):
         text = body.get("q", "")
         with state.lock:
             state.total_requests += 1
+            number = state.total_requests
             state.seen_texts[text] = state.seen_texts.get(text, 0) + 1
             attempt = state.seen_texts[text]
             state.in_flight += 1
@@ -184,6 +192,11 @@ class _Handler(BaseHTTPRequestHandler):
             state.last_headers = self.headers
             state.last_body = raw
         try:
+            if number == state.hold_at:
+                state.held.set()
+                state.release.wait(timeout=30)
+                self.close_connection = True
+                return
             if state.require_token is not None:
                 if self.headers.get("Authorization") != f"Bearer {state.require_token}":
                     self._reply(401, {"error": "unauthorized"})
@@ -247,7 +260,7 @@ class _KeepAliveHandler(_Handler):
     protocol_version = "HTTP/1.1"
 
 
-def _serve(handler):
+def _serve(handler=_Handler):
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     server.state = _ServerState()  # type: ignore[attr-defined]
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
@@ -259,6 +272,10 @@ def _serve(handler):
     finally:
         server.shutdown()
         server.server_close()
+
+
+# the server of http_server, as a context manager for a scope wider than a test
+translation_server = contextlib.contextmanager(_serve)
 
 
 @pytest.fixture

@@ -1204,16 +1204,13 @@ _OUTPUTS = [("generate", "--out"), ("translate", "--out"), ("evaluate", "--out")
             ("evaluate", "--table"), ("report", "--out")]
 
 
-@pytest.mark.parametrize("command, option, problem",
-                         [(*arg, problem) for arg in _INPUTS for problem in ("missing", "directory")]
-                         + [(*arg, "directory") for arg in _OUTPUTS])
-def test_a_path_that_is_missing_or_a_directory_is_named(
-    tmp_path, backends_config, capsys, command, option, problem
-):
-    """Every path argument that cannot be read or written, and a replay file
-    a config names, ends in error: <path>: <strerror>, exit 1, whatever the
-    system call that failed."""
-    sentences = data_path("winomt_sample.jsonl")
+def _stage_arguments(tmp_path: Path, backends_config: Path) -> dict[str, dict]:
+    """Arguments each stage runs with, by option, over copies of the packaged
+    WinoMT sample and template in tmp_path, small lists and a lexicon, and
+    the translations file and report made from them."""
+    sentences, template = tmp_path / "winomt.jsonl", tmp_path / "template.json"
+    sentences.write_bytes(data_path("winomt_sample.jsonl").read_bytes())
+    template.write_bytes(data_path("otsc_template.json").read_bytes())
     translations = tmp_path / "tr.jsonl"
     report = tmp_path / "report.json"
     for name, text in (("occ.txt", "डॉक्टर\n"), ("male.txt", "मैकेनिक\n"), ("female.txt", "नर्स\n"),
@@ -1223,9 +1220,8 @@ def test_a_path_that_is_missing_or_a_directory_is_named(
                 "--backend", "echo-gold", "--suite", "winomt", "--out", str(translations)]) == EXIT_OK
     assert run(["evaluate", "--sentences", str(sentences), "--translations", str(translations),
                 "--suite", "winomt", "--out", str(report)]) == EXIT_OK
-    arguments = {
-        "generate": {"--occupations": tmp_path / "occ.txt",
-                     "--template": data_path("otsc_template.json"),
+    return {
+        "generate": {"--occupations": tmp_path / "occ.txt", "--template": template,
                      "--out": tmp_path / "otsc.jsonl"},
         "translate": {"--sentences": sentences, "--config": backends_config,
                       "--backend": "echo-gold", "--suite": "winomt",
@@ -1236,7 +1232,26 @@ def test_a_path_that_is_missing_or_a_directory_is_named(
                      "--pronouns": tmp_path / "pronouns.json",
                      "--out": tmp_path / "r2.json", "--table": tmp_path / "table.txt"},
         "report": {"reports": report, "--out": tmp_path / "table.txt"},
-    }[command]
+    }
+
+
+def _argv(command: str, arguments: dict) -> list[str]:
+    argv = [command]
+    for name, value in arguments.items():
+        argv += [str(value)] if name == "reports" else [name, str(value)]
+    return argv
+
+
+@pytest.mark.parametrize("command, option, problem",
+                         [(*arg, problem) for arg in _INPUTS for problem in ("missing", "directory")]
+                         + [(*arg, "directory") for arg in _OUTPUTS])
+def test_a_path_that_is_missing_or_a_directory_is_named(
+    tmp_path, backends_config, capsys, command, option, problem
+):
+    """Every path argument that cannot be read or written, and a replay file
+    a config names, ends in error: <path>: <strerror>, exit 1, whatever the
+    system call that failed."""
+    arguments = _stage_arguments(tmp_path, backends_config)[command]
     bad = tmp_path / "nowhere"
     if problem == "directory":
         bad.mkdir()
@@ -1247,11 +1262,8 @@ def test_a_path_that_is_missing_or_a_directory_is_named(
         arguments.update({"--config": config, "--backend": "r"})
     else:
         arguments[option] = bad
-    argv = [command]
-    for name, value in arguments.items():
-        argv += [str(value)] if name == "reports" else [name, str(value)]
     capsys.readouterr()
-    assert run(argv) == EXIT_ABORTED
+    assert run(_argv(command, arguments)) == EXIT_ABORTED
     strerror = "Is a directory" if problem == "directory" else "No such file or directory"
     assert capsys.readouterr().err == f"error: {bad}: {strerror}\n"
 
@@ -1291,6 +1303,46 @@ def test_an_output_whose_temp_file_cannot_be_created_is_named_as_given(
     assert run(argv) == EXIT_ABORTED
     assert capsys.readouterr().err == f"error: {out}: Permission denied\n"
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_translate_creates_the_output_directory(tmp_path, otsc_setup, backends_config):
+    """translate creates its output's directory before its first request, as
+    the other stages create theirs, and writes what a run into an existing
+    directory writes."""
+    _, sentences = otsc_setup
+    argv = ["translate", "--sentences", str(sentences), "--config", str(backends_config),
+            "--backend", "coin", "--out"]
+    assert run([*argv, str(tmp_path / "tr.jsonl")]) == EXIT_OK
+    out = tmp_path / "new" / "dir" / "tr.jsonl"
+    assert run([*argv, str(out)]) == EXIT_OK
+    assert out.read_bytes() == (tmp_path / "tr.jsonl").read_bytes()
+
+
+_SAME_FILE = [("generate", "--out", "--occupations"), ("generate", "--out", "--template"),
+              ("translate", "--out", "--sentences"), ("translate", "--out", "--config"),
+              *[("evaluate", output, option) for output in ("--out", "--table")
+                for option in ("--sentences", "--translations", "--pronouns",
+                               "--male-stereotypes", "--female-stereotypes")],
+              ("report", "--out", "reports")]
+
+
+@pytest.mark.parametrize("via", ["path", "symlink"])
+@pytest.mark.parametrize("command, output, option", _SAME_FILE)
+def test_an_output_that_is_an_input_is_refused(
+    tmp_path, backends_config, capsys, command, output, option, via
+):
+    """An output that names the same file as one of the stage's inputs, by
+    its path or through a link, ends in error: <output>: is also the <option>
+    input, exit 1, before anything is read, and the input keeps its bytes."""
+    arguments = _stage_arguments(tmp_path, backends_config)[command]
+    given = arguments[output] = arguments[option] if via == "path" else tmp_path / "link"
+    if via == "symlink":
+        given.symlink_to(arguments[option])
+    kept = arguments[option].read_bytes()
+    capsys.readouterr()
+    assert run(_argv(command, arguments)) == EXIT_ABORTED
+    assert capsys.readouterr().err == f"error: {given}: is also the {option} input\n"
+    assert arguments[option].read_bytes() == kept
 
 
 def _corrupt(good: bytes, other_suite: bytes | None, kind: str) -> bytes:
