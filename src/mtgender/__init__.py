@@ -7,11 +7,11 @@ pronoun presence, and computes balance and accuracy metrics per suite.
 
 __version__ = "0.1.0"
 
-from .corpus import Suite, load_occupations, read_sentences
-from .templates import expand_otsc
+from .corpus import Suite, iter_sentences, load_occupations
+from .templates import iter_otsc
 from .classify import classify_gender
 
 __all__ = [
-    "__version__", "Suite", "classify_gender", "expand_otsc", "read_sentences",
+    "__version__", "Suite", "classify_gender", "iter_otsc", "iter_sentences",
     "load_occupations",
 ]

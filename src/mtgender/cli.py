@@ -474,6 +474,8 @@ def run(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(error_line(exc), file=sys.stderr)
+    except KeyboardInterrupt:  # temp files are gone, the journal holds each finished batch
+        print("error: interrupted", file=sys.stderr)
     return EXIT_ABORTED
 
 

@@ -141,13 +141,6 @@ def iter_otsc(
     )
 
 
-def expand_otsc(
-    occupations: Sequence[str], template: OtscTemplate | None = None
-) -> list[SourceSentence]:
-    """The sentences of an occupation list, as iter_otsc makes them."""
-    return list(iter_otsc(occupations, template))
-
-
 @dataclass(frozen=True)
 class CueInventory:
     """Gender-marking Hindi tokens, e.g. inflected verbs and adjectives."""

@@ -24,7 +24,7 @@ from mtgender.metrics import (
     compute_tgbi,
     compute_winomt,
 )
-from mtgender.templates import expand_otsc
+from mtgender.templates import iter_otsc
 from mtgender.tables import fmt_pct
 
 from conftest import dev_digits
@@ -135,7 +135,7 @@ def test_c7_otsc_expansion(occupations_1071, tmp_path):
         for line in occupations_1071.read_text(encoding="utf-8").splitlines()
         if line.strip()
     ]
-    sentences = expand_otsc(occupations)
+    sentences = list(iter_otsc(occupations))
     assert len(sentences) == 4284
     per_quadrant = {}
     for sentence in sentences:

@@ -37,7 +37,7 @@ from mtgender.corpus import (
     GenderLabel, SourceSentence, StereotypeLists, Suite, write_sentences,
 )
 from mtgender.fileio import line_encoder, record_decoder
-from mtgender.templates import expand_otsc
+from mtgender.templates import iter_otsc
 
 from conftest import (
     FEMALE_OCC, MALE_OCC, build_winomt_corpus, read_translations, write_translations,
@@ -120,7 +120,7 @@ def test_each_mock_renders_the_gender_it_picks(spec, gold, occupation, gender):
 
 class TestMockTranslate:
     def test_always_male_pinned_rendering(self):
-        sentences = expand_otsc(["डॉक्टर"])
+        sentences = list(iter_otsc(["डॉक्टर"]))
         for sentence in sentences:
             text = mock_translate(sentence, MockSpec("always_male"))
             assert text == "I have known him for a long time, my friend works as a डॉक्टर."
@@ -256,7 +256,7 @@ class TestTranslateBatch:
     def test_file_replay_full_coverage(self, tmp_path, occupations_1071):
         from mtgender.corpus import load_occupations
 
-        corpus = expand_otsc(load_occupations(occupations_1071))
+        corpus = list(iter_otsc(load_occupations(occupations_1071)))
         assert len(corpus) == 4284
         replay_path = tmp_path / "replay.jsonl"
         source_records = []

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -31,6 +32,8 @@ from mtgender.resources import data_path
 from conftest import (
     FEMALE_OCC, MALE_OCC, build_winomt_corpus, read_translations, set_table, write_translations,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -308,6 +311,24 @@ class TestTranslate:
                         str(backends_config), "--backend", "echo-gold", "--out", str(out),
                         "--fresh"])
             assert code == EXIT_OK
+        assert "0 reused" in capsys.readouterr().out
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 9")
+    def test_a_resume_over_regenerated_sentences_translates_the_new_texts(
+        self, tmp_path, backends_config, capsys
+    ):
+        """Regenerated from another occupation list, a sentences file keeps its
+        ids; a resume must translate the new texts, not reuse the old ones."""
+        occupations, sentences, out = (tmp_path / n for n in ("occ.txt", "s.jsonl", "t.jsonl"))
+        for names in ("डॉक्टर\nवकील\n", "नर्स\nमाली\n"):
+            occupations.write_text(names, encoding="utf-8")
+            assert run(["generate", "--occupations", str(occupations),
+                        "--out", str(sentences)]) == EXIT_OK
+            capsys.readouterr()
+            assert run(["translate", "--sentences", str(sentences), "--config",
+                        str(backends_config), "--backend", "echo-gold",
+                        "--out", str(out)]) == EXIT_OK
+        assert "नर्स" in out.read_text(encoding="utf-8").splitlines()[0]
         assert "0 reused" in capsys.readouterr().out
 
     def test_unknown_backend_aborts(self, tmp_path, otsc_setup, backends_config):
@@ -1142,6 +1163,36 @@ class TestReport:
         out = tmp_path / "table.txt"
         assert run(["report", str(paths[0]), "--out", str(out)]) == EXIT_OK
         assert "Acc" in out.read_text(encoding="utf-8")
+
+
+def test_the_readme_recipe_runs_each_suite_through_each_mock(tmp_path, capsys):
+    """README's shell recipe, in-process and with its mocks.json: generate,
+    translate and evaluate each (suite, mock) pair, leaving out echo_gold on
+    the neutral suite, which has no gold gender, then one report a suite,
+    whose table names each of that suite's mocks."""
+    section = README.read_text(encoding="utf-8").split("\n## Scripts\n", 1)[1].split("\n## ", 1)[0]
+    config, otsc = tmp_path / "mocks.json", tmp_path / "otsc.jsonl"
+    # the recipe's heredoc, so README and this test share one copy of the config
+    config.write_text(re.search(r"<<'EOF'\n(.*?\n)EOF\n", section, re.DOTALL).group(1),
+                      encoding="utf-8")
+    backends = json.loads(config.read_text(encoding="utf-8"))["backends"]
+    assert run(["generate", "--occupations", str(data_path("occupations_sample.txt")),
+                "--out", str(otsc)]) == EXIT_OK
+    for suite in ("otsc", "winomt", "neutral"):
+        sentences = otsc if suite == "otsc" else data_path(f"{suite}_sample.jsonl")
+        mocks = [b["name"] for b in backends
+                 if suite != "neutral" or b["mock"]["spec"] != "echo_gold"]
+        reports = [str(tmp_path / f"{suite}-{mock}.report.json") for mock in mocks]
+        for mock, report in zip(mocks, reports):
+            translations = str(tmp_path / f"{suite}-{mock}.jsonl")
+            assert run(["translate", "--sentences", str(sentences), "--suite", suite,
+                        "--config", str(config), "--backend", mock,
+                        "--out", translations]) == EXIT_OK, (suite, mock)
+            assert run(["evaluate", "--sentences", str(sentences), "--translations",
+                        translations, "--suite", suite, "--out", report]) == EXIT_OK, (suite, mock)
+        capsys.readouterr()
+        assert run(["report", *reports]) == EXIT_OK, suite
+        assert set(mocks) <= set(re.findall(r"[\w-]+", capsys.readouterr().out)), suite
 
 
 def test_cli_import_leaves_requests_unloaded():

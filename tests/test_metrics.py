@@ -363,9 +363,9 @@ class TestWinomtReport:
 
 class TestOtscReport:
     def _expand(self, occupations=("डॉक्टर", "वकील", "नर्स")):
-        from mtgender.templates import expand_otsc
+        from mtgender.templates import iter_otsc
 
-        return expand_otsc(list(occupations))
+        return list(iter_otsc(list(occupations)))
 
     def test_always_female(self):
         sentences = self._expand()
@@ -402,10 +402,10 @@ class TestOtscReport:
         from mtgender.backends import MockSpec, mock_translate
         from mtgender.classify import classify_gender
         from mtgender.corpus import load_occupations
-        from mtgender.templates import expand_otsc
+        from mtgender.templates import iter_otsc
 
         spec = MockSpec("coin_flip", seed=99, p_male=0.5)
-        sentences = expand_otsc(load_occupations(occupations_1071))
+        sentences = list(iter_otsc(load_occupations(occupations_1071)))
         records = [classified(s, classify_gender(mock_translate(s, spec))[0])
                    for s in sentences]
         report = otsc_from_table(set_table(records))

@@ -305,7 +305,8 @@ def test_a_translate_stopped_at_request_k_resumes_to_the_same_bytes(
     batch finished before it, four records a batch (none at all before the
     first, so no journal exists). Resumed, it reuses those records,
     translates the rest, and writes what an uninterrupted run writes,
-    leaving no journal or temp file."""
+    leaving no journal or temp file. Stopped by SIGINT, as by Ctrl-C, it
+    prints one error line and exits 1."""
     url, state = http_server
     (tmp_path / "otsc.jsonl").write_bytes(otsc_16)
     (tmp_path / "http.json").write_text(_http_config(url), encoding="utf-8")
@@ -320,12 +321,15 @@ def test_a_translate_stopped_at_request_k_resumes_to_the_same_bytes(
         child.wait(timeout=60)
     finally:
         child.kill()
-        child.communicate()
+        _, stderr = child.communicate()
         state.release.set()
     reused = 4 * ((k - 1) // 4)  # the records of the batches finished before request k
     assert journaled == (reused or None)  # no journal before the first finished batch
     if signum == signal.SIGKILL:
         assert child.returncode == -signal.SIGKILL
+    else:
+        assert child.returncode == 1
+        assert stderr == b"error: interrupted\n"
     code, out, _ = cli(tmp_path, *HTTP_TRANSLATE)
     assert code == 0
     assert out == f"translated 16/16 ok (0 failed, {reused} reused) via stub\n"

@@ -10,7 +10,7 @@ from mtgender.templates import (
     CueInventory,
     OtscTemplate,
     TemplateError,
-    expand_otsc,
+    iter_otsc,
     validate_gender_cues,
 )
 from mtgender.corpus import Suite, read_sentences
@@ -61,7 +61,7 @@ def test_render_quadrant_matches_the_oracle(template, occupation):
 def test_a_missing_slot_warns_once_per_template(caplog):
     occupations = ["डॉक्टर", "वकील", "नर्स", "माली", "सुनार"]
     with caplog.at_level("WARNING"):
-        sentences = expand_otsc(occupations, _template("{prefix} {possessive} {occupation}"))
+        sentences = list(iter_otsc(occupations, _template("{prefix} {possessive} {occupation}")))
     assert len(sentences) == 4 * len(occupations)
     assert caplog.messages == ["binding 'verb' does not appear in the template"]
 
@@ -146,23 +146,23 @@ class TestOtscTemplate:
 
 class TestExpandOtsc:
     def test_four_records_per_occupation(self):
-        sentences = expand_otsc(["डॉक्टर", "वकील", "नर्स"])
+        sentences = list(iter_otsc(["डॉक्टर", "वकील", "नर्स"]))
         assert len(sentences) == 12
         assert [s.set_id for s in sentences[:4]] == ["FF", "FM", "MF", "MM"]
 
     def test_single_occupation_pairwise_distinct(self):
-        texts = [s.text for s in expand_otsc(["डॉक्टर"])]
+        texts = [s.text for s in list(iter_otsc(["डॉक्टर"]))]
         assert len(set(texts)) == 4
 
     def test_gold_matches_quadrant(self):
-        for sentence in expand_otsc(["डॉक्टर", "वकील"]):
+        for sentence in list(iter_otsc(["डॉक्टर", "वकील"])):
             assert sentence.gold_gender.value[0].upper() == sentence.set_id[1]
             assert sentence.speaker_gender.value[0].upper() == sentence.set_id[0]
             assert sentence.occupation in sentence.text
 
     def test_gender_marker_invariant(self):
         template = OtscTemplate.default()
-        for sentence in expand_otsc(["डॉक्टर", "सुनार"], template):
+        for sentence in list(iter_otsc(["डॉक्टर", "सुनार"], template)):
             female_friend = (
                 template.possessive_female_friend in sentence.text
                 and template.verb_female_friend in sentence.text
@@ -171,30 +171,30 @@ class TestExpandOtsc:
             assert (sentence.speaker_gender is GenderLabel.FEMALE) == ("जानती" in sentence.text)
 
     def test_deterministic_and_order_preserving(self):
-        first = expand_otsc(["डॉक्टर", "वकील"])
-        second = expand_otsc(["डॉक्टर", "वकील"])
+        first = list(iter_otsc(["डॉक्टर", "वकील"]))
+        second = list(iter_otsc(["डॉक्टर", "वकील"]))
         assert first == second
         occupations = [s.occupation for s in first]
         assert occupations == ["डॉक्टर"] * 4 + ["वकील"] * 4
 
     def test_ids_encode_quadrant_and_index(self):
-        sentences = expand_otsc(["डॉक्टर", "वकील"])
+        sentences = list(iter_otsc(["डॉक्टर", "वकील"]))
         assert sentences[0].id == "otsc-FF-00000"
         assert sentences[7].id == "otsc-MM-00001"
 
     def test_empty_list_rejected(self):
         with pytest.raises(TemplateError, match="empty"):
-            expand_otsc([])
+            list(iter_otsc([]))
 
     def test_duplicates_rejected(self):
         with pytest.raises(TemplateError, match="duplicates"):
-            expand_otsc(["डॉक्टर", "डॉक्टर"])
+            list(iter_otsc(["डॉक्टर", "डॉक्टर"]))
 
     @settings(max_examples=30)
     @given(st.lists(st.text(alphabet="कखगचजटडतनपबमयरलवसह", min_size=1, max_size=5),
                     min_size=1, max_size=20, unique=True))
     def test_expansion_size_property(self, occupations):
-        assert len(expand_otsc(occupations)) == 4 * len(occupations)
+        assert len(list(iter_otsc(occupations))) == 4 * len(occupations)
 
 
 class TestCueValidation:
@@ -223,7 +223,7 @@ class TestCueValidation:
         assert result.message == "no cue found"
 
     def test_requires_winomt_record(self):
-        sentence = expand_otsc(["डॉक्टर"])[0]
+        sentence = list(iter_otsc(["डॉक्टर"]))[0]
         with pytest.raises(TemplateError, match="WinoMT"):
             validate_gender_cues(sentence, CueInventory.default())
 
