@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from mtgender.cli import error_line
-from mtgender.corpus import Suite, read_sentences
+from mtgender.corpus import Suite, iter_sentences
 from mtgender.templates import CueInventory, validate_gender_cues
 
 
@@ -20,7 +20,7 @@ def main():
     args = parser.parse_args()
 
     cues = CueInventory.from_file(args.cues) if args.cues else CueInventory.default()
-    corpus = read_sentences(args.corpus, Suite.WINOMT)
+    corpus = list(iter_sentences(args.corpus, Suite.WINOMT))
     warnings = 0
     for record in corpus:
         result = validate_gender_cues(record, cues)

@@ -9,7 +9,6 @@ re-serves previously obtained translations so runs are reproducible offline.
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import json
 import logging
@@ -21,8 +20,9 @@ import urllib.parse
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .corpus import GenderLabel, SourceSentence, StereotypeLists, Stereotype, assign_stereotype
 from .fileio import (
@@ -386,7 +386,8 @@ def _retry_after_s(value: str | None) -> float:
 
 
 class _HttpTranslator:
-    def __init__(self, config: BackendConfig, sleep: Callable[[float], None] = time.sleep) -> None:
+    def __init__(self, config: BackendConfig,
+                 sleep: Callable[[float], object] | None = None) -> None:
         # imported here, not at module level: every other backend and stage
         # runs without loading http.client and ssl
         from .transport import KeepAliveClient
@@ -416,8 +417,17 @@ class _HttpTranslator:
             self.client = KeepAliveClient(config.endpoint, config.timeout_s, headers)
         except ValueError as exc:
             raise BackendError(f"backend {config.name!r}: {exc}") from None
-        self._sleep = sleep
-        self.limiter = _RateLimiter(config.rate_limit, sleep=sleep)
+        # set by close: no attempt starts after it, and a wait ends at it
+        self._closed = threading.Event()
+        self._sleep = sleep or self._closed.wait
+        self.limiter = _RateLimiter(config.rate_limit, sleep=self._sleep)
+
+    def close(self) -> None:
+        """End every translation, from whichever thread: no further attempt
+        starts, a wait between attempts ends, and a read blocked on one of
+        the client's connections returns."""
+        self._closed.set()
+        self.client.close()
 
     def translate(self, source: SourceSentence) -> TranslationRecord:
         cfg = self.config
@@ -426,6 +436,8 @@ class _HttpTranslator:
         reason = "no attempts made"
         retry_after = 0.0
         for attempt in range(1, cfg.retry.max_attempts + 1):
+            if self._closed.is_set():
+                return TranslationRecord.failed(source.id, cfg.name, "interrupted")
             if attempt > 1:
                 # doubling stops at 2 ** 20 ms, past MAX_WAIT_S, so no attempt overflows
                 backoff = min(cfg.retry.backoff_base_ms * 2 ** min(attempt - 2, 20),
@@ -476,17 +488,14 @@ def load_replay_map(path: str | Path) -> dict[str, str]:
 
 
 def translate_batch(
-    sources: Sequence[SourceSentence],
+    sources: Iterable[SourceSentence],
     config: BackendConfig,
     on_batch: Callable[[list[TranslationRecord]], None],
 ) -> int:
-    """Translate sources through the configured backend, handing each
-    finished batch, in input order, to on_batch, the one place its records
-    are kept: a failure becomes a failed record, never dropped. Returns how
-    many of the records failed."""
-    if not sources:
-        raise BackendError("no sources to translate")
-
+    """Translate sources through the configured backend, reading them one
+    batch at a time, and hand each finished batch, in input order, to
+    on_batch, the one place its records are kept: a failure becomes a failed
+    record, never dropped. Returns how many of the records failed."""
     per_item: Callable[[SourceSentence], TranslationRecord]
     translator = None
     if config.kind is BackendKind.MOCK:
@@ -510,17 +519,23 @@ def translate_batch(
         translator = _HttpTranslator(config)
         per_item = translator.translate
 
-    concurrent = translator is not None and config.max_concurrency > 1
-    failed = 0
+    pool = (ThreadPoolExecutor(config.max_concurrency)
+            if translator is not None and config.max_concurrency > 1 else None)
+    sources, failed, batches = iter(sources), 0, 0
     try:
-        with (ThreadPoolExecutor(config.max_concurrency) if concurrent
-              else contextlib.nullcontext()) as pool:
-            for start in range(0, len(sources), config.batch_size):
-                batch = list((pool.map if pool else map)(
-                    per_item, sources[start : start + config.batch_size]))
-                failed += sum(r.status is TranslationStatus.FAILED for r in batch)
-                on_batch(batch)
+        # a batch's sentences are read as it is translated and held no longer
+        while batch := list((pool.map if pool else map)(
+                per_item, islice(sources, config.batch_size))):
+            failed += sum(r.status is TranslationStatus.FAILED for r in batch)
+            batches += 1
+            on_batch(batch)
     finally:
+        # the translator first: an interrupted batch's requests end at once,
+        # so its workers are joined at once
         if translator is not None:
-            translator.client.close()
+            translator.close()
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    if not batches:
+        raise BackendError("no sources to translate")
     return failed

@@ -17,15 +17,18 @@ import json
 import logging
 import os
 import sys
-from collections import Counter
+from collections import Counter, deque
+from contextlib import closing
 from dataclasses import asdict, dataclass
 from functools import partial
+from itertools import islice
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 from .backends import (
     BackendConfig,
+    BackendKind,
     RecordError,
     TranslationRecord,
     TranslationStatus,
@@ -45,7 +48,6 @@ from .corpus import (
     assign_stereotype,
     iter_sentences,
     load_occupations,
-    read_sentences,
     write_sentences,
 )
 from .fileio import (
@@ -183,33 +185,37 @@ def cmd_translate(args: argparse.Namespace) -> int:
     out = Path(args.out)
     journal = Path(str(out) + ".partial")
     previous = _previous_run(args, out, journal)
-    if previous is None:
-        source_digest = hashlib.sha256()
-        sentences = read_sentences(args.sentences, default_suite, source_digest)
-        source_sha256 = source_digest.hexdigest()
-    else:  # the sentences the previous run read: parsed below only if its output is not kept
-        sentences, source_sha256 = None, previous["inputs.sentences.sha256"]
     entry = find_backend_entry(args.config, args.backend)
     config = backend_config_from_dict(entry, args.config)
     config_hash = sha256_text(dumps_record(entry))[:16]
-    inputs = {"sentences": {"path": args.sentences, "sha256": source_sha256}}
-    run_id = derive_run_id("translate", inputs,
-                           backend={"name": config.name, "config": config_hash})
 
-    if previous is not None and previous.get("run_id") == run_id and (
-            previous.get("output.sha256") == sha256_file(out)):
+    def run_of(source_sha256: str) -> tuple[dict[str, Any], str]:  # (inputs, run id)
+        inputs = {"sentences": {"path": args.sentences, "sha256": source_sha256}}
+        return inputs, derive_run_id("translate", inputs,
+                                     backend={"name": config.name, "config": config_hash})
+
+    if previous is not None:  # the sentences the previous run read
+        inputs, run_id = run_of(previous["inputs.sentences.sha256"])
+        if previous.get("run_id") != run_id or previous.get("output.sha256") != sha256_file(out):
+            previous = None
+    if previous is not None:
         # the full path would reuse every record and re-encode the same bytes,
         # so out is left as it is and only its sidecar is rewritten
         n = reused = previous["output.records"]
         failed, sha256 = 0, previous["output.sha256"]
     else:
-        if sentences is None:
-            sentences = read_sentences(args.sentences, default_suite)
-        try:
-            n, failed, sha256, reused = _translate_pending(sentences, config, out, journal,
-                                                           args.fresh)
-        except RecordError as exc:
-            raise CliError(f"{args.sentences}: {exc}") from None
+        if config.kind is BackendKind.HTTP:  # every line is checked before a paid request
+            deque(iter_sentences(args.sentences, default_suite), maxlen=0)
+        source_digest = hashlib.sha256()
+        # the sentences are read as they are translated: a bad line ends a
+        # mock or replay run there, with its finished batches journaled
+        with closing(iter_sentences(args.sentences, default_suite, source_digest)) as sentences:
+            try:
+                n, failed, sha256, reused = _translate_pending(sentences, config, out, journal,
+                                                               args.fresh)
+            except RecordError as exc:
+                raise CliError(f"{args.sentences}: {exc}") from None
+        inputs, run_id = run_of(source_digest.hexdigest())
 
     counts = {"sources": n, "translated_ok": n - failed, "translated_failed": failed,
               "reused": reused}
@@ -220,40 +226,64 @@ def cmd_translate(args: argparse.Namespace) -> int:
     return EXIT_PARTIAL if failed else EXIT_OK
 
 
-def _translate_pending(sentences: list[SourceSentence], config: BackendConfig, out: Path,
+def _translate_pending(sentences: Iterator[SourceSentence], config: BackendConfig, out: Path,
                        journal: Path, fresh: bool) -> tuple[int, int, str, int]:
-    """Translate what the output and the journal hold no OK record for, and
-    write the output in sentence order: (its records, how many of them
-    failed, its sha256, how many were reused)."""
-    reused = {}  # source id -> OK record; a later record replaces an earlier one
+    """Translate, as they are read, the sentences that the output and the
+    journal hold no OK record for, and write the output in sentence order:
+    (its records, how many of them failed, its sha256, how many were reused)."""
+    reusable = {}  # source id -> OK record; a later record replaces an earlier one
     if fresh:
         journal.unlink(missing_ok=True)
-    elif out.exists() or journal.exists():
-        known_ids = {s.id for s in sentences}
+    else:
         # the OK records of the output, then of the journal, read leniently:
         # a crash mid-write can leave its last line torn
         for path, lenient in ((out, False), (journal, True)):
             if path.exists():
-                reused.update((r.source_id, r) for r in iter_translations(path, lenient)
-                              if r.status is TranslationStatus.OK and r.source_id in known_ids)
+                reusable.update((r.source_id, r) for r in iter_translations(path, lenient)
+                                if r.status is TranslationStatus.OK)
 
-    pending = [s for s in sentences if s.id not in reused]
+    # of each sentence only whether it is reused is kept, and the reused
+    # records in sentence order
+    is_reused, reused = bytearray(), []
+
+    def pending() -> Iterator[SourceSentence]:
+        for s in sentences:
+            record = reusable.pop(s.id, None)
+            is_reused.append(record is not None)
+            if record is None:
+                yield s
+            else:
+                reused.append(record)
+
     out.parent.mkdir(parents=True, exist_ok=True)  # before any request, not at the first append
     # this run's records are kept only in the journal, from start on, appended at each
     # finished batch: a run that aborts before translating anything leaves none behind
     start = journal_offset(journal)
-    failed = (translate_batch(pending, config, partial(append_translations, journal))
-              if pending else 0)
-    # merged while written: each source's reused record, else the next line
+    translating = pending()
+    # the first pending sentence is looked for first: with none, no client
+    # is built and no replay file read
+    first = list(islice(translating, 1))
+    failed = (translate_batch(_handed_on(first, translating), config,
+                              partial(append_translations, journal)) if first else 0)
+    # merged while written: each reused source's record, else the next line
     # this run journaled, copied as it is, since a journal line is canonical
     encode, digest = line_encoder(TranslationRecord), hashlib.sha256()
-    with (open(journal, "rb") if pending else io.BytesIO()) as fh:
+    reused_lines = map(encode, reused)
+    with (open(journal, "rb") if len(reused) < len(is_reused) else io.BytesIO()) as fh:
         fh.seek(start)
         new_lines = map(bytes.decode, fh)
-        n = write_jsonl(out, (encode(reused[s.id]) if s.id in reused else next(new_lines)
-                              for s in sentences), digest)
+        n = write_jsonl(out, (next(reused_lines) if flag else next(new_lines)
+                              for flag in is_reused), digest)
     journal.unlink(missing_ok=True)
     return n, failed, digest.hexdigest(), len(reused)
+
+
+def _handed_on(first: list[SourceSentence], rest: Iterator[SourceSentence]
+               ) -> Iterator[SourceSentence]:
+    """The sentences of first, which keeps none it has yielded, then rest's."""
+    while first:
+        yield first.pop(0)
+    yield from rest
 
 
 # --------------------------------------------------------------------------

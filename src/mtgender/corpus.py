@@ -203,13 +203,6 @@ def iter_sentences(
             logger.warning("%s: set id %r is outside the canonical S1..S7", path, set_id)
 
 
-def read_sentences(
-    path: str | Path, suite: Suite | None = None, digest: Any = None
-) -> list[SourceSentence]:
-    """The records of a sentence file, as iter_sentences yields them."""
-    return list(iter_sentences(path, suite, digest))
-
-
 def load_occupations(path: str | Path) -> list[str]:
     """Read a one-occupation-per-line UTF-8 list; as in read_jsonl, a line
     ends at "\\n" only, so U+2028 and the like stay inside it.

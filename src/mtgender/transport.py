@@ -8,7 +8,9 @@ start-up.
 from __future__ import annotations
 
 import base64
+import contextlib
 import http.client
+import socket
 import ssl
 import threading
 import urllib.parse
@@ -78,6 +80,7 @@ class KeepAliveClient:
         self._local = threading.local()
         self._lock = threading.Lock()
         self._opened: list[http.client.HTTPConnection] = []
+        self._closed = False
 
     def _connection(self) -> http.client.HTTPConnection:
         conn = getattr(self._local, "conn", None)
@@ -89,9 +92,11 @@ class KeepAliveClient:
                     conn.set_tunnel(*self._tunnel, headers=self._proxy_headers)
             else:
                 conn = http.client.HTTPConnection(*self._address, timeout=self._timeout_s)
-            self._local.conn = conn
             with self._lock:
+                if self._closed:
+                    raise ConnectionAbortedError("the client is closed")
                 self._opened.append(conn)
+            self._local.conn = conn
         return conn
 
     def post(self, body: bytes) -> Response:
@@ -109,7 +114,7 @@ class KeepAliveClient:
                 conn.request("POST", self._target, body, self._headers)
                 response = conn.getresponse()
             except _IDLE_CLOSED:
-                if not reused:
+                if not reused or self._closed:
                     raise
                 conn.close()
                 conn.request("POST", self._target, body, self._headers)
@@ -120,9 +125,14 @@ class KeepAliveClient:
             raise
 
     def close(self) -> None:
-        """Close every connection opened so far, from whichever thread."""
+        """Close every connection opened so far, from whichever thread: a
+        read blocked on one of them returns, and no post opens another."""
         with self._lock:
-            opened, self._opened = self._opened, []
+            opened, self._opened, self._closed = self._opened, [], True
         for conn in opened:
+            sock = conn.sock
+            if sock is not None:  # a blocked read returns only once its socket is shut down
+                with contextlib.suppress(OSError):
+                    sock.shutdown(socket.SHUT_RDWR)
             conn.close()
         self._local = threading.local()

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 import warnings
 import weakref
@@ -718,6 +719,29 @@ class TestHttpTransport:
                                                      "response_path": "x"})
             translate_batch([plain_source(0, "वाक्य")], config, lambda batch: None)
         assert state.total_requests == 0
+
+    def test_close_ends_a_translation_blocked_on_a_kept_alive_connection(self, http11_server):
+        """Closed from another thread while the server holds its request, a
+        translation returns at once, and neither sends that request again on
+        a new connection nor makes another attempt."""
+        url, state = http11_server
+        state.hold_at = 2  # on the connection the first request opened
+        translator = _HttpTranslator(http_config(url, timeout_s=30.0))
+        records = []
+        thread = threading.Thread(target=lambda: records.extend(
+            translator.translate(plain_source(i, f"वाक्य {i}")) for i in range(2)))
+        thread.start()
+        try:
+            assert state.held.wait(timeout=10), "the request was never held"
+            translator.close()
+            thread.join(timeout=2)
+            assert not thread.is_alive(), "the translation is still blocked"
+        finally:
+            state.release.set()
+            thread.join()
+        assert [(r.status, r.reason) for r in records] == [
+            (TranslationStatus.OK, None), (TranslationStatus.FAILED, "interrupted")]
+        assert (state.total_requests, state.connections) == (2, 1)
 
 
 _PROXY_VARS = ("http_proxy", "HTTP_PROXY", "https_proxy", "HTTPS_PROXY", "no_proxy", "NO_PROXY")

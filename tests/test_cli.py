@@ -585,7 +585,7 @@ def test_a_resume_with_nothing_pending_rewrites_only_the_sidecar(tmp_path, monke
     out = Path(argv[-1])
     before, clean = out.stat(), out.read_bytes()
     with monkeypatch.context() as patch:
-        for name in ("read_sentences", "iter_translations", "write_jsonl"):
+        for name in ("iter_sentences", "iter_translations", "write_jsonl"):
             patch.setattr(mtgender.cli, name,
                           lambda *args, name=name, **kwargs: pytest.fail(f"{name} called"))
         capsys.readouterr()
@@ -690,6 +690,79 @@ def test_a_resume_with_something_changed_takes_the_full_path(tmp_path, monkeypat
         ends.append((code, std.out, std.err, out.read_bytes(), _sidecar_but_time(out), written))
     assert ends[0] == ends[1]
     assert ends[0][-1] == [out]
+
+
+@pytest.mark.parametrize("backend", [
+    {"kind": "file_replay", "replay_path": "missing.jsonl"},
+    {"kind": "http", "endpoint": "http://127.0.0.1:9/", "auth_env": "MTGENDER_UNSET_KEY",
+     "request_template": {"body": {}, "response_path": "t"}},
+], ids=["file_replay", "http"])
+def test_a_full_path_with_nothing_pending_builds_no_backend(tmp_path, monkeypatch, capsys,
+                                                           backend):
+    """A resume through another backend takes the full path, since the run
+    id differs. With every record reused, it reads no replay file and builds
+    no client, either of which would fail here."""
+    monkeypatch.delenv("MTGENDER_UNSET_KEY", raising=False)
+    argv = _finished_translate(tmp_path)
+    out, config = tmp_path / "tr.jsonl", read_report(tmp_path / "backends.json")
+    config["backends"].append({"name": "other", **backend})
+    (tmp_path / "backends.json").write_text(json.dumps(config), encoding="utf-8")
+    clean = out.read_bytes()
+    capsys.readouterr()
+    assert run([*argv[:6], "other", *argv[7:]]) == EXIT_OK
+    assert capsys.readouterr().out == "translated 16/16 ok (0 failed, 16 reused) via other\n"
+    assert out.read_bytes() == clean
+
+
+def _one_backend(path: Path, kind: str, url: str, batch_size: int) -> Path:
+    """A backends file at path that names one backend, "b": a coin_flip mock,
+    or http to the tests' server at url, two requests at a time."""
+    entry = {"mock": {"kind": "mock", "mock": {"spec": "coin_flip"}},
+             "http": {"kind": "http", "endpoint": url, "max_concurrency": 2,
+                      "request_template": {"body": {"q": "{text}"},
+                                           "response_path": "data.translations.0.translatedText"}}}
+    path.write_text(json.dumps({"backends": [{"name": "b", "batch_size": batch_size,
+                                              **entry[kind]}]}), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("kind", ["http", "mock"])
+def test_a_bad_last_sentence_line_stops_translate_as_its_backend_kind_says(
+    tmp_path, http_server, capsys, kind
+):
+    """The 16th and last line of the sentences file is bad. An http run
+    reads the whole file before its first request, so it sends none and
+    leaves no journal. A mock run stops at the line, four sentences to a
+    batch, with the three batches it finished in the journal. Once the line
+    is fixed, a resume writes what a clean run writes."""
+    url, state = http_server
+    occupations, sentences = tmp_path / "occ.txt", tmp_path / "otsc.jsonl"
+    occupations.write_text("डॉक्टर\nवकील\nनर्स\nमाली\n", encoding="utf-8")
+    assert run(["generate", "--occupations", str(occupations), "--out", str(sentences)]) == EXIT_OK
+    config = _one_backend(tmp_path / "backends.json", kind, url, batch_size=4)
+    argv = ["translate", "--sentences", str(sentences), "--config", str(config), "--backend", "b"]
+    assert run([*argv, "--out", str(tmp_path / "clean.jsonl")]) == EXIT_OK
+    requests = state.total_requests
+    good = sentences.read_bytes()
+    sentences.write_bytes(good[:good.rindex(b"{")] + b'{"id": \n')
+    out, journal = tmp_path / "tr.jsonl", tmp_path / "tr.jsonl.partial"
+    capsys.readouterr()
+
+    assert run([*argv, "--out", str(out)]) == EXIT_ABORTED
+    assert capsys.readouterr().err.startswith(f"error: {sentences}: line 16: invalid JSON (")
+    assert state.total_requests == requests  # none was sent
+    journaled = journal.read_bytes() if journal.exists() else None
+    clean = (tmp_path / "clean.jsonl").read_bytes()
+    reused = 0 if kind == "http" else 12
+    assert journaled == (None if kind == "http" else
+                         b"".join(clean.splitlines(keepends=True)[:reused]))
+    assert not out.exists()
+
+    sentences.write_bytes(good)
+    assert run([*argv, "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == f"translated 16/16 ok (0 failed, {reused} reused) via b\n"
+    assert out.read_bytes() == clean
+    assert not journal.exists()
 
 
 class TestEvaluate:
@@ -1729,12 +1802,12 @@ def test_evaluate_reports_what_the_whole_file_gives(suite, size, strict, neutral
     assert payload["backend"] == "+".join(sorted({r.backend for r in records}))
 
 
-def _held_for_two_at_most(items, refs: list):
+def _held_for_at_most(items, refs: list, window: int = 2):
     """Yield items, noting a weak reference to each: by the time item k is
-    taken, item k-2 must be gone."""
+    taken, item k-window (k-2 by default) must be gone."""
     for item in items:
-        if len(refs) >= 2:
-            assert refs[-2]() is None, f"item {len(refs) - 2} is kept"
+        if len(refs) >= window:
+            assert refs[-window]() is None, f"item {len(refs) - window} is kept"
         refs.append(weakref.ref(item))
         yield item
 
@@ -1754,18 +1827,34 @@ def test_evaluate_holds_no_sentence_and_no_translation(tmp_path, monkeypatch):
     sentence_refs, translation_refs = [], []  # weak references to what evaluate read
 
     def translations_spy(*args, **kwargs):
-        for translation in _held_for_two_at_most(iter_translations(*args, **kwargs),
+        for translation in _held_for_at_most(iter_translations(*args, **kwargs),
                                                  translation_refs):
             assert all(ref() is None for ref in sentence_refs)
             yield translation
 
     monkeypatch.setattr(mtgender.cli, "iter_sentences", lambda *args, **kwargs:
-                        _held_for_two_at_most(iter_sentences(*args, **kwargs), sentence_refs))
+                        _held_for_at_most(iter_sentences(*args, **kwargs), sentence_refs))
     monkeypatch.setattr(mtgender.cli, "iter_translations", translations_spy)
     assert run(["evaluate", "--sentences", str(tmp_path / "s.jsonl"), "--translations",
                 str(tmp_path / "tr.jsonl"), "--suite", "winomt",
                 "--out", str(tmp_path / "r.json")]) == EXIT_OK
     assert (len(sentence_refs), len(translation_refs)) == (200, 200)
+
+
+@pytest.mark.parametrize("kind", ["mock", "http"])
+def test_translate_holds_no_sentence_list(tmp_path, monkeypatch, http_server, kind):
+    """translate reads its sentences one batch at a time, holding none past
+    its batch: by the time sentence k is read, sentence k-9 is gone, with 8
+    to a batch. An http run first reads the whole file, holding none."""
+    write_sentences(tmp_path / "s.jsonl", build_winomt_corpus(100))
+    config = _one_backend(tmp_path / "backends.json", kind, http_server[0], batch_size=8)
+    iter_sentences, refs = mtgender.cli.iter_sentences, []
+    monkeypatch.setattr(mtgender.cli, "iter_sentences", lambda *args, **kwargs:
+                        _held_for_at_most(iter_sentences(*args, **kwargs), refs, 9))
+    assert run(["translate", "--sentences", str(tmp_path / "s.jsonl"), "--config", str(config),
+                "--backend", "b", "--suite", "winomt",
+                "--out", str(tmp_path / "tr.jsonl")]) == EXIT_OK
+    assert len(refs) == (100 if kind == "mock" else 200)
 
 
 def test_generate_holds_no_sentence(tmp_path, monkeypatch):
@@ -1775,7 +1864,7 @@ def test_generate_holds_no_sentence(tmp_path, monkeypatch):
     occupations.write_text("".join(f"पेशा {i}\n" for i in range(50)), encoding="utf-8")
     iter_otsc, refs = mtgender.cli.iter_otsc, []
     monkeypatch.setattr(mtgender.cli, "iter_otsc", lambda *args, **kwargs:
-                        _held_for_two_at_most(iter_otsc(*args, **kwargs), refs))
+                        _held_for_at_most(iter_otsc(*args, **kwargs), refs))
     assert run(["generate", "--occupations", str(occupations),
                 "--out", str(tmp_path / "s.jsonl")]) == EXIT_OK
     assert len(refs) == 200
@@ -1789,11 +1878,13 @@ _PEAK_RSS_KIB = ("import resource, subprocess, sys; "
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
-def test_generate_and_evaluate_memory_does_not_grow_with_the_sentence_list(tmp_path):
-    """generate and evaluate hold no sentence list: from n occupations to 4n,
-    generate's peak RSS stays flat, and evaluate's grows only by its id
-    index, about 250 bytes a sentence. Holding the list, they grew by 9 and
-    13 MB from 1,500 occupations to 6,000."""
+def test_no_stage_memory_grows_with_the_sentence_list(tmp_path):
+    """generate, translate and evaluate hold no sentence list: from n
+    occupations to 4n, generate's peak RSS stays flat, and translate's and
+    evaluate's grow only by what they keep of each sentence, its id above
+    all, about 160 and 250 bytes a sentence. Holding the list, generate,
+    translate and evaluate grew by 9, 9 and 13 MB from 1,500 occupations to
+    6,000."""
     src = str(Path(mtgender.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -1804,18 +1895,28 @@ def test_generate_and_evaluate_memory_does_not_grow_with_the_sentence_list(tmp_p
                                 check=True)
         return int(result.stdout) / 1024
 
+    config = tmp_path / "backends.json"
+    config.write_text(json.dumps({"backends": [{"name": "coin", "kind": "mock",
+                                                "mock": {"spec": "coin_flip"}}]}),
+                      encoding="utf-8")
     peaks = {}
     for n in (1500, 6000):
         occupations, sentences = tmp_path / f"occ-{n}.txt", tmp_path / f"s-{n}.jsonl"
         translations = tmp_path / f"tr-{n}.jsonl"
         occupations.write_text("".join(f"पेशा {i}\n" for i in range(n)), encoding="utf-8")
         generate = peak_mib("generate", "--occupations", str(occupations), "--out", str(sentences))
+        translate = peak_mib("translate", "--sentences", str(sentences), "--config", str(config),
+                             "--backend", "coin", "--out", str(tmp_path / f"coin-{n}.jsonl"),
+                             "--fresh")
         write_translations(translations, (
             TranslationRecord.ok(f"otsc-{quadrant}-{i:05d}", ("he", "she")[i % 2], "x")
             for i in range(n) for quadrant in OTSC_QUADRANTS))
         evaluate = peak_mib("evaluate", "--sentences", str(sentences), "--translations",
                             str(translations), "--suite", "otsc", "--out", str(tmp_path / "r.json"))
-        peaks[n] = generate, evaluate
-    (generate_n, evaluate_n), (generate_4n, evaluate_4n) = peaks.values()
+        peaks[n] = generate, translate, evaluate
+    (generate_n, translate_n, evaluate_n), (generate_4n, translate_4n, evaluate_4n) = (
+        peaks.values())
     assert generate_4n - generate_n < 3
-    assert evaluate_4n - evaluate_n < 4 * 4500 * 350 / 2**20  # 350 bytes an added sentence
+    # 350 bytes an added sentence
+    assert translate_4n - translate_n < 4 * 4500 * 350 / 2**20
+    assert evaluate_4n - evaluate_n < 4 * 4500 * 350 / 2**20

@@ -15,7 +15,7 @@ from mtgender.corpus import (
     Suite,
     assign_stereotype,
     load_occupations,
-    read_sentences,
+    iter_sentences,
     validate_sentence,
     write_sentences,
 )
@@ -88,7 +88,7 @@ class TestLoadOccupations:
 
 class TestLoadWinomt:
     def test_bundled_sample(self):
-        records = read_sentences(data_path("winomt_sample.jsonl"), Suite.WINOMT)
+        records = list(iter_sentences(data_path("winomt_sample.jsonl"), Suite.WINOMT))
         assert len(records) == 20
         assert all(r.suite is Suite.WINOMT for r in records)
         assert sum(1 for r in records if r.gold_gender is GenderLabel.FEMALE) == 10
@@ -98,7 +98,7 @@ class TestLoadWinomt:
         lists = StereotypeLists.from_files(
             data_path("stereotypes_male.txt"), data_path("stereotypes_female.txt")
         )
-        for record in read_sentences(data_path("winomt_sample.jsonl"), Suite.WINOMT):
+        for record in iter_sentences(data_path("winomt_sample.jsonl"), Suite.WINOMT):
             assert record.stereotype is assign_stereotype(
                 record.occupation, record.gold_gender, lists
             )
@@ -118,7 +118,7 @@ class TestLoadWinomt:
                 "set_id": "main",
             }))
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        assert len(read_sentences(path, Suite.WINOMT)) == 704
+        assert len(list(iter_sentences(path, Suite.WINOMT))) == 704
 
     def test_neutral_gold_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -128,7 +128,7 @@ class TestLoadWinomt:
             "referenced_entity": "entity1", "set_id": "main",
         }) + "\n", encoding="utf-8")
         with pytest.raises(CorpusError, match="male or female"):
-            read_sentences(path, Suite.WINOMT)
+            list(iter_sentences(path, Suite.WINOMT))
 
     @pytest.mark.parametrize("missing", ["id", "text", "gold_gender", "stereotype",
                                           "occupation", "referenced_entity", "set_id"])
@@ -142,7 +142,7 @@ class TestLoadWinomt:
         path = tmp_path / "bad.jsonl"
         path.write_text(dumps_record(record) + "\n", encoding="utf-8")
         with pytest.raises(CorpusError):
-            read_sentences(path, Suite.WINOMT)
+            list(iter_sentences(path, Suite.WINOMT))
 
     def test_bad_stereotype_token(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -152,7 +152,7 @@ class TestLoadWinomt:
             "referenced_entity": "entity1", "set_id": "main",
         }) + "\n", encoding="utf-8")
         with pytest.raises(CorpusError, match="bad stereotype token"):
-            read_sentences(path, Suite.WINOMT)
+            list(iter_sentences(path, Suite.WINOMT))
 
     def test_duplicate_id(self, tmp_path):
         record = {
@@ -164,7 +164,7 @@ class TestLoadWinomt:
         path.write_text(dumps_record(record) + "\n" + dumps_record(record) + "\n",
                         encoding="utf-8")
         with pytest.raises(CorpusError, match="duplicate id"):
-            read_sentences(path, Suite.WINOMT)
+            list(iter_sentences(path, Suite.WINOMT))
 
     def test_error_carries_line_number(self, tmp_path):
         good = dumps_record({
@@ -176,7 +176,7 @@ class TestLoadWinomt:
         path = tmp_path / "bad.jsonl"
         path.write_text(good + "\n" + bad + "\n", encoding="utf-8")
         with pytest.raises(CorpusError, match="line 2"):
-            read_sentences(path, Suite.WINOMT)
+            list(iter_sentences(path, Suite.WINOMT))
 
     def test_text_without_devanagari_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -186,7 +186,7 @@ class TestLoadWinomt:
             "referenced_entity": "entity1", "set_id": "main",
         }) + "\n", encoding="utf-8")
         with pytest.raises(CorpusError, match="no Devanagari"):
-            read_sentences(path, Suite.WINOMT)
+            list(iter_sentences(path, Suite.WINOMT))
 
 
 # --------------------------------------------------------------------------
@@ -203,12 +203,12 @@ class TestLoadNeutralSets:
         path = tmp_path / "neutral.jsonl"
         lines = [_neutral_line(f"S{k}", i) for k in range(1, 8) for i in range(10)]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        sentences = read_sentences(path, Suite.NEUTRAL)
+        sentences = list(iter_sentences(path, Suite.NEUTRAL))
         assert Counter(s.set_id for s in sentences) == {f"S{k}": 10 for k in range(1, 8)}
         assert all(s.gold_gender is None for s in sentences)
 
     def test_bundled_sample(self):
-        sentences = read_sentences(data_path("neutral_sample.jsonl"), Suite.NEUTRAL)
+        sentences = list(iter_sentences(data_path("neutral_sample.jsonl"), Suite.NEUTRAL))
         assert sorted({s.set_id for s in sentences}) == [f"S{k}" for k in range(1, 8)]
 
     def test_gold_gender_rejected(self, tmp_path):
@@ -217,19 +217,19 @@ class TestLoadNeutralSets:
             "id": "n1", "set_id": "S1", "text": "वह ठीक है", "gold_gender": "male",
         }) + "\n", encoding="utf-8")
         with pytest.raises(CorpusError, match="n1"):
-            read_sentences(path, Suite.NEUTRAL)
+            list(iter_sentences(path, Suite.NEUTRAL))
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "neutral.jsonl"
         path.write_text("", encoding="utf-8")
         with pytest.raises(CorpusError, match="no records found"):
-            read_sentences(path, Suite.NEUTRAL)
+            list(iter_sentences(path, Suite.NEUTRAL))
 
     def test_noncanonical_set_warned_but_kept(self, tmp_path, caplog):
         path = tmp_path / "neutral.jsonl"
         path.write_text(_neutral_line("S9", 0) + "\n", encoding="utf-8")
         with caplog.at_level("WARNING"):
-            sentences = read_sentences(path, Suite.NEUTRAL)
+            sentences = list(iter_sentences(path, Suite.NEUTRAL))
         assert [s.set_id for s in sentences] == ["S9"]
         assert any("S9" in m for m in caplog.messages)
 
@@ -265,19 +265,20 @@ class TestRoundTrip:
         ("neutral_sample.jsonl", Suite.NEUTRAL),
     ])
     def test_bundled_files_round_trip(self, tmp_path, name, suite):
-        original = read_sentences(data_path(name), suite)
+        original = list(iter_sentences(data_path(name), suite))
         out = tmp_path / "copy.jsonl"
         write_sentences(out, original)
-        assert read_sentences(out) == original
+        assert list(iter_sentences(out)) == original
 
     def test_loader_determinism(self):
         path = data_path("winomt_sample.jsonl")
-        assert read_sentences(path, Suite.WINOMT) == read_sentences(path, Suite.WINOMT)
+        assert (list(iter_sentences(path, Suite.WINOMT))
+                == list(iter_sentences(path, Suite.WINOMT)))
 
     def test_synthetic_corpus_round_trip(self, tmp_path, winomt_corpus_400):
         out = tmp_path / "syn.jsonl"
         write_sentences(out, winomt_corpus_400)
-        assert read_sentences(out, Suite.WINOMT) == winomt_corpus_400
+        assert list(iter_sentences(out, Suite.WINOMT)) == winomt_corpus_400
 
     def test_otsc_loader_accepts_generated_records(self, tmp_path):
         sentence = SourceSentence(
@@ -291,7 +292,7 @@ class TestRoundTrip:
         )
         out = tmp_path / "otsc.jsonl"
         write_sentences(out, [sentence])
-        assert read_sentences(out, Suite.OTSC) == [sentence]
+        assert list(iter_sentences(out, Suite.OTSC)) == [sentence]
 
     @pytest.mark.parametrize("name", ["set_id", "occupation"])
     def test_records_of_one_read_share_each_set_id_and_occupation(self, tmp_path,
@@ -300,7 +301,7 @@ class TestRoundTrip:
         one object per distinct set_id and occupation."""
         out = tmp_path / "syn.jsonl"
         write_sentences(out, winomt_corpus_400)
-        first, *rest = read_sentences(out, Suite.WINOMT)
+        first, *rest = list(iter_sentences(out, Suite.WINOMT))
         same = [s for s in rest if getattr(s, name) == getattr(first, name)]
         assert len(same) > 1 and all(getattr(s, name) is getattr(first, name) for s in same)
 

@@ -30,7 +30,7 @@ from mtgender.corpus import (
     Stereotype,
     Suite,
     load_occupations,
-    read_sentences,
+    iter_sentences,
 )
 from mtgender.fileio import (
     dumps_record, line_encoder, load_json, parse_record, read_jsonl, record_decoder,
@@ -171,7 +171,8 @@ _SENTENCES = [SourceSentence(f"n{i}", "वह आया।", Suite.NEUTRAL, "S1"
 _TRANSLATIONS = [TranslationRecord.ok("n0", "He came.", "x"),
                  TranslationRecord.failed("n1", "x", "timeout")]
 _READERS = {
-    "sentences": (lambda path, digest: read_sentences(path, digest=digest), _SENTENCES),
+    "sentences": (lambda path, digest: list(iter_sentences(path, digest=digest)),
+                  _SENTENCES),
     "translations": (lambda path, digest: read_translations(path, digest=digest),
                      _TRANSLATIONS),
     "translations-lenient": (lambda path, digest: read_translations(path, True, digest),

@@ -262,11 +262,12 @@ def test_fresh_over_an_output_and_a_leftover_journal_translates_everything(pipel
 # A real crash: translate is stopped while the loopback server holds a request
 
 
-def _http_config(url: str) -> str:
-    """One http backend that sends the 16 sentences four to a batch, one
-    request at a time."""
+def _http_config(url: str, concurrency: int = 1) -> str:
+    """One http backend that sends the 16 sentences four to a batch,
+    concurrency requests at a time."""
     return json.dumps({"backends": [{
-        "name": "stub", "kind": "http", "endpoint": url, "batch_size": 4, "max_concurrency": 1,
+        "name": "stub", "kind": "http", "endpoint": url, "batch_size": 4,
+        "max_concurrency": concurrency,
         "timeout_s": 60, "request_template": {
             "body": {"q": "{text}"}, "response_path": "data.translations.0.translatedText"}}]})
 
@@ -295,21 +296,23 @@ def uninterrupted(tmp_path_factory, otsc_16) -> bytes:
     return (root / "translations.jsonl").read_bytes()
 
 
-@pytest.mark.parametrize("signum, k", [(signal.SIGKILL, 1), (signal.SIGKILL, 5),
-                                       (signal.SIGKILL, 10), (signal.SIGINT, 7)],
-                         ids=["kill-1", "kill-5", "kill-10", "int-7"])
+@pytest.mark.parametrize("signum, k, concurrency", [
+    (signal.SIGKILL, 1, 1), (signal.SIGKILL, 5, 1), (signal.SIGKILL, 10, 1), (signal.SIGINT, 7, 1),
+    (signal.SIGINT, 3, 2),
+], ids=["kill-1", "kill-5", "kill-10", "int-7", "int-3-concurrent"])
 def test_a_translate_stopped_at_request_k_resumes_to_the_same_bytes(
-    tmp_path, http_server, otsc_16, uninterrupted, signum, k
+    tmp_path, http_server, otsc_16, uninterrupted, signum, k, concurrency
 ):
     """Stopped while its k-th request is held, translate has journaled each
     batch finished before it, four records a batch (none at all before the
     first, so no journal exists). Resumed, it reuses those records,
     translates the rest, and writes what an uninterrupted run writes,
     leaving no journal or temp file. Stopped by SIGINT, as by Ctrl-C, it
-    prints one error line and exits 1."""
+    prints one error line and exits 1; with requests in flight on two
+    threads, it does so within 2 s, while the server still holds request k."""
     url, state = http_server
     (tmp_path / "otsc.jsonl").write_bytes(otsc_16)
-    (tmp_path / "http.json").write_text(_http_config(url), encoding="utf-8")
+    (tmp_path / "http.json").write_text(_http_config(url, concurrency), encoding="utf-8")
     journal = tmp_path / "translations.jsonl.partial"
     state.hold_at = k
     child = subprocess.Popen([*COMMAND, *HTTP_TRANSLATE], cwd=tmp_path, env=ENV,
@@ -318,7 +321,8 @@ def test_a_translate_stopped_at_request_k_resumes_to_the_same_bytes(
         assert state.held.wait(timeout=60), "the request was never held"
         journaled = journal.read_bytes().count(b"\n") if journal.exists() else None
         child.send_signal(signum)
-        child.wait(timeout=60)
+        child.wait(timeout=60 if concurrency == 1 else 2)
+        assert state.in_flight and not state.release.is_set(), "request k is no longer held"
     finally:
         child.kill()
         _, stderr = child.communicate()

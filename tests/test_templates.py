@@ -13,7 +13,7 @@ from mtgender.templates import (
     iter_otsc,
     validate_gender_cues,
 )
-from mtgender.corpus import Suite, read_sentences
+from mtgender.corpus import Suite, iter_sentences
 
 from oracles import oracle_render_quadrant
 
@@ -199,7 +199,7 @@ class TestExpandOtsc:
 
 class TestCueValidation:
     def test_pass_on_gold_cue(self):
-        corpus = read_sentences(data_path("winomt_sample.jsonl"), Suite.WINOMT)
+        corpus = list(iter_sentences(data_path("winomt_sample.jsonl"), Suite.WINOMT))
         cues = CueInventory.default()
         for record in corpus:
             result = validate_gender_cues(record, cues)
@@ -207,7 +207,7 @@ class TestCueValidation:
             assert result.matched_gold
 
     def test_both_genders_warn(self):
-        corpus = read_sentences(data_path("winomt_sample.jsonl"), Suite.WINOMT)
+        corpus = list(iter_sentences(data_path("winomt_sample.jsonl"), Suite.WINOMT))
         record = corpus[1]  # gold male
         cues = CueInventory(frozenset({"पूछता"}), frozenset({"मदद"}))
         result = validate_gender_cues(record, cues)
@@ -216,7 +216,7 @@ class TestCueValidation:
         assert "पूछता" in result.matched_gold
 
     def test_no_cue_warns(self):
-        corpus = read_sentences(data_path("winomt_sample.jsonl"), Suite.WINOMT)
+        corpus = list(iter_sentences(data_path("winomt_sample.jsonl"), Suite.WINOMT))
         cues = CueInventory(frozenset({"क़ख़"}), frozenset({"ग़घ़"}))
         result = validate_gender_cues(corpus[0], cues)
         assert not result.ok
