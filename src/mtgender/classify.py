@@ -14,7 +14,7 @@ from itertools import groupby
 from pathlib import Path
 from typing import Iterable
 
-from .corpus import GenderLabel, SourceSentence
+from .corpus import GenderLabel, SourceSentence, check_disjoint
 from .fileio import decode_document, file_errors, load_json
 
 _WORD = re.compile(r"\w+")
@@ -58,9 +58,7 @@ class PronounLexicon:
     pattern: re.Pattern[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        overlap = self.male_tokens & self.female_tokens
-        if overlap:
-            raise ClassifyError("pronoun sets overlap: " + ", ".join(sorted(overlap)))
+        check_disjoint(self.male_tokens, self.female_tokens, "pronoun sets", ClassifyError)
         object.__setattr__(self, "pattern", _token_pattern(self.male_tokens | self.female_tokens))
 
     @classmethod

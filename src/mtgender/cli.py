@@ -184,10 +184,10 @@ def cmd_translate(args: argparse.Namespace) -> int:
     default_suite = Suite(args.suite) if args.suite else None
     out = Path(args.out)
     journal = Path(str(out) + ".partial")
-    previous = _previous_run(args, out, journal)
     entry = find_backend_entry(args.config, args.backend)
     config = backend_config_from_dict(entry, args.config)
     config_hash = sha256_text(dumps_record(entry))[:16]
+    previous = _previous_run(args, out, journal)  # after the config, whose errors come first
 
     def run_of(source_sha256: str) -> tuple[dict[str, Any], str]:  # (inputs, run id)
         inputs = {"sentences": {"path": args.sentences, "sha256": source_sha256}}
@@ -228,9 +228,9 @@ def cmd_translate(args: argparse.Namespace) -> int:
 
 def _translate_pending(sentences: Iterator[SourceSentence], config: BackendConfig, out: Path,
                        journal: Path, fresh: bool) -> tuple[int, int, str, int]:
-    """Translate, as they are read, the sentences that the output and the
-    journal hold no OK record for, and write the output in sentence order:
-    (its records, how many of them failed, its sha256, how many were reused)."""
+    """Translate, as they are read, the sentences with no OK record of this
+    backend in the output or the journal, and write the output in sentence
+    order: (its records, how many of them failed, its sha256, how many were reused)."""
     reusable = {}  # source id -> OK record; a later record replaces an earlier one
     if fresh:
         journal.unlink(missing_ok=True)
@@ -240,7 +240,7 @@ def _translate_pending(sentences: Iterator[SourceSentence], config: BackendConfi
         for path, lenient in ((out, False), (journal, True)):
             if path.exists():
                 reusable.update((r.source_id, r) for r in iter_translations(path, lenient)
-                                if r.status is TranslationStatus.OK)
+                                if r.status is TranslationStatus.OK and r.backend == config.name)
 
     # of each sentence only whether it is reused is kept, and the reused
     # records in sentence order

@@ -41,8 +41,8 @@ class GenderLabel(enum.Enum):
     AMBIGUOUS = "ambiguous"
 
 
-_INITIALS = {GenderLabel.MALE: "M", GenderLabel.FEMALE: "F"}
-
+#: The gender each letter of an OTSC quadrant code names: the speaker's, then the friend's.
+QUADRANT_GENDERS = {"M": GenderLabel.MALE, "F": GenderLabel.FEMALE}
 
 #: Gold labels carried by corpus files; Neutral/Ambiguous exist only as
 #: classifier outcomes.
@@ -81,6 +81,13 @@ class SourceSentence:
     referenced_entity: ReferencedEntity | None = None
 
 
+def check_disjoint(male: frozenset[str], female: frozenset[str], what: str,
+                   error: type[ValueError]) -> None:
+    """Raise error naming, sorted, the terms that a male and a female set share."""
+    if overlap := male & female:
+        raise error(f"{what} overlap: " + ", ".join(sorted(overlap)))
+
+
 @dataclass(frozen=True)
 class StereotypeLists:
     """Occupation terms stereotypically associated with each gender (disjoint sets)."""
@@ -89,11 +96,8 @@ class StereotypeLists:
     female_stereotyped: frozenset[str]
 
     def __post_init__(self) -> None:
-        overlap = self.male_stereotyped & self.female_stereotyped
-        if overlap:
-            raise CorpusError(
-                "stereotype lists overlap: " + ", ".join(sorted(overlap))
-            )
+        check_disjoint(self.male_stereotyped, self.female_stereotyped, "stereotype lists",
+                       CorpusError)
 
     @classmethod
     def from_files(cls, male_path: str | Path, female_path: str | Path) -> "StereotypeLists":
@@ -103,50 +107,43 @@ class StereotypeLists:
             return cls(male_stereotyped=frozenset(male), female_stereotyped=frozenset(female))
 
 
+# suite: (its name in messages, its set ids or None for any, the fields it requires)
+_SUITE_RULES = {
+    Suite.OTSC: ("OTSC", OTSC_QUADRANTS, ("gold_gender", "speaker_gender", "occupation")),
+    Suite.WINOMT: ("WinoMT", None, ("gold_gender", "stereotype", "referenced_entity",
+                                    "occupation")),
+    Suite.NEUTRAL: ("neutral", None, ()),
+}
+
+
 def validate_sentence(sentence: SourceSentence) -> None:
     """Check the per-suite invariants; raises CorpusError on the first violation."""
     if not sentence.id:
         raise CorpusError("empty id")
+    record = f"record {sentence.id!r}"
     if not sentence.text:
-        raise CorpusError(f"record {sentence.id!r}: empty text")
+        raise CorpusError(f"{record}: empty text")
     if not contains_devanagari(sentence.text):
-        raise CorpusError(f"record {sentence.id!r}: text contains no Devanagari")
+        raise CorpusError(f"{record}: text contains no Devanagari")
     gold, speaker = sentence.gold_gender, sentence.speaker_gender
     if gold is not None and gold not in GOLD_GENDERS:
-        raise CorpusError(
-            f"record {sentence.id!r}: gold gender must be male or female, got {gold.value!r}"
-        )
+        raise CorpusError(f"{record}: gold gender must be male or female, got {gold.value!r}")
     if speaker is not None and speaker not in GOLD_GENDERS:
-        raise CorpusError(f"record {sentence.id!r}: speaker gender must be male or female")
-
+        raise CorpusError(f"{record}: speaker gender must be male or female")
+    suite, set_ids, required = _SUITE_RULES[sentence.suite]
+    if set_ids is not None and sentence.set_id not in set_ids:
+        raise CorpusError(f"{record}: {suite} set_id must be one of {'/'.join(set_ids)}, "
+                          f"got {sentence.set_id!r}")
+    for name in required:
+        if getattr(sentence, name) is None:
+            raise CorpusError(f"{record}: {suite} requires {name}")
     if sentence.suite is Suite.OTSC:
-        if sentence.set_id not in OTSC_QUADRANTS:
-            raise CorpusError(
-                f"record {sentence.id!r}: OTSC set_id must be one of "
-                f"{'/'.join(OTSC_QUADRANTS)}, got {sentence.set_id!r}"
-            )
-        for name in ("gold_gender", "speaker_gender", "occupation"):
-            if getattr(sentence, name) is None:
-                raise CorpusError(f"record {sentence.id!r}: OTSC requires {name}")
-        if sentence.set_id[0] != _INITIALS[speaker]:
-            raise CorpusError(
-                f"record {sentence.id!r}: set_id {sentence.set_id} does not match "
-                f"speaker gender {speaker.value}"
-            )
-        if sentence.set_id[1] != _INITIALS[gold]:
-            raise CorpusError(
-                f"record {sentence.id!r}: set_id {sentence.set_id} does not match "
-                f"friend gender {gold.value}"
-            )
-    elif sentence.suite is Suite.WINOMT:
-        for name in ("gold_gender", "stereotype", "referenced_entity", "occupation"):
-            if getattr(sentence, name) is None:
-                raise CorpusError(f"record {sentence.id!r}: WinoMT requires {name}")
-    elif sentence.suite is Suite.NEUTRAL:
-        if gold is not None:
-            raise CorpusError(
-                f"record {sentence.id!r}: neutral records must not carry a gold gender"
-            )
+        for letter, whose, gender in zip(sentence.set_id, ("speaker", "friend"), (speaker, gold)):
+            if QUADRANT_GENDERS[letter] is not gender:
+                raise CorpusError(f"{record}: set_id {sentence.set_id} does not match "
+                                  f"{whose} gender {gender.value}")
+    elif sentence.suite is Suite.NEUTRAL and gold is not None:
+        raise CorpusError(f"{record}: neutral records must not carry a gold gender")
 
 
 def write_sentences(
@@ -165,19 +162,14 @@ def iter_sentences(
     Records may carry their suite inline (generated files always do); suite,
     when given, supplies it for records without one and rejects records of
     another suite. Neutral set ids outside the canonical S1..S7 are accepted
-    with one warning per set, once the file is read. The records of one read
-    share one copy of each distinct set_id and occupation.
+    with one warning per set, once the file is read.
     """
     decode = record_decoder(SourceSentence, CorpusError)
     seen_ids: dict[str, int] = {}
-    shared: dict[str, str] = {}
     neutral_sets: dict[str, None] = {}
     for lineno, record in read_jsonl(path, digest):
         if suite is not None and record.get("suite") is None:
             record["suite"] = suite.value
-        for name in ("set_id", "occupation"):
-            if type(value := record.get(name)) is str:
-                record[name] = shared.setdefault(value, value)
         sentence = decode(record, path, lineno)
         try:
             if suite is not None and sentence.suite is not suite:

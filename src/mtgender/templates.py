@@ -21,10 +21,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .corpus import (
-    OTSC_QUADRANTS,
-    GenderLabel,
-    SourceSentence,
-    Suite,
+    OTSC_QUADRANTS, QUADRANT_GENDERS, GenderLabel, SourceSentence, Suite, check_disjoint,
 )
 from .fileio import decode_document, devanagari_tokens, file_errors, load_json
 from .resources import data_path
@@ -126,15 +123,14 @@ def iter_otsc(
     if len(set(occupations)) != len(occupations):
         raise TemplateError("occupation list contains duplicates")
     template = template or OtscTemplate.default()
-    gender_of = {"M": GenderLabel.MALE, "F": GenderLabel.FEMALE}
     return (
         SourceSentence(
             id=f"otsc-{quadrant}-{index:05d}",
             text=template.render_quadrant(quadrant, occupation),
             suite=Suite.OTSC,
             set_id=quadrant,
-            gold_gender=gender_of[quadrant[1]],
-            speaker_gender=gender_of[quadrant[0]],
+            gold_gender=QUADRANT_GENDERS[quadrant[1]],
+            speaker_gender=QUADRANT_GENDERS[quadrant[0]],
             occupation=occupation,
         )
         for index, occupation in enumerate(occupations) for quadrant in OTSC_QUADRANTS
@@ -149,9 +145,7 @@ class CueInventory:
     female_cues: frozenset[str]
 
     def __post_init__(self) -> None:
-        overlap = self.male_cues & self.female_cues
-        if overlap:
-            raise TemplateError("cue inventories overlap: " + ", ".join(sorted(overlap)))
+        check_disjoint(self.male_cues, self.female_cues, "cue inventories", TemplateError)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CueInventory":

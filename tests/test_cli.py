@@ -488,11 +488,12 @@ def finished_run(tmp_path_factory):
 @given(data=st.data())
 def test_a_resume_from_any_split_is_byte_identical(finished_run, data):
     """Any split of a finished run into an output, which also holds FAILED
-    records and unknown ids, and a journal, perhaps ending in a torn line,
-    resumes to the bytes of the uninterrupted run, reusing each id that has
-    an OK record in either file. The lines of both files may be written as
-    another JSON writer would: keys in any order, non-ASCII escaped, padded
-    with spaces, ended in CRLF."""
+    records, unknown ids and OK records of another backend, and a journal,
+    perhaps ending in a torn line, resumes to the bytes of the uninterrupted
+    run, reusing each id that has an OK record of its own backend in either
+    file. The lines of both files may be written as another JSON writer
+    would: keys in any order, non-ASCII escaped, padded with spaces, ended
+    in CRLF."""
     argv, records, clean = finished_run
     reserialised = data.draw(st.booleans(), label="reserialised")
     shuffle = data.draw(st.randoms(use_true_random=False), label="key order").shuffle
@@ -510,6 +511,7 @@ def test_a_resume_from_any_split_is_byte_identical(finished_run, data):
 
     extra = [TranslationRecord.failed(r.source_id, "coin", "HTTP 503") for r in records]
     extra += [TranslationRecord.ok(f"ghost-{i}", "He left.", "coin") for i in range(3)]
+    extra += [replace(r, backend="other") for r in records]
     pool = st.sampled_from(records + extra)
     output = data.draw(st.none() | st.lists(pool, max_size=24), label="output")
     journal = data.draw(st.none() | st.lists(pool, max_size=24), label="journal")
@@ -699,19 +701,56 @@ def test_a_resume_with_something_changed_takes_the_full_path(tmp_path, monkeypat
 ], ids=["file_replay", "http"])
 def test_a_full_path_with_nothing_pending_builds_no_backend(tmp_path, monkeypatch, capsys,
                                                            backend):
-    """A resume through another backend takes the full path, since the run
-    id differs. With every record reused, it reads no replay file and builds
-    no client, either of which would fail here."""
+    """A resume through a backend entry of the same name and another kind
+    takes the full path, since the run id differs. With every record reused,
+    it reads no replay file and builds no client, either of which would fail
+    here."""
     monkeypatch.delenv("MTGENDER_UNSET_KEY", raising=False)
     argv = _finished_translate(tmp_path)
     out, config = tmp_path / "tr.jsonl", read_report(tmp_path / "backends.json")
-    config["backends"].append({"name": "other", **backend})
+    config["backends"][0] = {"name": "coin", **backend}
     (tmp_path / "backends.json").write_text(json.dumps(config), encoding="utf-8")
     clean = out.read_bytes()
     capsys.readouterr()
-    assert run([*argv[:6], "other", *argv[7:]]) == EXIT_OK
-    assert capsys.readouterr().out == "translated 16/16 ok (0 failed, 16 reused) via other\n"
+    assert run(argv) == EXIT_OK
+    assert capsys.readouterr().out == "translated 16/16 ok (0 failed, 16 reused) via coin\n"
     assert out.read_bytes() == clean
+
+
+def test_a_resume_through_another_backend_reuses_none_of_the_first_ones_records(
+    tmp_path, capsys
+):
+    """A coin_flip run loses its last output line and is resumed through an
+    always_male entry: the output is a fresh always_male run's, and
+    evaluate names that system alone."""
+    argv = _finished_translate(tmp_path)
+    out, config = tmp_path / "tr.jsonl", read_report(tmp_path / "backends.json")
+    config["backends"].append({"name": "male", "kind": "mock", "mock": {"spec": "always_male"}})
+    (tmp_path / "backends.json").write_text(json.dumps(config), encoding="utf-8")
+    argv = [*argv[:6], "male", *argv[7:-1]]
+    assert run([*argv, str(tmp_path / "clean.jsonl")]) == EXIT_OK
+    out.write_bytes(b"".join(out.read_bytes().splitlines(keepends=True)[:-1]))
+    capsys.readouterr()
+    assert run([*argv, str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == "translated 16/16 ok (0 failed, 0 reused) via male\n"
+    assert out.read_bytes() == (tmp_path / "clean.jsonl").read_bytes()
+    assert run(["evaluate", "--sentences", str(tmp_path / "otsc.jsonl"), "--translations",
+                str(out), "--suite", "otsc", "--out", str(tmp_path / "r.json")]) == EXIT_OK
+    assert read_report(tmp_path / "r.json")["backend"] == "male"
+
+
+def test_a_bad_config_is_named_before_the_sentences_of_a_finished_run(tmp_path, capsys):
+    """With a finished run's output and sidecar in place, a missing
+    sentences file and a bad backend config: the config is named, as in a
+    run with no sidecar."""
+    argv = _finished_translate(tmp_path)
+    config = tmp_path / "backends.json"
+    (tmp_path / "otsc.jsonl").unlink()
+    config.write_text('{"backends": 5}', encoding="utf-8")
+    capsys.readouterr()
+    assert run(argv) == EXIT_ABORTED
+    assert capsys.readouterr().err == (
+        f"error: {config}: config needs a 'backends' list of one or more objects\n")
 
 
 def _one_backend(path: Path, kind: str, url: str, batch_size: int) -> Path:
@@ -1882,7 +1921,7 @@ def test_no_stage_memory_grows_with_the_sentence_list(tmp_path):
     """generate, translate and evaluate hold no sentence list: from n
     occupations to 4n, generate's peak RSS stays flat, and translate's and
     evaluate's grow only by what they keep of each sentence, its id above
-    all, about 160 and 250 bytes a sentence. Holding the list, generate,
+    all, about 115 and 245 bytes a sentence. Holding the list, generate,
     translate and evaluate grew by 9, 9 and 13 MB from 1,500 occupations to
     6,000."""
     src = str(Path(mtgender.__file__).resolve().parents[1])
@@ -1917,6 +1956,6 @@ def test_no_stage_memory_grows_with_the_sentence_list(tmp_path):
     (generate_n, translate_n, evaluate_n), (generate_4n, translate_4n, evaluate_4n) = (
         peaks.values())
     assert generate_4n - generate_n < 3
-    # 350 bytes an added sentence
-    assert translate_4n - translate_n < 4 * 4500 * 350 / 2**20
+    # 135 and 350 bytes an added sentence
+    assert translate_4n - translate_n < 4 * 4500 * 135 / 2**20
     assert evaluate_4n - evaluate_n < 4 * 4500 * 350 / 2**20

@@ -20,6 +20,7 @@ from mtgender.corpus import (
     write_sentences,
 )
 from mtgender.backends import TranslationRecord, TranslationStatus
+from mtgender.cli import EXIT_ABORTED, run
 from mtgender.fileio import dumps_record, line_encoder, record_decoder
 from mtgender.resources import data_path
 
@@ -235,6 +236,78 @@ class TestLoadNeutralSets:
 
 
 # --------------------------------------------------------------------------
+# Sentence rules, one bad record each
+
+_GOOD = {
+    "otsc": {"id": "o1", "text": "मैं उसे जानता हूँ", "suite": "otsc", "set_id": "MF",
+             "gold_gender": "female", "speaker_gender": "male", "occupation": "डॉक्टर"},
+    "winomt": {"id": "w1", "text": "सचिव पूछती है", "suite": "winomt", "set_id": "type1",
+               "gold_gender": "female", "occupation": "सचिव", "stereotype": "pro",
+               "referenced_entity": "entity1"},
+    "neutral": {"id": "n1", "text": "वह ठीक है", "suite": "neutral", "set_id": "S1"},
+}
+
+
+@pytest.mark.parametrize("suite, edit, complaint", [
+    ("winomt", {"id": ""}, "record '': missing field 'id'"),
+    ("winomt", {"text": ""}, "record 'w1': missing field 'text'"),
+    ("winomt", {"text": "He asks"}, "record 'w1': text contains no Devanagari"),
+    ("winomt", {"gold_gender": "neutral"},
+     "record 'w1': gold gender must be male or female, got 'neutral'"),
+    ("otsc", {"gold_gender": "ambiguous"},
+     "record 'o1': gold gender must be male or female, got 'ambiguous'"),
+    ("otsc", {"speaker_gender": "neutral"}, "record 'o1': speaker gender must be male or female"),
+    ("neutral", {"speaker_gender": "ambiguous"},
+     "record 'n1': speaker gender must be male or female"),
+    ("otsc", {"set_id": "MX"}, "record 'o1': OTSC set_id must be one of FF/FM/MF/MM, got 'MX'"),
+    ("otsc", {"gold_gender": None, "speaker_gender": None, "occupation": None},
+     "record 'o1': OTSC requires gold_gender"),
+    ("otsc", {"gold_gender": None}, "record 'o1': OTSC requires gold_gender"),
+    ("otsc", {"speaker_gender": None}, "record 'o1': OTSC requires speaker_gender"),
+    ("otsc", {"occupation": None}, "record 'o1': OTSC requires occupation"),
+    ("winomt", {"gold_gender": None, "stereotype": None, "referenced_entity": None,
+                "occupation": None}, "record 'w1': WinoMT requires gold_gender"),
+    ("winomt", {"gold_gender": None}, "record 'w1': WinoMT requires gold_gender"),
+    ("winomt", {"stereotype": None}, "record 'w1': WinoMT requires stereotype"),
+    ("winomt", {"referenced_entity": None}, "record 'w1': WinoMT requires referenced_entity"),
+    ("winomt", {"referenced_entity": None, "occupation": None},
+     "record 'w1': WinoMT requires referenced_entity"),
+    ("winomt", {"occupation": None}, "record 'w1': WinoMT requires occupation"),
+    ("otsc", {"speaker_gender": "female"},
+     "record 'o1': set_id MF does not match speaker gender female"),
+    ("otsc", {"gold_gender": "male"}, "record 'o1': set_id MF does not match friend gender male"),
+    ("otsc", {"set_id": "FM"}, "record 'o1': set_id FM does not match speaker gender male"),
+    ("otsc", {"set_id": "MM"}, "record 'o1': set_id MM does not match friend gender female"),
+    ("neutral", {"gold_gender": "male"},
+     "record 'n1': neutral records must not carry a gold gender"),
+])
+def test_each_sentence_rule_gives_its_error_line(tmp_path, backends_config, capsys, suite, edit,
+                                                 complaint):
+    """A sentence file whose one record breaks one rule: translate ends in
+    exactly that rule's error line, whose checks run in a fixed order."""
+    path = tmp_path / "s.jsonl"
+    record = {k: v for k, v in {**_GOOD[suite], **edit}.items() if v is not None}
+    path.write_text(dumps_record(record) + "\n", encoding="utf-8")
+    assert run(["translate", "--sentences", str(path), "--config", str(backends_config),
+                "--backend", "coin", "--out", str(tmp_path / "tr.jsonl")]) == EXIT_ABORTED
+    assert capsys.readouterr().err == f"error: {path}: line 1: {complaint}\n"
+
+
+@pytest.mark.parametrize("edit, complaint", [
+    ({"id": ""}, "empty id"),
+    ({"text": ""}, "record 'w1': empty text"),
+])
+def test_a_sentence_built_with_an_empty_id_or_text_is_refused(edit, complaint):
+    """A file cannot give an empty id or text, which read as missing; a
+    sentence built in code can."""
+    record = {**_GOOD["winomt"], "suite": Suite.WINOMT, "gold_gender": GenderLabel.FEMALE,
+              "stereotype": Stereotype.PRO, "referenced_entity": ReferencedEntity.ENTITY1, **edit}
+    with pytest.raises(CorpusError) as caught:
+        validate_sentence(SourceSentence(**record))
+    assert str(caught.value) == complaint
+
+
+# --------------------------------------------------------------------------
 # Stereotype assignment
 
 
@@ -293,17 +366,6 @@ class TestRoundTrip:
         out = tmp_path / "otsc.jsonl"
         write_sentences(out, [sentence])
         assert list(iter_sentences(out, Suite.OTSC)) == [sentence]
-
-    @pytest.mark.parametrize("name", ["set_id", "occupation"])
-    def test_records_of_one_read_share_each_set_id_and_occupation(self, tmp_path,
-                                                                  winomt_corpus_400, name):
-        """json gives each record fresh copies of its strings; a read keeps
-        one object per distinct set_id and occupation."""
-        out = tmp_path / "syn.jsonl"
-        write_sentences(out, winomt_corpus_400)
-        first, *rest = list(iter_sentences(out, Suite.WINOMT))
-        same = [s for s in rest if getattr(s, name) == getattr(first, name)]
-        assert len(same) > 1 and all(getattr(s, name) is getattr(first, name) for s in same)
 
     def test_otsc_quadrant_consistency_enforced(self):
         sentence = SourceSentence(
