@@ -290,49 +290,96 @@ def _handed_on(first: list[SourceSentence], rest: Iterator[SourceSentence]
 # evaluate
 
 
+class _OutOfStep(ValueError):
+    """The translations part from the sentences; args[0]: whether the sentences had ended."""
+
+
+def _in_step(sentences: Iterator[SourceSentence], translations: Iterator[TranslationRecord],
+             group: Any) -> Iterator[tuple[tuple, TranslationRecord]]:
+    """((group, gold) key, translation) of each translation of the sentence on
+    its line; _OutOfStep at the first that is not, or at a file that ends first."""
+    for t in translations:
+        s = next(sentences, None)
+        if s is None or t.source_id != s.id:
+            raise _OutOfStep(s is None)
+        yield (group(s), s.gold_gender), t
+    if next(sentences, None) is not None:
+        raise _OutOfStep(False)
+
+
+def _tally(pairs: Iterator[tuple[tuple | None, TranslationRecord]], lexicon: PronounLexicon,
+           copies: dict[str, int] | None = None) -> tuple[set[str], Counter, int]:
+    """(backends, cells, failed) of (key, translation) pairs: each OK one of a
+    known key is classified into its (group, gold, predicted) cell. copies,
+    when given, counts each id's translations."""
+    backends, cells, failed = set(), Counter(), 0
+    for key, t in pairs:
+        if copies is not None:
+            copies[t.source_id] = copies.get(t.source_id, 0) + 1
+        backends.add(t.backend)
+        if t.status is not TranslationStatus.OK:
+            failed += 1
+        elif key is not None:
+            cells[(*key, classify_gender(t.target_text, lexicon)[0])] += 1
+    return backends, cells, failed
+
+
+def _lexicon(args: argparse.Namespace) -> PronounLexicon:
+    if args.pronouns:
+        return PronounLexicon.from_file(args.pronouns)
+    return PronounLexicon.strict() if args.strict else PronounLexicon.default()
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     _refuse_inputs_as_outputs(args, "--out --table", "--sentences --translations --pronouns "
                               "--male-stereotypes --female-stereotypes")
     suite = Suite(args.suite)
-    digests = {"sentences": hashlib.sha256(), "translations": hashlib.sha256()}
-    # the sentences are read once and none is held: of each only its id and
-    # its (group, gold) key are kept, one tuple per distinct key. The lists
-    # are loaded once the sentences are read, whose errors come first, so
-    # with lists a key holds the occupation, which they map to its stereotype
+    # with lists, a group holds the occupation, which they map to its
+    # stereotype once every translation is counted
     group = attrgetter("set_id" if suite is not Suite.WINOMT else
                        "occupation" if args.male_stereotypes else "stereotype")
-    keys: dict[tuple, tuple] = {}
-    index = {s.id: keys.setdefault(key, key)
-             for s in iter_sentences(args.sentences, suite, digests["sentences"])
-             for key in [(group(s), s.gold_gender)]}
 
-    stereotype_paths = None
+    def read(warn: bool = True) -> tuple[dict[str, Any], Iterator, Iterator]:
+        """(digests, sentences, translations): a fresh read of each file, digested as read."""
+        digests = {"sentences": hashlib.sha256(), "translations": hashlib.sha256()}
+        return (digests, iter_sentences(args.sentences, suite, digests["sentences"], warn),
+                iter_translations(args.translations, digest=digests["translations"]))
+
+    # the files are read once, in step, while each translation is of the
+    # sentence on its line: then no id is kept, and none needs checking
+    lexicon, index, copies, ended = None, {}, {}, False
+    try:
+        digests, sentences, translations = read()
+        lexicon = _lexicon(args)
+        counted = _tally(_in_step(sentences, translations, group), lexicon)
+    except (ValueError, OSError) as exc:
+        counted, ended = None, isinstance(exc, _OutOfStep) and exc.args[0]
+    if counted is None:
+        # else both are read again, each error in its place: first the
+        # sentences, whose warnings are logged once, keeping of each its id and
+        # its (group, gold) key, one tuple per distinct key; then the lists and
+        # the lexicon; then the translations, keeping of each its id
+        digests, sentences, translations = read(warn=not ended)
+        keys: dict[tuple, tuple] = {}
+        index = {s.id: keys.setdefault(key, key)
+                 for s in sentences for key in [(group(s), s.gold_gender)]}
+
+    lists = None
     if bool(args.male_stereotypes) != bool(args.female_stereotypes):
         raise CliError("--male-stereotypes and --female-stereotypes must be given together")
     if args.male_stereotypes:
         if suite is not Suite.WINOMT:
             raise CliError("stereotype lists only apply to the winomt suite")
         lists = StereotypeLists.from_files(args.male_stereotypes, args.female_stereotypes)
-        keys = {key: (assign_stereotype(*key, lists), key[1]) for key in keys}
-        stereotype_paths = [args.male_stereotypes, args.female_stereotypes]
-
-    if args.pronouns:
-        lexicon = PronounLexicon.from_file(args.pronouns)
-    elif args.strict:
-        lexicon = PronounLexicon.strict()
-    else:
-        lexicon = PronounLexicon.default()
-
-    # the translations are read once and none is held: each OK one of a known
-    # id is classified into its cell, and of each record only its id and backend kept
-    copies, backends, cells, failed = {}, set(), Counter(), 0
-    for t in iter_translations(args.translations, digest=digests["translations"]):
-        copies[t.source_id] = copies.get(t.source_id, 0) + 1
-        backends.add(t.backend)
-        if t.status is not TranslationStatus.OK:
-            failed += 1
-        elif t.source_id in index:
-            cells[(*keys[index[t.source_id]], classify_gender(t.target_text, lexicon)[0])] += 1
+    if counted is None:
+        counted = _tally(((index.get(t.source_id), t) for t in translations),
+                         lexicon or _lexicon(args), copies)
+    backends, cells, failed = counted
+    if lists is not None:
+        stereotyped = Counter()
+        for (occupation, gold, predicted), n in cells.items():
+            stereotyped[assign_stereotype(occupation, gold, lists), gold, predicted] += n
+        cells = stereotyped
 
     # each input is digested as it is read: for the manifest check and for the report
     inputs = {name: {"path": getattr(args, name), "sha256": digest.hexdigest()}
@@ -355,8 +402,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                        f"({len(index.keys() - copies.keys())} missing, "
                        f"{len(copies.keys() - index.keys())} unknown)")
 
+    # every translation is now of a sentence, each sentence's once
     counted = sum(cells.values())
-    counts = {"sources": len(index), "translated_ok": counted, "translated_failed": failed,
+    counts = {"sources": counted + failed, "translated_ok": counted, "translated_failed": failed,
               "classified": counted}
     # a file with nothing to count, or too little for a metric, is named
     with file_errors(args.translations, CliError):
@@ -375,7 +423,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     options = {
         "strict": bool(args.strict),
         "neutral_as_positive": bool(args.neutral_as_positive),
-        "stereotype_lists": stereotype_paths,
+        "stereotype_lists": None if lists is None else [args.male_stereotypes,
+                                                        args.female_stereotypes],
         "pronouns": args.pronouns,
     }
     run_id = derive_run_id("evaluate", inputs, suite=suite.value, backend=backend_name,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import logging
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator
@@ -153,8 +154,12 @@ def write_sentences(
     return write_jsonl(path, map(line_encoder(SourceSentence), sentences), digest)
 
 
+#: The duplicate screen's hash of an id; hash() never returns -1, the screen's free slot.
+_id_hash = hash
+
+
 def iter_sentences(
-    path: str | Path, suite: Suite | None = None, digest: Any = None
+    path: str | Path, suite: Suite | None = None, digest: Any = None, warn: bool = True
 ) -> Iterator[SourceSentence]:
     """Yield the validated records of a sentence file of any suite; digest, a
     hashlib object, when given, takes its bytes.
@@ -162,10 +167,14 @@ def iter_sentences(
     Records may carry their suite inline (generated files always do); suite,
     when given, supplies it for records without one and rejects records of
     another suite. Neutral set ids outside the canonical S1..S7 are accepted
-    with one warning per set, once the file is read.
+    with one warning per set, once the file is read, unless warn is false.
     """
     decode = record_decoder(SourceSentence, CorpusError)
-    seen_ids: dict[str, int] = {}
+    # of each id only its hash is kept, 8 bytes a slot of an open-addressed
+    # table that doubles at half full; a hash seen before has the file read
+    # again up to the first line of the id, which is this one unless the id
+    # is a duplicate
+    table, mask, n = array("q", [-1]) * 8, 7, 0
     neutral_sets: dict[str, None] = {}
     for lineno, record in read_jsonl(path, digest):
         if suite is not None and record.get("suite") is None:
@@ -178,19 +187,34 @@ def iter_sentences(
                     f"match expected {suite.value!r}"
                 )
             validate_sentence(sentence)
-            first = seen_ids.setdefault(sentence.id, lineno)
-            if first != lineno:
-                raise CorpusError(
-                    f"duplicate id {sentence.id!r} (first seen on line {first})"
-                )
+            h = _id_hash(sentence.id)
+            i = h & mask
+            while table[i] != h and table[i] != -1:
+                i = (i + 1) & mask
+            if table[i] == h:
+                first = next(line for line, earlier in read_jsonl(path)
+                             if earlier["id"] == sentence.id)
+                if first != lineno:
+                    raise CorpusError(
+                        f"duplicate id {sentence.id!r} (first seen on line {first})"
+                    )
+            table[i] = h
         except CorpusError as exc:
             raise CorpusError(f"{path}: line {lineno}: {exc}") from None
+        n += 1
+        if 2 * n > len(table):
+            table, old, mask = array("q", [-1]) * (2 * len(table)), table, 2 * mask + 1
+            for h in filter((-1).__ne__, old):
+                i = h & mask
+                while table[i] != -1:
+                    i = (i + 1) & mask
+                table[i] = h
         if sentence.suite is Suite.NEUTRAL:
             neutral_sets[sentence.set_id] = None
         yield sentence
-    if not seen_ids:
+    if not n:
         raise CorpusError(f"{path}: no records found")
-    for set_id in neutral_sets:
+    for set_id in neutral_sets if warn else ():
         if set_id not in NEUTRAL_SET_IDS:
             logger.warning("%s: set id %r is outside the canonical S1..S7", path, set_id)
 

@@ -1853,9 +1853,8 @@ def _held_for_at_most(items, refs: list, window: int = 2):
 
 def test_evaluate_holds_no_sentence_and_no_translation(tmp_path, monkeypatch):
     """evaluate reads the sentences one at a time, holding none: by the time
-    sentence k is read, sentence k-2 is gone, and every sentence is gone
-    before a translation is read; by the time translation k is read,
-    translation k-2 is gone."""
+    sentence k is read, sentence k-2 is gone, and by the time translation k
+    is read, sentence k-2 and translation k-2 are gone."""
     sentences = build_winomt_corpus(200)
     records = [TranslationRecord.failed(s.id, "x", "HTTP 503") if i % 5 == 0
                else TranslationRecord.ok(s.id, "he said", "x") for i, s in enumerate(sentences)]
@@ -1868,7 +1867,8 @@ def test_evaluate_holds_no_sentence_and_no_translation(tmp_path, monkeypatch):
     def translations_spy(*args, **kwargs):
         for translation in _held_for_at_most(iter_translations(*args, **kwargs),
                                                  translation_refs):
-            assert all(ref() is None for ref in sentence_refs)
+            k = len(translation_refs) - 1
+            assert k < 2 or sentence_refs[k - 2]() is None, f"sentence {k - 2} is kept"
             yield translation
 
     monkeypatch.setattr(mtgender.cli, "iter_sentences", lambda *args, **kwargs:
@@ -1920,8 +1920,8 @@ _PEAK_RSS_KIB = ("import resource, subprocess, sys; "
 def test_no_stage_memory_grows_with_the_sentence_list(tmp_path):
     """generate, translate and evaluate hold no sentence list: from n
     occupations to 4n, generate's peak RSS stays flat, and translate's and
-    evaluate's grow only by what they keep of each sentence, its id above
-    all, about 115 and 245 bytes a sentence. Holding the list, generate,
+    evaluate's grow only by what they keep of each sentence, its id's hash
+    above all, about 20 and 40 bytes a sentence. Holding the list, generate,
     translate and evaluate grew by 9, 9 and 13 MB from 1,500 occupations to
     6,000."""
     src = str(Path(mtgender.__file__).resolve().parents[1])
@@ -1956,6 +1956,213 @@ def test_no_stage_memory_grows_with_the_sentence_list(tmp_path):
     (generate_n, translate_n, evaluate_n), (generate_4n, translate_4n, evaluate_4n) = (
         peaks.values())
     assert generate_4n - generate_n < 3
-    # 135 and 350 bytes an added sentence
-    assert translate_4n - translate_n < 4 * 4500 * 135 / 2**20
-    assert evaluate_4n - evaluate_n < 4 * 4500 * 350 / 2**20
+    # 75 bytes an added sentence
+    assert translate_4n - translate_n < 4 * 4500 * 75 / 2**20
+    assert evaluate_4n - evaluate_n < 4 * 4500 * 75 / 2**20
+
+
+# --------------------------------------------------------------------------
+# evaluate reads its two files in step, else by an index of the sentences
+
+
+def _in_order(suite: str, size: int = 40, seed: int = 3) -> tuple[list[SourceSentence], list]:
+    """size sentences of suite and a translation of each, in sentence order."""
+    sentences, records = _stream_inputs(suite, size, random.Random(seed))
+    order = {s.id: i for i, s in enumerate(sentences)}
+    return sentences, sorted(records, key=lambda r: order[r.source_id])
+
+
+def _evaluate(monkeypatch, tmp: Path, suite: str, options=(), by_index: bool = False):
+    """evaluate over tmp's s.jsonl and tr.jsonl: (exit code, stdout, stderr,
+    report bytes or None, how many reads of the sentences it began). With
+    by_index, the in-step read gives up at once."""
+    reads = []
+    iter_sentences = mtgender.cli.iter_sentences
+    with monkeypatch.context() as patch:
+        patch.setattr(mtgender.cli, "iter_sentences",
+                      lambda *args: reads.append(args) or iter_sentences(*args))
+        if by_index:
+            def give_up(*args):
+                raise mtgender.cli._OutOfStep(False)
+            patch.setattr(mtgender.cli, "_in_step", give_up)
+        report = tmp / "r.json"
+        report.unlink(missing_ok=True)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run(["evaluate", "--sentences", str(tmp / "s.jsonl"), "--translations",
+                        str(tmp / "tr.jsonl"), "--suite", suite, "--out", str(report),
+                        *(o.format(tmp=tmp) for o in options)])
+    return (code, stdout.getvalue(), stderr.getvalue(),
+            report.read_bytes() if report.exists() else None, len(reads))
+
+
+_LISTS = ["--male-stereotypes", "{tmp}/male.txt", "--female-stereotypes", "{tmp}/female.txt"]
+
+
+@pytest.mark.parametrize("suite, options", [
+    ("otsc", []), ("neutral", []), ("winomt", []), ("winomt", ["--strict"]),
+    ("winomt", ["--neutral-as-positive"]), ("winomt", [*_LISTS, "--strict"]),
+    ("winomt", [*_LISTS, "--neutral-as-positive"]),
+], ids=["otsc", "neutral", "winomt", "strict", "neutral-as-positive", "lists strict",
+        "lists neutral-as-positive"])
+def test_the_in_step_read_gives_the_bytes_of_the_index_read(tmp_path, monkeypatch, suite,
+                                                           options):
+    """Translations in sentence order are read in step with the sentences,
+    each file once, and give the stdout and report bytes that the read by an
+    index of the sentences gives for the same files."""
+    sentences, records = _in_order(suite)
+    write_sentences(tmp_path / "s.jsonl", sentences)
+    write_translations(tmp_path / "tr.jsonl", records)
+    (tmp_path / "male.txt").write_text(f"{MALE_OCC}\n", encoding="utf-8")
+    (tmp_path / "female.txt").write_text(f"{FEMALE_OCC}\n", encoding="utf-8")
+    *in_step, reads = _evaluate(monkeypatch, tmp_path, suite, options)
+    assert reads == 1 and in_step[0] == EXIT_OK and in_step[2] == ""
+    *by_index, reads = _evaluate(monkeypatch, tmp_path, suite, options, by_index=True)
+    assert reads == 2 and by_index == in_step
+
+
+def test_a_shuffled_translations_file_gives_the_same_report(tmp_path, monkeypatch):
+    """Shuffled translations are read by the index: the table and the report
+    are those of the same translations in order, but for the digest of the
+    translations file and the run id derived from it."""
+    sentences, records = _in_order("winomt")
+    write_sentences(tmp_path / "s.jsonl", sentences)
+    write_translations(tmp_path / "tr.jsonl", records)
+    code, table, err, in_order, reads = _evaluate(monkeypatch, tmp_path, "winomt", ["--strict"])
+    assert (code, err, reads) == (EXIT_OK, "", 1)
+    random.Random(5).shuffle(records)
+    write_translations(tmp_path / "tr.jsonl", records)
+    code, out, err, shuffled, reads = _evaluate(monkeypatch, tmp_path, "winomt", ["--strict"])
+    assert (code, out, err, reads) == (EXIT_OK, table, "", 2)
+    first, then = json.loads(in_order), json.loads(shuffled)
+    assert then["inputs"]["translations"]["sha256"] == hashlib.sha256(
+        (tmp_path / "tr.jsonl").read_bytes()).hexdigest()
+    for payload in (first, then):
+        del payload["run_id"], payload["inputs"]["translations"]
+    assert first == then
+
+
+@pytest.mark.parametrize("case", ["missing", "unknown", "duplicated", "last missing",
+                                  "one more"])
+def test_a_translation_out_of_step_gives_the_id_check_message(tmp_path, monkeypatch, case):
+    """A translation missing, unknown or duplicated in the middle of the file,
+    or at its end, ends the in-step read, and the index read names it as
+    before."""
+    sentences, records = _in_order("otsc", 12)
+    extra = TranslationRecord.ok("zz", "he", "b")
+    records = {"missing": records[:5] + records[6:],
+               "unknown": [*records[:5], extra, *records[5:]],
+               "duplicated": [*records[:7], records[3], *records[7:]],
+               "last missing": records[:-1], "one more": [*records, extra]}[case]
+    write_sentences(tmp_path / "s.jsonl", sentences)
+    write_translations(tmp_path / "tr.jsonl", records)
+    code, out, err, report, _ = _evaluate(monkeypatch, tmp_path, "otsc")
+    translations = tmp_path / "tr.jsonl"
+    mismatch = f"error: {translations}: ids do not match {tmp_path / 's.jsonl'}"
+    expected = {"missing": f"{mismatch} (1 missing, 0 unknown)",
+                "last missing": f"{mismatch} (1 missing, 0 unknown)",
+                "unknown": f"{mismatch} (0 missing, 1 unknown)",
+                "one more": f"{mismatch} (0 missing, 1 unknown)",
+                "duplicated": f"error: {translations}: duplicate source_id "
+                              f"{records[3].source_id!r}"}[case]
+    assert (code, out, err, report) == (EXIT_ABORTED, "", expected + "\n", None)
+
+
+@pytest.mark.parametrize("bad_sentence", ["oops", "duplicate"])
+def test_a_late_sentence_error_wins_over_an_early_translation_error(tmp_path, monkeypatch,
+                                                                    bad_sentence):
+    """A bad second translation line ends the in-step read at line 2, and the
+    index read reports the bad sentence line near the end, as it comes first."""
+    sentences, records = _in_order("winomt", 12)
+    write_sentences(tmp_path / "s.jsonl", sentences)
+    lines = (tmp_path / "s.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[10] = "oops\n" if bad_sentence == "oops" else lines[2]
+    (tmp_path / "s.jsonl").write_text("".join(lines), encoding="utf-8")
+    write_translations(tmp_path / "tr.jsonl", records)
+    lines = (tmp_path / "tr.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    (tmp_path / "tr.jsonl").write_text("".join([lines[0], "oops\n", *lines[2:]]),
+                                       encoding="utf-8")
+    problem = ("invalid JSON (Expecting value)" if bad_sentence == "oops" else
+               f"duplicate id {sentences[2].id!r} (first seen on line 3)")
+    code, out, err, report, _ = _evaluate(monkeypatch, tmp_path, "winomt", _LISTS)
+    assert (code, out, err, report) == (
+        EXIT_ABORTED, "", f"error: {tmp_path / 's.jsonl'}: line 11: {problem}\n", None)
+
+
+@pytest.mark.parametrize("case", ["in order", "one more", "last missing", "shuffled"])
+def test_a_set_id_warning_is_logged_once_whichever_read_counts(tmp_path, monkeypatch, caplog,
+                                                               case):
+    """A neutral set id outside S1..S7 is warned of once, also where the
+    in-step read reached the last sentence before it gave up."""
+    sentences, records = _in_order("neutral", 12)
+    sentences[4] = replace(sentences[4], set_id="S9")
+    records = {"in order": records, "one more": [*records, TranslationRecord.ok("zz", "he", "b")],
+               "last missing": records[:-1], "shuffled": records[::-1]}[case]
+    write_sentences(tmp_path / "s.jsonl", sentences)
+    write_translations(tmp_path / "tr.jsonl", records)
+    with caplog.at_level("WARNING"):
+        code, _, err, _, _ = _evaluate(monkeypatch, tmp_path, "neutral")
+    warning = f"{tmp_path / 's.jsonl'}: set id 'S9' is outside the canonical S1..S7"
+    assert caplog.messages.count(warning) == 1
+    assert code == (EXIT_OK if case in ("in order", "shuffled") else EXIT_ABORTED)
+    mismatch = {"one more": "0 missing, 1 unknown", "last missing": "1 missing, 0 unknown"}
+    if case in mismatch:
+        assert err == (f"error: {tmp_path / 'tr.jsonl'}: ids do not match "
+                       f"{tmp_path / 's.jsonl'} ({mismatch[case]})\n")
+
+
+def test_every_id_of_one_hash_gives_the_same_pipeline_bytes(tmp_path, monkeypatch, capsys,
+                                                            backends_config):
+    """With one hash for every id, each sentence line has the earlier ones
+    read again: generate, translate and evaluate write the same bytes and
+    print the same lines, and a duplicate id gives the same message."""
+    occupations = tmp_path / "occ.txt"
+    occupations.write_text("डॉक्टर\nवकील\nनर्स\nमाली\n", encoding="utf-8")
+
+    def pipeline(root: Path) -> list:
+        root.mkdir()
+        sentences, translations = root / "s.jsonl", root / "tr.jsonl"
+        codes = [run(["generate", "--occupations", str(occupations), "--out", str(sentences)]),
+                 run(["translate", "--sentences", str(sentences), "--config",
+                      str(backends_config), "--backend", "coin", "--out", str(translations)]),
+                 run(["evaluate", "--sentences", str(sentences), "--translations",
+                      str(translations), "--suite", "otsc", "--out", str(root / "r.json")])]
+        lines = sentences.read_text(encoding="utf-8").splitlines(keepends=True)
+        sentences.write_text("".join([*lines, lines[5]]), encoding="utf-8")
+        codes.append(run(["evaluate", "--sentences", str(sentences), "--translations",
+                          str(translations), "--suite", "otsc", "--out", str(root / "d.json")]))
+        printed = capsys.readouterr()
+        return [codes, printed.out.replace(str(root), "<root>"),
+                printed.err.replace(str(root), "<root>"),
+                *((root / name).read_bytes() for name in ("s.jsonl", "tr.jsonl", "r.json"))]
+
+    real = pipeline(tmp_path / "real")
+    assert real[0] == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_ABORTED]
+    assert real[2] == ("error: <root>/s.jsonl: line 17: duplicate id 'otsc-FM-00001' "
+                       "(first seen on line 6)\n")
+    monkeypatch.setattr(mtgender.corpus, "_id_hash", lambda _: 42)
+    assert pipeline(tmp_path / "one") == real
+
+
+def test_a_duplicate_id_stops_a_mock_translate_with_the_batches_before_it_journaled(
+    tmp_path, capsys
+):
+    """The 14th line repeats the 3rd one's id: with four sentences to a batch,
+    a mock run stops there, the three batches before it in the journal, as a
+    clean run writes their lines."""
+    sentences = tmp_path / "s.jsonl"
+    write_sentences(sentences, build_winomt_corpus(20))
+    config = _one_backend(tmp_path / "backends.json", "mock", "", batch_size=4)
+    argv = ["translate", "--sentences", str(sentences), "--config", str(config),
+            "--backend", "b", "--suite", "winomt"]
+    assert run([*argv, "--out", str(tmp_path / "clean.jsonl")]) == EXIT_OK
+    lines = sentences.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[13] = lines[2]
+    sentences.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert run([*argv, "--out", str(tmp_path / "tr.jsonl")]) == EXIT_ABORTED
+    assert capsys.readouterr().err == (f"error: {sentences}: line 14: duplicate id 'syn-0002' "
+                                       "(first seen on line 3)\n")
+    clean = (tmp_path / "clean.jsonl").read_bytes().splitlines(keepends=True)
+    assert (tmp_path / "tr.jsonl.partial").read_bytes() == b"".join(clean[:12])
+    assert not (tmp_path / "tr.jsonl").exists()

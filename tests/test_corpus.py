@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mtgender.corpus
 from mtgender.corpus import (
     CorpusError,
     GenderLabel,
@@ -423,3 +424,65 @@ def test_record_round_trip_property(record):
 def test_build_winomt_corpus_is_valid():
     for sentence in build_winomt_corpus(40):
         validate_sentence(sentence)
+
+
+# --------------------------------------------------------------------------
+# The duplicate-id screen, which keeps of each id only its hash
+
+
+def _winomt_lines(ids) -> str:
+    """A WinoMT sentences file with one record for each of ids, in order, and
+    a blank line after the second, which a line number still counts."""
+    lines = [dumps_record({"id": i, "text": "मैकेनिक वाक्य", "gold_gender": "male",
+                           "stereotype": "pro", "occupation": "मैकेनिक",
+                           "referenced_entity": "entity1", "set_id": "main"}) for i in ids]
+    lines.insert(2, "")
+    return "\n".join(lines) + "\n"
+
+
+_COLLIDING_HASHES = {"one value": lambda _: 42, "length": len, "negative": lambda i: -len(i)}
+
+
+@pytest.mark.parametrize("collide", _COLLIDING_HASHES.values(), ids=_COLLIDING_HASHES)
+@pytest.mark.parametrize("ids, line", [
+    ([f"r{i}" for i in range(12)], None),
+    (["r0", "r1", "r22", "r3", "r22", "r4"], "line 6: duplicate id 'r22' (first seen on line 4)"),
+    (["r0", "x0", "r1", "x0", "r0"], "line 5: duplicate id 'x0' (first seen on line 2)"),
+    (["a", "bb", "cc", "a"], "line 5: duplicate id 'a' (first seen on line 1)"),
+], ids=["clean", "duplicate", "second of two", "first line"])
+def test_ids_of_one_hash_read_as_with_the_real_hash(tmp_path, monkeypatch, collide, ids, line):
+    """Unequal ids of one hash only have the earlier lines read again: a
+    clean file gives the same sentences, and a duplicate the same message on
+    the same line, as with hash()."""
+    path = tmp_path / "s.jsonl"
+    path.write_text(_winomt_lines(ids), encoding="utf-8")
+
+    def read():
+        try:
+            return [s.id for s in iter_sentences(path, Suite.WINOMT)]
+        except CorpusError as exc:
+            return str(exc)
+
+    real = read()
+    assert real == (ids if line is None else f"{path}: {line}")
+    monkeypatch.setattr(mtgender.corpus, "_id_hash", collide)
+    assert read() == real
+
+
+@pytest.mark.parametrize("spread", [hash, lambda i: int(i[1:]) << 6],
+                         ids=["hash", "hashes 64 apart"])
+def test_the_screen_keeps_every_id_as_its_table_grows(tmp_path, monkeypatch, spread):
+    """2,000 ids, past several doublings of the table, read clean, and a
+    duplicate of any of them is found after them: no hash is lost when the
+    table grows, also where the hashes crowd into few home slots."""
+    monkeypatch.setattr(mtgender.corpus, "_id_hash", spread)
+    ids = [f"r{i}" for i in range(2000)]
+    path = tmp_path / "s.jsonl"
+    path.write_text(_winomt_lines(ids), encoding="utf-8")
+    assert [s.id for s in iter_sentences(path, Suite.WINOMT)] == ids
+    for k in range(0, 2000, 222):
+        path.write_text(_winomt_lines([*ids, ids[k]]), encoding="utf-8")
+        with pytest.raises(CorpusError) as caught:
+            list(iter_sentences(path, Suite.WINOMT))
+        assert str(caught.value) == (f"{path}: line 2002: duplicate id {ids[k]!r} "
+                                     f"(first seen on line {k + 1 + (k >= 2)})")

@@ -209,6 +209,39 @@ def test_translations_in_reverse_order_give_the_same_table(pipeline, tmp_path):
     assert out == pipeline.evaluated
 
 
+def test_the_hash_seed_changes_no_output(pipeline, tmp_path, installed):
+    """The duplicate-id screen keeps each id's hash(), which PYTHONHASHSEED
+    salts: under two seeds the three stages print the same lines and write
+    the same bytes, and a duplicate id gives the same error."""
+    runs = []
+    for seed in ("0", "1"):
+        root = tmp_path / seed
+        root.mkdir()
+        copy(pipeline, root, "backends.json")
+
+        def stage(*argv: str) -> tuple[int, str, str]:
+            result = subprocess.run([*COMMAND, *argv], cwd=root, capture_output=True,
+                                    env={**ENV, "PYTHONHASHSEED": seed}, encoding="utf-8",
+                                    timeout=120)
+            return result.returncode, result.stdout, result.stderr
+
+        printed = [stage("generate", "--occupations", str(installed["occupations_sample.txt"]),
+                         "--out", "otsc.jsonl"), stage(*TRANSLATE),
+                   stage(*EVALUATE, "--out", "report.json")]
+        written = [(root / name).read_bytes()
+                   for name in ("otsc.jsonl", "translations.jsonl", "report.json")]
+        with open(root / "otsc.jsonl", "ab") as fh:
+            fh.write(written[0].splitlines(keepends=True)[-1])
+        printed.append(stage(*EVALUATE, "--no-verify", "--out", "duplicate.json"))
+        runs.append((printed, written))
+    assert runs[0] == runs[1]
+    assert [code for code, _, _ in runs[0][0]] == [0, 0, 0, 1]
+    assert runs[0][0][3][2] == (f"error: otsc.jsonl: line {pipeline.n + 1}: duplicate id "
+                                f"'otsc-MM-{pipeline.n // 4 - 1:05d}' (first seen on line "
+                                f"{pipeline.n})\n")
+    assert runs[0][1][2] == (pipeline.root / "report.json").read_bytes()
+
+
 def test_the_winomt_sample_carries_the_tags_its_packaged_lists_give(pipeline, tmp_path,
                                                                   installed):
     """Recomputing the packaged sample's stereotype tags from the packaged
