@@ -290,38 +290,45 @@ def _handed_on(first: list[SourceSentence], rest: Iterator[SourceSentence]
 # evaluate
 
 
-class _OutOfStep(ValueError):
-    """The translations part from the sentences; args[0]: whether the sentences had ended."""
+class _Unmatched(ValueError):
+    """A translation of no sentence, or a sentence of none; args[0]: whether
+    the sentences were read to their end."""
 
 
-def _in_step(sentences: Iterator[SourceSentence], translations: Iterator[TranslationRecord],
-             group: Any) -> Iterator[tuple[tuple, TranslationRecord]]:
-    """((group, gold) key, translation) of each translation of the sentence on
-    its line; _OutOfStep at the first that is not, or at a file that ends first."""
+def _tally(sentences: Iterator[SourceSentence], translations: Iterator[TranslationRecord],
+           group: Any, lexicon: PronounLexicon) -> tuple[set[str], Counter, int]:
+    """(backends, cells, failed) of the translations: each OK one is classified
+    into its sentence's (group, gold, predicted) cell. The (group, gold) key is
+    taken from ahead, which keeps the key of each sentence read past, else the
+    sentences are read up to the translation's id; for a file in sentence
+    order ahead is empty between translations. _Unmatched at an id not found
+    or a sentence left over."""
+    backends, cells, failed, ahead = set(), Counter(), 0, {}
     for t in translations:
-        s = next(sentences, None)
-        if s is None or t.source_id != s.id:
-            raise _OutOfStep(s is None)
-        yield (group(s), s.gold_gender), t
-    if next(sentences, None) is not None:
-        raise _OutOfStep(False)
-
-
-def _tally(pairs: Iterator[tuple[tuple | None, TranslationRecord]], lexicon: PronounLexicon,
-           copies: dict[str, int] | None = None) -> tuple[set[str], Counter, int]:
-    """(backends, cells, failed) of (key, translation) pairs: each OK one of a
-    known key is classified into its (group, gold, predicted) cell. copies,
-    when given, counts each id's translations."""
-    backends, cells, failed = set(), Counter(), 0
-    for key, t in pairs:
-        if copies is not None:
-            copies[t.source_id] = copies.get(t.source_id, 0) + 1
+        while t.source_id not in ahead:
+            s = next(sentences, None)
+            if s is None:
+                raise _Unmatched(True)
+            ahead[s.id] = group(s), s.gold_gender
+        key = ahead.pop(t.source_id)
         backends.add(t.backend)
         if t.status is not TranslationStatus.OK:
             failed += 1
-        elif key is not None:
+        else:
             cells[(*key, classify_gender(t.target_text, lexicon)[0])] += 1
+    if ahead or next(sentences, None) is not None:
+        raise _Unmatched(False)
     return backends, cells, failed
+
+
+def _lists(args: argparse.Namespace, suite: Suite) -> StereotypeLists | None:
+    if bool(args.male_stereotypes) != bool(args.female_stereotypes):
+        raise CliError("--male-stereotypes and --female-stereotypes must be given together")
+    if not args.male_stereotypes:
+        return None
+    if suite is not Suite.WINOMT:
+        raise CliError("stereotype lists only apply to the winomt suite")
+    return StereotypeLists.from_files(args.male_stereotypes, args.female_stereotypes)
 
 
 def _lexicon(args: argparse.Namespace) -> PronounLexicon:
@@ -334,10 +341,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _refuse_inputs_as_outputs(args, "--out --table", "--sentences --translations --pronouns "
                               "--male-stereotypes --female-stereotypes")
     suite = Suite(args.suite)
-    # with lists, a group holds the occupation, which they map to its
-    # stereotype once every translation is counted
-    group = attrgetter("set_id" if suite is not Suite.WINOMT else
-                       "occupation" if args.male_stereotypes else "stereotype")
 
     def read(warn: bool = True) -> tuple[dict[str, Any], Iterator, Iterator]:
         """(digests, sentences, translations): a fresh read of each file, digested as read."""
@@ -345,41 +348,25 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         return (digests, iter_sentences(args.sentences, suite, digests["sentences"], warn),
                 iter_translations(args.translations, digest=digests["translations"]))
 
-    # the files are read once, in step, while each translation is of the
-    # sentence on its line: then no id is kept, and none needs checking
-    lexicon, index, copies, ended = None, {}, {}, False
+    # the lists and the lexicon are loaded first, then both files are read
+    # once, joined by id; with lists, each sentence maps to its stereotype
+    lexicon, error, ids, copies = None, None, set(), {}
     try:
         digests, sentences, translations = read()
-        lexicon = _lexicon(args)
-        counted = _tally(_in_step(sentences, translations, group), lexicon)
+        lists, lexicon = _lists(args, suite), _lexicon(args)
+        group = (attrgetter("set_id" if suite is not Suite.WINOMT else "stereotype")
+                 if lists is None else
+                 lambda s: assign_stereotype(s.occupation, s.gold_gender, lists))
+        backends, cells, failed = _tally(sentences, translations, group, lexicon)
     except (ValueError, OSError) as exc:
-        counted, ended = None, isinstance(exc, _OutOfStep) and exc.args[0]
-    if counted is None:
-        # else both are read again, each error in its place: first the
-        # sentences, whose warnings are logged once, keeping of each its id and
-        # its (group, gold) key, one tuple per distinct key; then the lists and
-        # the lexicon; then the translations, keeping of each its id
+        # a second read counts nothing: it names the first error in README's
+        # order, the sentences' set-id warnings logged once, and else this one
+        error, ended = exc, isinstance(exc, _Unmatched) and exc.args[0]
         digests, sentences, translations = read(warn=not ended)
-        keys: dict[tuple, tuple] = {}
-        index = {s.id: keys.setdefault(key, key)
-                 for s in sentences for key in [(group(s), s.gold_gender)]}
-
-    lists = None
-    if bool(args.male_stereotypes) != bool(args.female_stereotypes):
-        raise CliError("--male-stereotypes and --female-stereotypes must be given together")
-    if args.male_stereotypes:
-        if suite is not Suite.WINOMT:
-            raise CliError("stereotype lists only apply to the winomt suite")
-        lists = StereotypeLists.from_files(args.male_stereotypes, args.female_stereotypes)
-    if counted is None:
-        counted = _tally(((index.get(t.source_id), t) for t in translations),
-                         lexicon or _lexicon(args), copies)
-    backends, cells, failed = counted
-    if lists is not None:
-        stereotyped = Counter()
-        for (occupation, gold, predicted), n in cells.items():
-            stereotyped[assign_stereotype(occupation, gold, lists), gold, predicted] += n
-        cells = stereotyped
+        ids = {s.id for s in sentences}
+        if lexicon is None:  # the lists', else the lexicon's, error comes next
+            raise
+        copies = Counter(t.source_id for t in translations)
 
     # each input is digested as it is read: for the manifest check and for the report
     inputs = {name: {"path": getattr(args, name), "sha256": digest.hexdigest()}
@@ -397,10 +384,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     for source_id, n in copies.items():
         if n > 1:
             raise CliError(f"{args.translations}: duplicate source_id {source_id!r}")
-    if index.keys() != copies.keys():
+    if ids != copies.keys():
         raise CliError(f"{args.translations}: ids do not match {args.sentences} "
-                       f"({len(index.keys() - copies.keys())} missing, "
-                       f"{len(copies.keys() - index.keys())} unknown)")
+                       f"({len(ids - copies.keys())} missing, {len(copies.keys() - ids)} unknown)")
+    if error is not None:
+        raise error
 
     # every translation is now of a sentence, each sentence's once
     counted = sum(cells.values())

@@ -119,11 +119,7 @@ _SUITE_RULES = {
 
 def validate_sentence(sentence: SourceSentence) -> None:
     """Check the per-suite invariants; raises CorpusError on the first violation."""
-    if not sentence.id:
-        raise CorpusError("empty id")
     record = f"record {sentence.id!r}"
-    if not sentence.text:
-        raise CorpusError(f"{record}: empty text")
     if not contains_devanagari(sentence.text):
         raise CorpusError(f"{record}: text contains no Devanagari")
     gold, speaker = sentence.gold_gender, sentence.speaker_gender

@@ -1962,7 +1962,7 @@ def test_no_stage_memory_grows_with_the_sentence_list(tmp_path):
 
 
 # --------------------------------------------------------------------------
-# evaluate reads its two files in step, else by an index of the sentences
+# evaluate joins its two files by id in one read; a second read only names an error
 
 
 def _in_order(suite: str, size: int = 40, seed: int = 3) -> tuple[list[SourceSentence], list]:
@@ -1972,19 +1972,13 @@ def _in_order(suite: str, size: int = 40, seed: int = 3) -> tuple[list[SourceSen
     return sentences, sorted(records, key=lambda r: order[r.source_id])
 
 
-def _evaluate(monkeypatch, tmp: Path, suite: str, options=(), by_index: bool = False):
+def _evaluate(monkeypatch, tmp: Path, suite: str, options=()):
     """evaluate over tmp's s.jsonl and tr.jsonl: (exit code, stdout, stderr,
-    report bytes or None, how many reads of the sentences it began). With
-    by_index, the in-step read gives up at once."""
-    reads = []
-    iter_sentences = mtgender.cli.iter_sentences
+    report bytes or None, how many times each of the two files was opened)."""
+    opened = []
     with monkeypatch.context() as patch:
-        patch.setattr(mtgender.cli, "iter_sentences",
-                      lambda *args: reads.append(args) or iter_sentences(*args))
-        if by_index:
-            def give_up(*args):
-                raise mtgender.cli._OutOfStep(False)
-            patch.setattr(mtgender.cli, "_in_step", give_up)
+        patch.setattr(mtgender.fileio, "open", lambda path, *args, **kwargs: (
+            opened.append(Path(path).name) or open(path, *args, **kwargs)), raising=False)
         report = tmp / "r.json"
         report.unlink(missing_ok=True)
         stdout, stderr = io.StringIO(), io.StringIO()
@@ -1993,7 +1987,8 @@ def _evaluate(monkeypatch, tmp: Path, suite: str, options=(), by_index: bool = F
                         str(tmp / "tr.jsonl"), "--suite", suite, "--out", str(report),
                         *(o.format(tmp=tmp) for o in options)])
     return (code, stdout.getvalue(), stderr.getvalue(),
-            report.read_bytes() if report.exists() else None, len(reads))
+            report.read_bytes() if report.exists() else None,
+            {name: opened.count(name) for name in ("s.jsonl", "tr.jsonl")})
 
 
 _LISTS = ["--male-stereotypes", "{tmp}/male.txt", "--female-stereotypes", "{tmp}/female.txt"]
@@ -2005,41 +2000,127 @@ _LISTS = ["--male-stereotypes", "{tmp}/male.txt", "--female-stereotypes", "{tmp}
     ("winomt", [*_LISTS, "--neutral-as-positive"]),
 ], ids=["otsc", "neutral", "winomt", "strict", "neutral-as-positive", "lists strict",
         "lists neutral-as-positive"])
+def test_sorted_or_shuffled_are_read_once_to_one_report(tmp_path, monkeypatch, suite, options):
+    """Translations in sentence order and the same translations shuffled are
+    each counted in one read, each file opened once, and give the same stdout
+    and the same report, but for the translations file's digest and the run
+    id derived from it."""
+    sentences, records = _in_order(suite)
+    write_sentences(tmp_path / "s.jsonl", sentences)
+    (tmp_path / "male.txt").write_text(f"{MALE_OCC}\n", encoding="utf-8")
+    (tmp_path / "female.txt").write_text(f"{FEMALE_OCC}\n", encoding="utf-8")
+    shuffled = random.Random(5).sample(records, len(records))
+    assert shuffled != records
+    runs = []
+    for translations in (records, shuffled):
+        write_translations(tmp_path / "tr.jsonl", translations)
+        code, out, err, report, opened = _evaluate(monkeypatch, tmp_path, suite, options)
+        assert (code, err, opened) == (EXIT_OK, "", {"s.jsonl": 1, "tr.jsonl": 1})
+        payload = json.loads(report)
+        assert payload["inputs"]["translations"]["sha256"] == hashlib.sha256(
+            (tmp_path / "tr.jsonl").read_bytes()).hexdigest()
+        del payload["run_id"], payload["inputs"]["translations"]
+        runs.append((out, payload))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("suite, options", [
+    ("otsc", []), ("neutral", []), ("winomt", []), ("winomt", ["--strict"]),
+    ("winomt", ["--neutral-as-positive"]), ("winomt", [*_LISTS, "--strict"]),
+    ("winomt", [*_LISTS, "--neutral-as-positive"]),
+], ids=["otsc", "neutral", "winomt", "strict", "neutral-as-positive", "lists strict",
+        "lists neutral-as-positive"])
 def test_the_in_step_read_gives_the_bytes_of_the_index_read(tmp_path, monkeypatch, suite,
                                                            options):
-    """Translations in sentence order are read in step with the sentences,
-    each file once, and give the stdout and report bytes that the read by an
-    index of the sentences gives for the same files."""
+    """Translations in sentence order are joined in step with the sentences,
+    each file opened once, and give the stdout and report bytes that the join
+    gives when its first translation is of the last sentence, so that it keys
+    every sentence in an index before it counts one."""
     sentences, records = _in_order(suite)
     write_sentences(tmp_path / "s.jsonl", sentences)
     write_translations(tmp_path / "tr.jsonl", records)
     (tmp_path / "male.txt").write_text(f"{MALE_OCC}\n", encoding="utf-8")
     (tmp_path / "female.txt").write_text(f"{FEMALE_OCC}\n", encoding="utf-8")
-    *in_step, reads = _evaluate(monkeypatch, tmp_path, suite, options)
-    assert reads == 1 and in_step[0] == EXIT_OK and in_step[2] == ""
-    *by_index, reads = _evaluate(monkeypatch, tmp_path, suite, options, by_index=True)
-    assert reads == 2 and by_index == in_step
+    *in_step, opened = _evaluate(monkeypatch, tmp_path, suite, options)
+    assert in_step[0] == EXIT_OK and in_step[2] == ""
+    assert opened == {"s.jsonl": 1, "tr.jsonl": 1}
+    tally = mtgender.cli._tally
+    with monkeypatch.context() as patch:
+        patch.setattr(mtgender.cli, "_tally", lambda sentences, translations, *args: tally(
+            sentences, reversed(list(translations)), *args))
+        *by_index, opened = _evaluate(monkeypatch, tmp_path, suite, options)
+    assert opened == {"s.jsonl": 1, "tr.jsonl": 1} and by_index == in_step
 
 
 def test_a_shuffled_translations_file_gives_the_same_report(tmp_path, monkeypatch):
-    """Shuffled translations are read by the index: the table and the report
-    are those of the same translations in order, but for the digest of the
-    translations file and the run id derived from it."""
+    """Shuffled translations are counted in the one read, each file opened
+    once: the table and the report are those of the same translations in
+    order, but for the digest of the translations file and the run id derived
+    from it."""
     sentences, records = _in_order("winomt")
     write_sentences(tmp_path / "s.jsonl", sentences)
     write_translations(tmp_path / "tr.jsonl", records)
-    code, table, err, in_order, reads = _evaluate(monkeypatch, tmp_path, "winomt", ["--strict"])
-    assert (code, err, reads) == (EXIT_OK, "", 1)
+    code, table, err, in_order, opened = _evaluate(monkeypatch, tmp_path, "winomt",
+                                                   ["--strict"])
+    assert (code, err, opened) == (EXIT_OK, "", {"s.jsonl": 1, "tr.jsonl": 1})
     random.Random(5).shuffle(records)
     write_translations(tmp_path / "tr.jsonl", records)
-    code, out, err, shuffled, reads = _evaluate(monkeypatch, tmp_path, "winomt", ["--strict"])
-    assert (code, out, err, reads) == (EXIT_OK, table, "", 2)
+    code, out, err, shuffled, opened = _evaluate(monkeypatch, tmp_path, "winomt", ["--strict"])
+    assert (code, out, err, opened) == (EXIT_OK, table, "", {"s.jsonl": 1, "tr.jsonl": 1})
     first, then = json.loads(in_order), json.loads(shuffled)
     assert then["inputs"]["translations"]["sha256"] == hashlib.sha256(
         (tmp_path / "tr.jsonl").read_bytes()).hexdigest()
     for payload in (first, then):
         del payload["run_id"], payload["inputs"]["translations"]
     assert first == then
+
+
+@pytest.mark.parametrize("suite, options, problem", [
+    ("winomt", _LISTS[:2], "--male-stereotypes and --female-stereotypes must be given together"),
+    ("winomt", _LISTS[2:], "--male-stereotypes and --female-stereotypes must be given together"),
+    ("otsc", _LISTS, "stereotype lists only apply to the winomt suite"),
+    ("winomt", ["--male-stereotypes", "{tmp}/none.txt", *_LISTS[2:]],
+     "{tmp}/none.txt: No such file or directory"),
+    ("winomt", [*_LISTS[:2], "--female-stereotypes", "{tmp}/male.txt"],
+     "{tmp}/male.txt and {tmp}/male.txt: stereotype lists overlap: " + MALE_OCC),
+], ids=["lone male", "lone female", "otsc", "missing", "overlap"])
+def test_a_list_error_comes_before_any_translation_is_classified(tmp_path, monkeypatch, suite,
+                                                                 options, problem):
+    """The stereotype lists are loaded before the first line is read: on
+    files in sentence order, a bad list option is reported with no
+    translation classified."""
+    sentences, records = _in_order(suite, 12)
+    write_sentences(tmp_path / "s.jsonl", sentences)
+    write_translations(tmp_path / "tr.jsonl", records)
+    (tmp_path / "male.txt").write_text(f"{MALE_OCC}\n", encoding="utf-8")
+    (tmp_path / "female.txt").write_text(f"{FEMALE_OCC}\n", encoding="utf-8")
+
+    def classify_gender(*args):
+        raise AssertionError("a translation was classified")
+
+    monkeypatch.setattr(mtgender.cli, "classify_gender", classify_gender)
+    code, out, err, report, _ = _evaluate(monkeypatch, tmp_path, suite, options)
+    assert (code, out, err, report) == (
+        EXIT_ABORTED, "", f"error: {problem.format(tmp=tmp_path)}\n", None)
+
+
+def test_a_list_warning_is_logged_once_before_a_duplicate_is_named(tmp_path, monkeypatch,
+                                                                   caplog):
+    """A list line with no Devanagari is warned of once, as the lists are
+    loaded, though a duplicated translation sends evaluate to a second read,
+    which names the duplicate."""
+    sentences, records = _in_order("winomt", 12)
+    write_sentences(tmp_path / "s.jsonl", sentences)
+    write_translations(tmp_path / "tr.jsonl", [*records[:7], records[3], *records[7:]])
+    (tmp_path / "male.txt").write_text(f"{MALE_OCC}\nengineer\n", encoding="utf-8")
+    (tmp_path / "female.txt").write_text(f"{FEMALE_OCC}\n", encoding="utf-8")
+    with caplog.at_level("WARNING"):
+        code, out, err, report, _ = _evaluate(monkeypatch, tmp_path, "winomt", _LISTS)
+    warning = f"{tmp_path / 'male.txt'}: line 2: 'engineer' has no Devanagari content"
+    assert caplog.messages.count(warning) == 1
+    assert (code, out, err, report) == (
+        EXIT_ABORTED, "", f"error: {tmp_path / 'tr.jsonl'}: duplicate source_id "
+                          f"{records[3].source_id!r}\n", None)
 
 
 @pytest.mark.parametrize("case", ["missing", "unknown", "duplicated", "last missing",
@@ -2089,15 +2170,18 @@ def test_a_late_sentence_error_wins_over_an_early_translation_error(tmp_path, mo
         EXIT_ABORTED, "", f"error: {tmp_path / 's.jsonl'}: line 11: {problem}\n", None)
 
 
-@pytest.mark.parametrize("case", ["in order", "one more", "last missing", "shuffled"])
+@pytest.mark.parametrize("case", ["in order", "one more", "last missing", "shuffled",
+                                  "unknown first"])
 def test_a_set_id_warning_is_logged_once_whichever_read_counts(tmp_path, monkeypatch, caplog,
                                                                case):
     """A neutral set id outside S1..S7 is warned of once, also where the
-    in-step read reached the last sentence before it gave up."""
+    first read reached the last sentence before the second read."""
     sentences, records = _in_order("neutral", 12)
     sentences[4] = replace(sentences[4], set_id="S9")
-    records = {"in order": records, "one more": [*records, TranslationRecord.ok("zz", "he", "b")],
-               "last missing": records[:-1], "shuffled": records[::-1]}[case]
+    unknown = TranslationRecord.ok("zz", "he", "b")
+    records = {"in order": records, "one more": [*records, unknown],
+               "last missing": records[:-1], "shuffled": records[::-1],
+               "unknown first": [unknown, *records]}[case]
     write_sentences(tmp_path / "s.jsonl", sentences)
     write_translations(tmp_path / "tr.jsonl", records)
     with caplog.at_level("WARNING"):
@@ -2105,7 +2189,8 @@ def test_a_set_id_warning_is_logged_once_whichever_read_counts(tmp_path, monkeyp
     warning = f"{tmp_path / 's.jsonl'}: set id 'S9' is outside the canonical S1..S7"
     assert caplog.messages.count(warning) == 1
     assert code == (EXIT_OK if case in ("in order", "shuffled") else EXIT_ABORTED)
-    mismatch = {"one more": "0 missing, 1 unknown", "last missing": "1 missing, 0 unknown"}
+    mismatch = {"one more": "0 missing, 1 unknown", "last missing": "1 missing, 0 unknown",
+                "unknown first": "0 missing, 1 unknown"}
     if case in mismatch:
         assert err == (f"error: {tmp_path / 'tr.jsonl'}: ids do not match "
                        f"{tmp_path / 's.jsonl'} ({mismatch[case]})\n")

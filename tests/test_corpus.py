@@ -294,20 +294,6 @@ def test_each_sentence_rule_gives_its_error_line(tmp_path, backends_config, caps
     assert capsys.readouterr().err == f"error: {path}: line 1: {complaint}\n"
 
 
-@pytest.mark.parametrize("edit, complaint", [
-    ({"id": ""}, "empty id"),
-    ({"text": ""}, "record 'w1': empty text"),
-])
-def test_a_sentence_built_with_an_empty_id_or_text_is_refused(edit, complaint):
-    """A file cannot give an empty id or text, which read as missing; a
-    sentence built in code can."""
-    record = {**_GOOD["winomt"], "suite": Suite.WINOMT, "gold_gender": GenderLabel.FEMALE,
-              "stereotype": Stereotype.PRO, "referenced_entity": ReferencedEntity.ENTITY1, **edit}
-    with pytest.raises(CorpusError) as caught:
-        validate_sentence(SourceSentence(**record))
-    assert str(caught.value) == complaint
-
-
 # --------------------------------------------------------------------------
 # Stereotype assignment
 

@@ -16,6 +16,7 @@ translate part-way through, by SIGKILL or SIGINT, and resume it.
 import hashlib
 import json
 import os
+import random
 import shutil
 import signal
 import subprocess
@@ -207,6 +208,28 @@ def test_translations_in_reverse_order_give_the_same_table(pipeline, tmp_path):
     code, out, _ = cli(tmp_path, *EVALUATE, "--no-verify", "--out", "report-reversed.json")
     assert code == 0
     assert out == pipeline.evaluated
+
+
+def test_shuffled_translations_give_the_table_of_the_file_in_sentence_order(pipeline, tmp_path,
+                                                                           installed):
+    """evaluate joins each translation to its sentence by id, in one read:
+    the packaged WinoMT sample's translations, shuffled, give the table of
+    the file in sentence order, with the packaged lists and --strict."""
+    winomt = str(installed["winomt_sample.jsonl"])
+    copy(pipeline, tmp_path, "backends.json")
+    assert cli(tmp_path, "translate", "--sentences", winomt, "--suite", "winomt",
+               "--config", "backends.json", "--backend", "coin", "--out", "in-order.jsonl")[0] == 0
+    lines = (tmp_path / "in-order.jsonl").read_bytes().splitlines(keepends=True)
+    shuffled = random.Random(5).sample(lines, len(lines))
+    assert shuffled != lines
+    (tmp_path / "shuffled.jsonl").write_bytes(b"".join(shuffled))
+    printed = [cli(tmp_path, "evaluate", "--sentences", winomt, "--translations", name,
+                   "--suite", "winomt", "--strict", "--out", f"{name}.report.json",
+                   "--male-stereotypes", str(installed["stereotypes_male.txt"]),
+                   "--female-stereotypes", str(installed["stereotypes_female.txt"]))
+               for name in ("in-order.jsonl", "shuffled.jsonl")]
+    assert printed[0][0] == 0 and printed[0][1]
+    assert printed[1] == printed[0]
 
 
 def test_the_hash_seed_changes_no_output(pipeline, tmp_path, installed):
