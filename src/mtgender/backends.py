@@ -17,8 +17,8 @@ import random
 import threading
 import time
 import urllib.parse
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter, deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from pathlib import Path
@@ -487,15 +487,31 @@ def load_replay_map(path: str | Path) -> dict[str, str]:
             if record.status is TranslationStatus.OK}
 
 
+def _in_order(pool: ThreadPoolExecutor, fn: Callable[[SourceSentence], TranslationRecord],
+              sources: Iterable[SourceSentence], window: int) -> Iterator[TranslationRecord]:
+    """fn over sources on pool, yielded in input order, with at most window
+    sources submitted and not yet yielded: the next source goes in as the
+    head of the line is taken, so no worker waits for a batch's slowest."""
+    pending: deque[Future[TranslationRecord]] = deque()
+    for source in sources:
+        if len(pending) == window:
+            yield pending.popleft().result()
+        pending.append(pool.submit(fn, source))
+    while pending:
+        yield pending.popleft().result()
+
+
 def translate_batch(
     sources: Iterable[SourceSentence],
     config: BackendConfig,
     on_batch: Callable[[list[TranslationRecord]], None],
 ) -> int:
-    """Translate sources through the configured backend, reading them one
-    batch at a time, and hand each finished batch, in input order, to
-    on_batch, the one place its records are kept: a failure becomes a failed
-    record, never dropped. Returns how many of the records failed."""
+    """Translate sources through the configured backend, reading at most
+    batch_size of them ahead of the records handed over, and hand each
+    batch_size of finished records, in input order, to on_batch, the one
+    place they are kept: a failure becomes a failed record, never dropped.
+    An http backend keeps up to max_concurrency requests in flight across
+    batch boundaries. Returns how many of the records failed."""
     per_item: Callable[[SourceSentence], TranslationRecord]
     translator = None
     if config.kind is BackendKind.MOCK:
@@ -521,17 +537,19 @@ def translate_batch(
 
     pool = (ThreadPoolExecutor(config.max_concurrency)
             if translator is not None and config.max_concurrency > 1 else None)
-    sources, failed, batches = iter(sources), 0, 0
+    results = (map(per_item, sources) if pool is None else
+               _in_order(pool, per_item, sources, config.batch_size))
+    failed, batches = 0, 0
     try:
-        # a batch's sentences are read as it is translated and held no longer
-        while batch := list((pool.map if pool else map)(
-                per_item, islice(sources, config.batch_size))):
+        # a sentence is read at most batch_size ahead of the records handed
+        # over, and dropped once its record is made
+        while batch := list(islice(results, config.batch_size)):
             failed += sum(r.status is TranslationStatus.FAILED for r in batch)
             batches += 1
             on_batch(batch)
     finally:
-        # the translator first: an interrupted batch's requests end at once,
-        # so its workers are joined at once
+        # the translator first: the requests in flight end at once, so the
+        # workers are joined at once, and the queued sources are cancelled
         if translator is not None:
             translator.close()
         if pool is not None:

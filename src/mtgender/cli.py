@@ -363,9 +363,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         # order, the sentences' set-id warnings logged once, and else this one
         error, ended = exc, isinstance(exc, _Unmatched) and exc.args[0]
         digests, sentences, translations = read(warn=not ended)
-        ids = {s.id for s in sentences}
-        if lexicon is None:  # the lists', else the lexicon's, error comes next
+        if lexicon is None:  # the lists', else the lexicon's, error comes
+            deque(sentences, maxlen=0)  # next, after the sentences' own
             raise
+        ids = {s.id for s in sentences}
         copies = Counter(t.source_id for t in translations)
 
     # each input is digested as it is read: for the manifest check and for the report

@@ -530,6 +530,61 @@ class TestHttpBackend:
         assert [r.source_id for r in records] == [s.id for s in sources]
         assert state.max_in_flight <= 4
 
+    def test_a_slow_item_holds_up_no_request_behind_it(self, http_server):
+        """While one worker waits on a slow item, the other goes on past the
+        end of its batch: by the time the first batch is handed over, all
+        but the last source of the second batch have been requested."""
+        url, state = http_server
+        sources = [plain_source(i, "वाक्य SLOW" if i == 3 else f"वाक्य {i}") for i in range(8)]
+        requested = []
+        translate_batch(sources, http_config(url, max_concurrency=2, batch_size=4),
+                        lambda batch: requested.append(state.total_requests))
+        assert requested[0] >= 7
+        assert requested[1] == 8
+
+    @pytest.mark.parametrize("backend, batch_size", [("mock", 4), ("http", 1), ("http", 4)])
+    def test_at_most_a_batch_of_sources_is_read_ahead(self, request, backend, batch_size):
+        """At every batch handed over, at most batch_size sources have been
+        read beyond the records handed over so far, and the records come in
+        input order: no source is read long before its record is kept."""
+        sources = [plain_source(i, f"वाक्य {i}") for i in range(30)]
+        if backend == "mock":
+            config = mock_config(MockSpec("always_male"), batch_size=batch_size)
+        else:
+            url, _ = request.getfixturevalue("http_server")
+            config = http_config(url, max_concurrency=2, batch_size=batch_size)
+        read, handed = 0, []
+
+        def reading():
+            nonlocal read
+            for source in sources:
+                read += 1
+                yield source
+
+        def on_batch(batch):
+            handed.extend(r.source_id for r in batch)
+            assert read - len(handed) <= batch_size
+
+        assert translate_batch(reading(), config, on_batch) == 0
+        assert handed == [s.id for s in sources]
+
+    def test_an_error_in_on_batch_ends_the_requests_at_once(self, http_server):
+        """An error raised by on_batch ends translate_batch at once: the
+        requests in flight are cut off, not waited for, and no source beyond
+        the window is requested."""
+        url, state = http_server
+        sources = [plain_source(i, f"वाक्य {i}" if i < 4 else f"वाक्य {i} SLOW")
+                   for i in range(40)]
+
+        def on_batch(batch):
+            raise OSError("disk full")
+
+        start = time.monotonic()
+        with pytest.raises(OSError, match="disk full"):
+            translate_batch(sources, http_config(url, max_concurrency=2, batch_size=4), on_batch)
+        assert time.monotonic() - start < 0.3  # a SLOW request takes 0.5 s
+        assert state.total_requests <= 7
+
     def test_connection_error_is_transient_failure(self):
         config = http_config("http://127.0.0.1:9/translate",
                              retry=RetryPolicy(max_attempts=2, backoff_base_ms=1),

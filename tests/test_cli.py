@@ -1910,10 +1910,11 @@ def test_generate_holds_no_sentence(tmp_path, monkeypatch):
 
 
 # a fresh process runs one stage as its only child, so the children's peak
-# RSS is that stage's: within one process it only ever grows
+# RSS is that stage's: within one process it only ever grows; it prints the
+# stage's exit code and that peak
 _PEAK_RSS_KIB = ("import resource, subprocess, sys; "
-                 "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL); "
-                 "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+                 "code = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL).returncode; "
+                 "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
@@ -1923,21 +1924,26 @@ def test_no_stage_memory_grows_with_the_sentence_list(tmp_path):
     evaluate's grow only by what they keep of each sentence, its id's hash
     above all, about 20 and 40 bytes a sentence. Holding the list, generate,
     translate and evaluate grew by 9, 9 and 13 MB from 1,500 occupations to
-    6,000."""
+    6,000. An evaluate that names a stereotype-list error keeps no sentence
+    id: one that kept them grew by 3.7 MB."""
     src = str(Path(mtgender.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
-    def peak_mib(*argv: str) -> float:
+    def peak_mib(*argv: str, exit_code: int = EXIT_OK) -> float:
         result = subprocess.run([sys.executable, "-c", _PEAK_RSS_KIB, sys.executable, "-m",
                                  "mtgender", *argv], env=env, capture_output=True, text=True,
                                 check=True)
-        return int(result.stdout) / 1024
+        code, kib = map(int, result.stdout.split())
+        assert code == exit_code, result.stderr
+        return kib / 1024
 
     config = tmp_path / "backends.json"
     config.write_text(json.dumps({"backends": [{"name": "coin", "kind": "mock",
                                                 "mock": {"spec": "coin_flip"}}]}),
                       encoding="utf-8")
+    (tmp_path / "male.txt").write_text(f"{MALE_OCC}\n", encoding="utf-8")
+    (tmp_path / "female.txt").write_text(f"{FEMALE_OCC}\n", encoding="utf-8")
     peaks = {}
     for n in (1500, 6000):
         occupations, sentences = tmp_path / f"occ-{n}.txt", tmp_path / f"s-{n}.jsonl"
@@ -1952,13 +1958,20 @@ def test_no_stage_memory_grows_with_the_sentence_list(tmp_path):
             for i in range(n) for quadrant in OTSC_QUADRANTS))
         evaluate = peak_mib("evaluate", "--sentences", str(sentences), "--translations",
                             str(translations), "--suite", "otsc", "--out", str(tmp_path / "r.json"))
-        peaks[n] = generate, translate, evaluate
-    (generate_n, translate_n, evaluate_n), (generate_4n, translate_4n, evaluate_4n) = (
-        peaks.values())
+        # lists with --suite otsc: the error comes after a read of the sentences
+        list_error = peak_mib("evaluate", "--sentences", str(sentences), "--translations",
+                              str(translations), "--suite", "otsc", "--male-stereotypes",
+                              str(tmp_path / "male.txt"), "--female-stereotypes",
+                              str(tmp_path / "female.txt"), "--out", str(tmp_path / "r.json"),
+                              exit_code=EXIT_ABORTED)
+        peaks[n] = generate, translate, evaluate, list_error
+    (generate_n, translate_n, evaluate_n, list_error_n), (
+        generate_4n, translate_4n, evaluate_4n, list_error_4n) = peaks.values()
     assert generate_4n - generate_n < 3
     # 75 bytes an added sentence
     assert translate_4n - translate_n < 4 * 4500 * 75 / 2**20
     assert evaluate_4n - evaluate_n < 4 * 4500 * 75 / 2**20
+    assert list_error_4n - list_error_n < 4 * 4500 * 75 / 2**20
 
 
 # --------------------------------------------------------------------------
