@@ -156,26 +156,18 @@ def cmd_generate(args: argparse.Namespace) -> int:
 # translate
 
 
-def _holds(manifest: dict[str, Any], expected: dict[str, Any]) -> bool:
-    """Whether manifest has each expected key, with the value and its type."""
-    return all(key in manifest and type(manifest[key]) is type(value) and manifest[key] == value
-               for key, value in expected.items())
-
-
-def _previous_run(args: argparse.Namespace, out: Path, journal: Path) -> dict[str, Any] | None:
-    """The sidecar of out when the run that wrote it may have left nothing
-    pending: not --fresh, no journal, every source translated OK, the same
-    command, tool version and suite, and sentences of the digest it records."""
-    if args.fresh or journal.exists() or not out.exists():
-        return None
-    previous = read_sidecar(out) or {}
-    n = previous.get("output.records")
-    recorded = {"command": "translate", "version": tool_version(), "suite": args.suite,
-                "counts.sources": n, "counts.translated_ok": n, "counts.translated_failed": 0}
-    # the sentences are digested only once the rest holds
-    if type(n) is int and _holds(previous, recorded) and (
-            previous.get("inputs.sentences.sha256") == sha256_file(args.sentences)):
-        return previous
+def _previous_run(args: argparse.Namespace, out: Path, journal: Path,
+                  sidecar: dict[str, Any], run_id: str) -> dict[str, Any] | None:
+    """The sidecar of out when the run that wrote out is this one, run_id,
+    and left nothing pending: no journal, every source translated OK, the
+    same --suite, and out still of the digest it records."""
+    n = sidecar.get("output.records")
+    counts = [sidecar.get(f"counts.{key}") for key in ("sources", "translated_ok",
+                                                       "translated_failed")]
+    if (sidecar.get("run_id") == run_id and not journal.exists() and type(n) is int
+            and counts == [n, n, 0] and sidecar.get("suite") == args.suite
+            and sidecar.get("output.sha256") == sha256_file(out)):
+        return sidecar
     return None
 
 
@@ -187,17 +179,24 @@ def cmd_translate(args: argparse.Namespace) -> int:
     entry = find_backend_entry(args.config, args.backend)
     config = backend_config_from_dict(entry, args.config)
     config_hash = sha256_text(dumps_record(entry))[:16]
-    previous = _previous_run(args, out, journal)  # after the config, whose errors come first
 
-    def run_of(source_sha256: str) -> tuple[dict[str, Any], str]:  # (inputs, run id)
+    def run_of(source_sha256: Any, name: Any = config.name, config_hash: Any = config_hash
+               ) -> tuple[dict[str, Any], str]:  # (inputs, run id) of a translate run
         inputs = {"sentences": {"path": args.sentences, "sha256": source_sha256}}
         return inputs, derive_run_id("translate", inputs,
-                                     backend={"name": config.name, "config": config_hash})
+                                     backend={"name": name, "config": config_hash})
 
-    if previous is not None:  # the sentences the previous run read
-        inputs, run_id = run_of(previous["inputs.sentences.sha256"])
-        if previous.get("run_id") != run_id or previous.get("output.sha256") != sha256_file(out):
-            previous = None
+    # after the config, whose errors come first: out's sidecar names a run when its
+    # run id is the one its own sentences digest, backend name and config hash give;
+    # only then are the sentences digested, and if that run is another, none of
+    # out's records is reused
+    sidecar = {} if args.fresh or not out.exists() else read_sidecar(out) or {}
+    previous, reused_from = None, () if args.fresh else (out, journal)
+    if sidecar.get("run_id") == run_of(*map(sidecar.get, (
+            "inputs.sentences.sha256", "backend.name", "backend.config_hash")))[1]:
+        inputs, run_id = run_of(sha256_file(args.sentences))
+        reused_from = reused_from if run_id == sidecar["run_id"] else (journal,)
+        previous = _previous_run(args, out, journal, sidecar, run_id)
     if previous is not None:
         # the full path would reuse every record and re-encode the same bytes,
         # so out is left as it is and only its sidecar is rewritten
@@ -212,7 +211,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
         with closing(iter_sentences(args.sentences, default_suite, source_digest)) as sentences:
             try:
                 n, failed, sha256, reused = _translate_pending(sentences, config, out, journal,
-                                                               args.fresh)
+                                                               reused_from)
             except RecordError as exc:
                 raise CliError(f"{args.sentences}: {exc}") from None
         inputs, run_id = run_of(source_digest.hexdigest())
@@ -227,20 +226,17 @@ def cmd_translate(args: argparse.Namespace) -> int:
 
 
 def _translate_pending(sentences: Iterator[SourceSentence], config: BackendConfig, out: Path,
-                       journal: Path, fresh: bool) -> tuple[int, int, str, int]:
+                       journal: Path, reused_from: tuple[Path, ...]) -> tuple[int, int, str, int]:
     """Translate, as they are read, the sentences with no OK record of this
-    backend in the output or the journal, and write the output in sentence
-    order: (its records, how many of them failed, its sha256, how many were reused)."""
-    reusable = {}  # source id -> OK record; a later record replaces an earlier one
-    if fresh:
+    backend in the files of reused_from, and write the output in sentence order:
+    (its records, how many of them failed, its sha256, how many were reused)."""
+    if journal not in reused_from:  # --fresh
         journal.unlink(missing_ok=True)
-    else:
-        # the OK records of the output, then of the journal, read leniently:
-        # a crash mid-write can leave its last line torn
-        for path, lenient in ((out, False), (journal, True)):
-            if path.exists():
-                reusable.update((r.source_id, r) for r in iter_translations(path, lenient)
-                                if r.status is TranslationStatus.OK and r.backend == config.name)
+    # source id -> its last OK record, of the output and then of the journal,
+    # which is read leniently: a crash mid-write can leave its last line torn
+    reusable = {r.source_id: r for path in reused_from if path.exists()
+                for r in iter_translations(path, path == journal)
+                if r.status is TranslationStatus.OK and r.backend == config.name}
 
     # of each sentence only whether it is reused is kept, and the reused
     # records in sentence order
@@ -340,6 +336,8 @@ def _lexicon(args: argparse.Namespace) -> PronounLexicon:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     _refuse_inputs_as_outputs(args, "--out --table", "--sentences --translations --pronouns "
                               "--male-stereotypes --female-stereotypes")
+    if args.table and os.path.realpath(args.table) == os.path.realpath(args.out):
+        raise CliError(f"{args.table}: is also the --out output")
     suite = Suite(args.suite)
 
     def read(warn: bool = True) -> tuple[dict[str, Any], Iterator, Iterator]:

@@ -313,7 +313,6 @@ class TestTranslate:
             assert code == EXIT_OK
         assert "0 reused" in capsys.readouterr().out
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 9")
     def test_a_resume_over_regenerated_sentences_translates_the_new_texts(
         self, tmp_path, backends_config, capsys
     ):
@@ -328,6 +327,30 @@ class TestTranslate:
             assert run(["translate", "--sentences", str(sentences), "--config",
                         str(backends_config), "--backend", "echo-gold",
                         "--out", str(out)]) == EXIT_OK
+        assert "नर्स" in out.read_text(encoding="utf-8").splitlines()[0]
+        assert "0 reused" in capsys.readouterr().out
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 14")
+    def test_a_journal_over_regenerated_sentences_is_not_reused(
+        self, tmp_path, backends_config, capsys
+    ):
+        """A run that crashed over sentences since regenerated from another
+        occupation list left a journal of the old texts under the same ids; a
+        resume must translate the new texts, not reuse the journal's."""
+        occupations, sentences, out = (tmp_path / n for n in ("occ.txt", "s.jsonl", "t.jsonl"))
+        argv = ["translate", "--sentences", str(sentences), "--config", str(backends_config),
+                "--backend", "echo-gold", "--out"]
+        occupations.write_text("डॉक्टर\nवकील\n", encoding="utf-8")
+        assert run(["generate", "--occupations", str(occupations),
+                    "--out", str(sentences)]) == EXIT_OK
+        assert run([*argv, str(tmp_path / "old.jsonl")]) == EXIT_OK
+        lines = (tmp_path / "old.jsonl").read_bytes().splitlines(keepends=True)
+        Path(f"{out}.partial").write_bytes(b"".join(lines[:4]))
+        occupations.write_text("नर्स\nमाली\n", encoding="utf-8")
+        assert run(["generate", "--occupations", str(occupations),
+                    "--out", str(sentences)]) == EXIT_OK
+        capsys.readouterr()
+        assert run([*argv, str(out)]) == EXIT_OK
         assert "नर्स" in out.read_text(encoding="utf-8").splitlines()[0]
         assert "0 reused" in capsys.readouterr().out
 
@@ -701,16 +724,19 @@ def test_a_resume_with_something_changed_takes_the_full_path(tmp_path, monkeypat
 ], ids=["file_replay", "http"])
 def test_a_full_path_with_nothing_pending_builds_no_backend(tmp_path, monkeypatch, capsys,
                                                            backend):
-    """A resume through a backend entry of the same name and another kind
-    takes the full path, since the run id differs. With every record reused,
-    it reads no replay file and builds no client, either of which would fail
-    here."""
+    """A finished run of a backend that cannot be built here, its output
+    made from a journal of every record, resumed beside an empty journal:
+    the full path of the same run. With every record reused, it reads no
+    replay file and builds no client, either of which would fail here."""
     monkeypatch.delenv("MTGENDER_UNSET_KEY", raising=False)
     argv = _finished_translate(tmp_path)
     out, config = tmp_path / "tr.jsonl", read_report(tmp_path / "backends.json")
     config["backends"][0] = {"name": "coin", **backend}
     (tmp_path / "backends.json").write_text(json.dumps(config), encoding="utf-8")
     clean = out.read_bytes()
+    out.rename(tmp_path / "tr.jsonl.partial")
+    assert run(argv) == EXIT_OK
+    (tmp_path / "tr.jsonl.partial").touch()
     capsys.readouterr()
     assert run(argv) == EXIT_OK
     assert capsys.readouterr().out == "translated 16/16 ok (0 failed, 16 reused) via coin\n"
@@ -737,6 +763,31 @@ def test_a_resume_through_another_backend_reuses_none_of_the_first_ones_records(
     assert run(["evaluate", "--sentences", str(tmp_path / "otsc.jsonl"), "--translations",
                 str(out), "--suite", "otsc", "--out", str(tmp_path / "r.json")]) == EXIT_OK
     assert read_report(tmp_path / "r.json")["backend"] == "male"
+
+
+@pytest.mark.parametrize("journaled", [0, 5])
+def test_a_resume_through_a_changed_entry_reuses_none_of_the_output(tmp_path, capsys,
+                                                                   journaled):
+    """A coin_flip run loses its last output line, and its entry is then
+    redefined as always_male under the same name. The output's sidecar ties
+    it to another run, so the resume reuses none of its records, only those
+    this run journaled, and writes a fresh always_male run's bytes."""
+    argv = _finished_translate(tmp_path)
+    out, config = tmp_path / "tr.jsonl", read_report(tmp_path / "backends.json")
+    config["backends"][0] = {"name": "coin", "kind": "mock", "mock": {"spec": "always_male"}}
+    (tmp_path / "backends.json").write_text(json.dumps(config), encoding="utf-8")
+    clean = tmp_path / "clean.jsonl"
+    assert run([*argv[:-1], str(clean)]) == EXIT_OK
+    out.write_bytes(b"".join(out.read_bytes().splitlines(keepends=True)[:-1]))
+    if journaled:
+        lines = clean.read_bytes().splitlines(keepends=True)
+        (tmp_path / "tr.jsonl.partial").write_bytes(b"".join(lines[:journaled]))
+    capsys.readouterr()
+    assert run(argv) == EXIT_OK
+    assert capsys.readouterr().out == (
+        f"translated 16/16 ok (0 failed, {journaled} reused) via coin\n")
+    assert out.read_bytes() == clean.read_bytes()
+    assert not (tmp_path / "tr.jsonl.partial").exists()
 
 
 def test_a_bad_config_is_named_before_the_sentences_of_a_finished_run(tmp_path, capsys):
@@ -1506,6 +1557,27 @@ def test_an_output_that_is_an_input_is_refused(
     assert run(_argv(command, arguments)) == EXIT_ABORTED
     assert capsys.readouterr().err == f"error: {given}: is also the {option} input\n"
     assert arguments[option].read_bytes() == kept
+
+
+@pytest.mark.parametrize("via", ["path", "another spelling", "symlink"])
+def test_one_file_named_by_both_outputs_is_refused(tmp_path, backends_config, capsys,
+                                                    monkeypatch, via):
+    """evaluate's --table naming the file its --out names, as typed, by
+    another spelling or through a link, ends in error: <table>: is also the
+    --out output, exit 1, before any input is read, and writes nothing."""
+    arguments = _stage_arguments(tmp_path, backends_config)["evaluate"]
+    monkeypatch.setattr(mtgender.cli, "iter_sentences", lambda *args: pytest.fail("read"))
+    out = arguments["--out"] = tmp_path / "r.json"
+    (tmp_path / "dir").mkdir()
+    table = {"path": out, "another spelling": tmp_path / "dir" / ".." / "r.json",
+             "symlink": tmp_path / "link"}[via]
+    if via == "symlink":
+        table.symlink_to(out)
+    arguments["--table"] = table
+    capsys.readouterr()
+    assert run(_argv("evaluate", arguments)) == EXIT_ABORTED
+    assert capsys.readouterr().err == f"error: {table}: is also the --out output\n"
+    assert not out.exists() and not Path(f"{out}.manifest.json").exists()
 
 
 def _corrupt(good: bytes, other_suite: bytes | None, kind: str) -> bytes:
