@@ -19,6 +19,7 @@ import time
 import urllib.parse
 from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from pathlib import Path
@@ -26,7 +27,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .corpus import GenderLabel, SourceSentence, StereotypeLists, Stereotype, assign_stereotype
 from .fileio import (
-    decode_document, file_errors, line_encoder, load_json, parse_json, read_jsonl,
+    HashScreen, decode_document, file_errors, line_encoder, load_json, parse_json, read_jsonl,
     record_decoder,
 )
 from .manifest import tool_version
@@ -480,11 +481,70 @@ class _HttpTranslator:
         )
 
 
-def load_replay_map(path: str | Path) -> dict[str, str]:
-    """Read a replay file: either bare {source_id, target_text} lines or a full
-    translations file, whose failed lines are ignored."""
-    return {record.source_id: record.target_text for record in iter_translations(path)
-            if record.status is TranslationStatus.OK}
+#: The replay walk's hash of an id, as the sentence reader's.
+_id_hash = hash
+
+
+class _ReplayWalk:
+    """The OK translations of a replay file (bare {source_id, target_text}
+    lines or a full translations file, whose failed lines are ignored),
+    served by id as the file is read forward once, each line checked as it
+    is read. An OK line of the id asked for is served as it is read; the
+    text of one read ahead is kept until its id is asked for. Of every OK
+    line its id's hash is kept, the duplicate screen: a second OK line of
+    one id is an error."""
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = path
+        self.ahead: dict[str, str] = {}
+        self.lines = self._screened()
+
+    def close(self) -> None:
+        self.lines.close()
+
+    def _screened(self) -> Iterator[TranslationRecord]:
+        """Each OK record of the file, once its id is known to have no OK
+        line before it."""
+        ids = HashScreen()
+        with closing(iter_translations(self.path)) as records:
+            for k, record in enumerate(records, start=1):
+                if record.status is TranslationStatus.OK:
+                    if ids.insert(_id_hash(record.source_id)):
+                        self._refuse_duplicate(record.source_id, k)
+                    yield record
+
+    def _refuse_duplicate(self, source_id: str, k: int) -> None:
+        """End the walk when the k-th line of the file, an OK line of
+        source_id, is not its first: the file is read again up to that line."""
+        decode = record_decoder(TranslationRecord, BackendError)
+        lines = [lineno for lineno, record in islice(read_jsonl(self.path), k)
+                 if record.get("source_id") == source_id
+                 and decode(record, self.path, lineno).status is TranslationStatus.OK]
+        if len(lines) > 1:
+            raise BackendError(f"{self.path}: line {lines[-1]}: duplicate source_id "
+                               f"{source_id!r} (first seen on line {lines[0]})")
+
+    def get(self, source_id: str) -> str | None:
+        """The text of source_id's OK line; None when the file has none."""
+        text = self.ahead.pop(source_id, None)
+        if text is None:
+            for record in self.lines:
+                if record.source_id == source_id:
+                    return record.target_text
+                self.ahead[record.source_id] = record.target_text
+        return text
+
+    def finishing(self, records: Iterator[TranslationRecord]) -> Iterator[TranslationRecord]:
+        """records, the rest of the file read before the last is yielded: so a
+        bad line anywhere fails the run before its last batch is journaled,
+        and a journal of every record is one of a replay file read whole."""
+        last = next(records, None)
+        for record in records:
+            yield last
+            last = record
+        deque(self.lines, maxlen=0)
+        if last is not None:
+            yield last
 
 
 def _in_order(pool: ThreadPoolExecutor, fn: Callable[[SourceSentence], TranslationRecord],
@@ -511,9 +571,11 @@ def translate_batch(
     batch_size of finished records, in input order, to on_batch, the one
     place they are kept: a failure becomes a failed record, never dropped.
     An http backend keeps up to max_concurrency requests in flight across
-    batch boundaries. Returns how many of the records failed."""
+    batch boundaries; a file_replay backend reads its replay file in step
+    with the sources, and the rest of it before the last record is handed
+    over. Returns how many of the records failed."""
     per_item: Callable[[SourceSentence], TranslationRecord]
-    translator = None
+    translator = replay = None
     if config.kind is BackendKind.MOCK:
         assert config.mock is not None
         spec = config.mock
@@ -523,7 +585,7 @@ def translate_batch(
 
     elif config.kind is BackendKind.FILE_REPLAY:
         assert config.replay_path is not None
-        replay = load_replay_map(config.replay_path)
+        replay = _ReplayWalk(config.replay_path)
 
         def per_item(source: SourceSentence) -> TranslationRecord:
             target = replay.get(source.id)
@@ -539,6 +601,8 @@ def translate_batch(
             if translator is not None and config.max_concurrency > 1 else None)
     results = (map(per_item, sources) if pool is None else
                _in_order(pool, per_item, sources, config.batch_size))
+    if replay is not None:
+        results = replay.finishing(results)
     failed, batches = 0, 0
     try:
         # a sentence is read at most batch_size ahead of the records handed
@@ -550,8 +614,9 @@ def translate_batch(
     finally:
         # the translator first: the requests in flight end at once, so the
         # workers are joined at once, and the queued sources are cancelled
-        if translator is not None:
-            translator.close()
+        for backend in (translator, replay):
+            if backend is not None:
+                backend.close()
         if pool is not None:
             pool.shutdown(cancel_futures=True)
     if not batches:

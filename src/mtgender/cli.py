@@ -55,8 +55,8 @@ from .fileio import (
     sha256_file, sha256_text, write_jsonl,
 )
 from .manifest import (
-    TOOL_NAME, derive_run_id, file_ref, read_sidecar, tool_version, verify_against_sidecar,
-    write_sidecar,
+    TOOL_NAME, derive_run_id, file_ref, read_sidecar, sidecar_path, tool_version,
+    verify_against_sidecar, write_sidecar,
 )
 from .metrics import (
     OtscReport,
@@ -116,16 +116,23 @@ def report_from_dict(
     return header.suite, header.backend, report
 
 
+def _refuse_input_as_output(out: str | Path, option: str, path: str | None) -> None:
+    """End a stage when path, the input of option, is the file out, which the
+    stage writes; a link counts."""
+    if path and os.path.exists(out) and os.path.exists(path) and os.path.samefile(out, path):
+        raise CliError(f"{out}: is also the {option} input")
+
+
 def _refuse_inputs_as_outputs(args: argparse.Namespace, outputs: str, inputs: str) -> None:
     """End a stage before it reads anything when an output option names the
     same file as an input option, which it would replace; a link counts."""
-    def paths(option: str) -> list[str]:  # the paths given that exist; option as typed
+    def paths(option: str) -> list[str]:  # the paths given; option as typed
         value = getattr(args, option.lstrip("-").replace("-", "_"))
-        return [p for p in (value if type(value) is list else [value]) if p and os.path.exists(p)]
-    for out in (out for option in outputs.split() for out in paths(option)):
+        return value if type(value) is list else [value]
+    for out in (out for option in outputs.split() for out in paths(option) if out):
         for option in inputs.split():
-            if any(os.path.samefile(out, path) for path in paths(option)):
-                raise CliError(f"{out}: is also the {option} input")
+            for path in paths(option):
+                _refuse_input_as_output(out, option, path)
 
 
 # --------------------------------------------------------------------------
@@ -175,9 +182,13 @@ def cmd_translate(args: argparse.Namespace) -> int:
     _refuse_inputs_as_outputs(args, "--out", "--sentences --config")
     default_suite = Suite(args.suite) if args.suite else None
     out = Path(args.out)
+    # the journal is appended to, and deleted once the output is written
     journal = Path(str(out) + ".partial")
+    for option in ("--sentences", "--config"):
+        _refuse_input_as_output(journal, option, getattr(args, option[2:]))
     entry = find_backend_entry(args.config, args.backend)
     config = backend_config_from_dict(entry, args.config)
+    _refuse_input_as_output(journal, "replay_path", config.replay_path)
     config_hash = sha256_text(dumps_record(entry))[:16]
 
     def run_of(source_sha256: Any, name: Any = config.name, config_hash: Any = config_hash
@@ -338,6 +349,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                               "--male-stereotypes --female-stereotypes")
     if args.table and os.path.realpath(args.table) == os.path.realpath(args.out):
         raise CliError(f"{args.table}: is also the --out output")
+    if args.table and os.path.realpath(args.table) == os.path.realpath(sidecar_path(args.out)):
+        raise CliError(f"{args.table}: is also the sidecar of the --out output")
     suite = Suite(args.suite)
 
     def read(warn: bool = True) -> tuple[dict[str, Any], Iterator, Iterator]:

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import enum
 import logging
-from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 from .fileio import (
-    contains_devanagari, file_errors, line_encoder, read_jsonl, read_text, record_decoder,
-    write_jsonl,
+    HashScreen, contains_devanagari, file_errors, line_encoder, read_jsonl, read_text,
+    record_decoder, write_jsonl,
 )
 
 logger = logging.getLogger(__name__)
@@ -166,11 +165,7 @@ def iter_sentences(
     with one warning per set, once the file is read, unless warn is false.
     """
     decode = record_decoder(SourceSentence, CorpusError)
-    # of each id only its hash is kept, 8 bytes a slot of an open-addressed
-    # table that doubles at half full; a hash seen before has the file read
-    # again up to the first line of the id, which is this one unless the id
-    # is a duplicate
-    table, mask, n = array("q", [-1]) * 8, 7, 0
+    ids = HashScreen()
     neutral_sets: dict[str, None] = {}
     for lineno, record in read_jsonl(path, digest):
         if suite is not None and record.get("suite") is None:
@@ -183,32 +178,19 @@ def iter_sentences(
                     f"match expected {suite.value!r}"
                 )
             validate_sentence(sentence)
-            h = _id_hash(sentence.id)
-            i = h & mask
-            while table[i] != h and table[i] != -1:
-                i = (i + 1) & mask
-            if table[i] == h:
+            if ids.insert(_id_hash(sentence.id)):
                 first = next(line for line, earlier in read_jsonl(path)
                              if earlier["id"] == sentence.id)
                 if first != lineno:
                     raise CorpusError(
                         f"duplicate id {sentence.id!r} (first seen on line {first})"
                     )
-            table[i] = h
         except CorpusError as exc:
             raise CorpusError(f"{path}: line {lineno}: {exc}") from None
-        n += 1
-        if 2 * n > len(table):
-            table, old, mask = array("q", [-1]) * (2 * len(table)), table, 2 * mask + 1
-            for h in filter((-1).__ne__, old):
-                i = h & mask
-                while table[i] != -1:
-                    i = (i + 1) & mask
-                table[i] = h
         if sentence.suite is Suite.NEUTRAL:
             neutral_sets[sentence.set_id] = None
         yield sentence
-    if not n:
+    if not ids.n:
         raise CorpusError(f"{path}: no records found")
     for set_id in neutral_sets if warn else ():
         if set_id not in NEUTRAL_SET_IDS:

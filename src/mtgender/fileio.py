@@ -18,6 +18,7 @@ import re
 import secrets
 import sys
 import types
+from array import array
 from collections.abc import Mapping
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -98,6 +99,45 @@ def read_jsonl(
                 continue
             if record is not None:
                 yield lineno, record
+
+
+class HashScreen:
+    """The ids of a file read once, each kept only as its hash(): 8 bytes a
+    slot of an open-addressed array("q") that doubles at half full. hash()
+    never returns -1, the mark of a free slot. Ids that share a hash share a
+    slot, so a hash seen before is only a candidate: the caller reads its
+    file again up to the id's first line, and the id is a duplicate when that
+    is an earlier line. hash() is salted per process, which changes only how
+    often that happens."""
+
+    def __init__(self) -> None:
+        self.hashes = array("q", [-1]) * 8
+        self.n = 0
+
+    def insert(self, h: int) -> bool:
+        """Keep h; whether it was kept already."""
+        hashes = self.hashes
+        mask = len(hashes) - 1
+        i = h & mask
+        while (kept := hashes[i]) != h:
+            if kept == -1:
+                hashes[i] = h
+                self.n += 1
+                if 2 * self.n > len(hashes):
+                    self._grow()
+                return False
+            i = (i + 1) & mask
+        return True
+
+    def _grow(self) -> None:
+        old, hashes = self.hashes, array("q", [-1]) * (2 * len(self.hashes))
+        mask = len(hashes) - 1
+        for h in filter((-1).__ne__, old):
+            i = h & mask
+            while hashes[i] != -1:
+                i = (i + 1) & mask
+            hashes[i] = h
+        self.hashes = hashes
 
 
 def _reject_bom(path: str | os.PathLike, head: bytes, error: type[Exception]) -> None:
@@ -310,7 +350,7 @@ def write_jsonl(path: str | os.PathLike, lines: Iterable[str], digest: Any = Non
     lines = iter(lines)
     count = 0
     with _atomic_output(path) as fh:
-        while chunk := list(itertools.islice(lines, 1024)):
+        while chunk := list(itertools.islice(lines, 64)):
             data = "".join(chunk).encode("utf-8")
             if digest is not None:
                 digest.update(data)

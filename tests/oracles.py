@@ -4,7 +4,8 @@ classify by scanning every word, independent of the compiled lexicon regex, and
 encode and decode pipeline records field by field through a dict and json.dumps,
 independent of the record codec in mtgender.fileio, and render a template by
 substituting every placeholder in one pass, independent of the quadrant frames
-in mtgender.templates."""
+in mtgender.templates, and serve a replay file from a map of all its OK lines,
+independent of the replay walk in mtgender.backends."""
 
 import dataclasses
 import enum
@@ -13,6 +14,7 @@ import math
 import re
 from typing import Any, Mapping, get_args, get_type_hints
 
+from mtgender.backends import TranslationStatus, iter_translations
 from mtgender.classify import ClassifiedRecord, PronounLexicon
 from mtgender.corpus import OTSC_QUADRANTS, GenderLabel, Stereotype
 from mtgender.templates import TemplateError
@@ -236,3 +238,10 @@ def oracle_render_quadrant(template, quadrant: str, occupation: str) -> str:
         template.occupation_slot: occupation,
     }
     return render_template(template.skeleton, bindings)
+
+
+def oracle_replay_map(path) -> dict[str, str]:
+    """A replay file as the text of each id's OK line, failed lines ignored:
+    bare {source_id, target_text} lines or a full translations file."""
+    return {record.source_id: record.target_text for record in iter_translations(path)
+            if record.status is TranslationStatus.OK}

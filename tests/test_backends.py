@@ -1,8 +1,11 @@
+import contextlib
 import gc
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import warnings
@@ -10,8 +13,11 @@ import weakref
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mtgender
 from mtgender.backends import (
@@ -28,12 +34,11 @@ from mtgender.backends import (
     _retry_after_s,
     backend_config_from_dict,
     find_backend_entry,
-    load_replay_map,
     mock_translate,
     translate_batch,
 )
 from mtgender.classify import classify_gender
-from mtgender.cli import EXIT_PARTIAL, run
+from mtgender.cli import EXIT_ABORTED, EXIT_OK, EXIT_PARTIAL, run
 from mtgender.corpus import (
     GenderLabel, SourceSentence, StereotypeLists, Suite, write_sentences,
 )
@@ -43,6 +48,7 @@ from mtgender.templates import iter_otsc
 from conftest import (
     FEMALE_OCC, MALE_OCC, build_winomt_corpus, read_translations, write_translations,
 )
+from oracles import oracle_replay_map
 
 
 def mock_config(spec: MockSpec, **kwargs) -> BackendConfig:
@@ -292,14 +298,156 @@ class TestTranslateBatch:
             TranslationRecord.ok("a", "He is here.", "x"),
             TranslationRecord.failed("b", "x", "HTTP 500"),
         ])
-        replay = load_replay_map(replay_path)
-        assert replay == {"a": "He is here."}
+        config = BackendConfig(name="replay", kind=BackendKind.FILE_REPLAY,
+                               replay_path=str(replay_path))
+        records = []
+        translate_batch([replace(s, id=i) for s, i in zip(build_winomt_corpus(4), "ab")],
+                        config, records.extend)
+        assert [(r.source_id, r.target_text, r.status) for r in records] == [
+            ("a", "He is here.", TranslationStatus.OK), ("b", "", TranslationStatus.FAILED)]
 
     def test_missing_replay_file_aborts(self):
         config = BackendConfig(name="replay", kind=BackendKind.FILE_REPLAY,
                                replay_path="/nonexistent/replay.jsonl")
         with pytest.raises(FileNotFoundError):
             translate_batch(build_winomt_corpus(4), config, lambda batch: None)
+
+
+# --------------------------------------------------------------------------
+# The replay walk: a replay file is read in step with the sentences
+
+
+# the lines of one id in a replay file, in file order
+_REPLAY_LINES = {"none": (), "ok": ("ok",), "failed": ("failed",),
+                 "failed then ok": ("failed", "ok"), "ok then failed": ("ok", "failed"),
+                 "failed twice": ("failed", "failed")}
+
+# the replay walk's hash of an id: the real one, or one that all ids or half of them share
+_HASHES = {"hash": hash, "one": lambda _: 42, "two": lambda source_id: len(source_id) % 2}
+
+
+def _replay_line(source_id: str, kind: str, bare: bool = False) -> str:
+    """A replay line of source_id: failed, or OK and bare or a full record."""
+    if kind == "failed":
+        record = TranslationRecord.failed(source_id, "x", "HTTP 503")
+    elif bare:
+        return json.dumps({"source_id": source_id, "target_text": f"He read {source_id}."}) + "\n"
+    else:
+        record = TranslationRecord.ok(source_id, f"He read {source_id}.", "x")
+    return line_encoder(TranslationRecord)(record)
+
+
+def _replay_translate(tmp: Path, sentences, lines, batch_size: int = 32, out: str = "tr.jsonl",
+                      fresh: bool = True) -> tuple[int, str, Path]:
+    """translate, fresh unless told not to be, of sentences through a
+    file_replay backend of the replay file tmp/replay.jsonl, whose lines are
+    written when given: (exit code, stderr, the output)."""
+    if lines is not None:
+        (tmp / "replay.jsonl").write_text("".join(lines), encoding="utf-8")
+    write_sentences(tmp / "s.jsonl", sentences)
+    (tmp / "backends.json").write_text(json.dumps({"backends": [
+        {"name": "replay", "kind": "file_replay", "replay_path": "replay.jsonl",
+         "batch_size": batch_size}]}), encoding="utf-8")
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = run(["translate", "--sentences", str(tmp / "s.jsonl"), "--config",
+                    str(tmp / "backends.json"), "--backend", "replay", "--out", str(tmp / out),
+                    *["--fresh"][:fresh]])
+    return code, stderr.getvalue(), tmp / out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), size=st.integers(1, 10), extra=st.integers(0, 3),
+       batch_size=st.integers(1, 4), hashes=st.sampled_from(sorted(_HASHES)))
+def test_the_replay_walk_writes_what_the_map_of_the_file_gives(data, size, extra, batch_size,
+                                                               hashes):
+    """A replay file in any order, with ids missing, failed lines, a failed
+    and an OK line of one id, bare lines and ids of no sentence: translate
+    writes the bytes that serving each sentence from the map of the whole
+    file gives, also when all ids, or half of them, share one hash."""
+    sentences = build_winomt_corpus(12)[:size]
+    ids = [s.id for s in sentences] + [f"extra-{k}" for k in range(extra)]
+    lines = [_replay_line(source_id, kind, data.draw(st.booleans()))
+             for source_id in ids
+             for kind in _REPLAY_LINES[data.draw(st.sampled_from(sorted(_REPLAY_LINES)))]]
+    lines = data.draw(st.permutations(lines))
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(mtgender.backends, "_id_hash", _HASHES[hashes]):
+        code, err, out = _replay_translate(Path(tmp), sentences, lines, batch_size)
+        served = oracle_replay_map(Path(tmp) / "replay.jsonl")
+        written = out.read_bytes()
+    expected = [TranslationRecord.ok(s.id, served[s.id], "replay") if s.id in served else
+                TranslationRecord.failed(s.id, "replay", "missing translation") for s in sentences]
+    assert (code, err) == (EXIT_OK if len(served.keys() & set(ids[:size])) == size
+                           else EXIT_PARTIAL, "")
+    assert written == "".join(map(line_encoder(TranslationRecord), expected)).encode("utf-8")
+
+
+@pytest.mark.parametrize("hashes", ["hash", "one"])
+@pytest.mark.parametrize("lines, line, first", [
+    (["ok 0", "ok 1", "ok 0"], 3, 1),  # the first served as it was read
+    (["ok 1", "ok 1", "ok 0"], 2, 1),  # both read ahead
+    (["ok 1", "ok 0", "ok 1"], 3, 1),  # the first read ahead and served
+    (["failed 0", "ok 0", "ok 1", "failed 0", "ok 0"], 5, 2),
+    (["ok 0", "ok 1", "ok 2", "ok 2"], 4, 3),  # after the last sentence
+], ids=["served as read", "read ahead", "served from ahead", "failed lines between",
+        "after the last sentence"])
+def test_a_duplicate_ok_id_in_the_replay_file_is_refused(tmp_path, monkeypatch, lines, line,
+                                                         first, hashes):
+    """A second OK line of one source_id ends translate in error: <replay>:
+    line N: duplicate source_id '<id>' (first seen on line M), failed lines
+    not counting, wherever the walk reads the two, and also when every id
+    shares one hash."""
+    monkeypatch.setattr(mtgender.backends, "_id_hash", _HASHES[hashes])
+    sentences = build_winomt_corpus(4)[:2]
+    ids = [s.id for s in sentences] + ["extra"]
+    lines = [_replay_line(ids[int(k)], kind) for kind, k in map(str.split, lines)]
+    code, err, out = _replay_translate(tmp_path, sentences, lines)
+    duplicate = json.loads(lines[line - 1])["source_id"]
+    assert (code, err) == (EXIT_ABORTED, f"error: {tmp_path / 'replay.jsonl'}: line {line}: "
+                           f"duplicate source_id {duplicate!r} (first seen on line {first})\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("size", [8, 9], ids=["a short last batch", "a full last batch"])
+def test_a_bad_replay_line_after_the_last_id_needed_ends_the_run_with_its_journal(tmp_path,
+                                                                                   size):
+    """A bad line after the last line a sentence needs is still read, before
+    the last batch is journaled: the run exits 1 and names it, writes no
+    output, and keeps the batches before the last in the journal, as a clean
+    run writes their lines. A resume translates the last batch, so it reads
+    the replay file again and ends in the same error until the line is
+    fixed; then it writes the clean run's bytes."""
+    sentences = build_winomt_corpus(12)[:size]
+    lines = [_replay_line(s.id, "ok") for s in sentences]
+    assert _replay_translate(tmp_path, sentences, lines, 3, "clean.jsonl")[:2] == (EXIT_OK, "")
+    clean = (tmp_path / "clean.jsonl").read_bytes()
+    error = (EXIT_ABORTED, f"error: {tmp_path / 'replay.jsonl'}: line {size + 1}: "
+             "invalid JSON (Expecting property name enclosed in double quotes)\n")
+    code, err, out = _replay_translate(tmp_path, sentences, [*lines, "{\n"], 3)
+    assert (code, err) == error
+    assert not out.exists()
+    journal = Path(f"{out}.partial")
+    assert journal.read_bytes() == b"".join(clean.splitlines(keepends=True)[:6])
+    assert _replay_translate(tmp_path, sentences, None, 3, fresh=False)[:2] == error
+    assert not out.exists()
+    assert journal.read_bytes() == b"".join(clean.splitlines(keepends=True)[:6])
+    assert _replay_translate(tmp_path, sentences, lines, 3, fresh=False)[:2] == (EXIT_OK, "")
+    assert out.read_bytes() == clean
+
+
+def test_an_id_whose_only_replay_line_failed_is_a_missing_translation(tmp_path):
+    """A sentence whose id has only failed lines in the replay file comes
+    back as a failed record, missing translation, and the run exits 3."""
+    sentences = build_winomt_corpus(4)[:3]
+    lines = [_replay_line(sentences[0].id, "ok"), _replay_line(sentences[1].id, "failed"),
+             _replay_line(sentences[2].id, "failed"), _replay_line(sentences[2].id, "ok")]
+    code, err, out = _replay_translate(tmp_path, sentences, lines)
+    assert (code, err) == (EXIT_PARTIAL, "")
+    assert read_translations(out) == [
+        TranslationRecord.ok(sentences[0].id, f"He read {sentences[0].id}.", "replay"),
+        TranslationRecord.failed(sentences[1].id, "replay", "missing translation"),
+        TranslationRecord.ok(sentences[2].id, f"He read {sentences[2].id}.", "replay")]
 
 
 # --------------------------------------------------------------------------

@@ -1580,6 +1580,59 @@ def test_one_file_named_by_both_outputs_is_refused(tmp_path, backends_config, ca
     assert not out.exists() and not Path(f"{out}.manifest.json").exists()
 
 
+@pytest.mark.parametrize("via", ["path", "symlink"])
+def test_a_table_that_is_the_reports_sidecar_is_refused(tmp_path, backends_config, capsys,
+                                                        monkeypatch, via):
+    """evaluate's --table naming the sidecar of its --out, which is written
+    after the table and would replace it, as typed or through a link, ends
+    in error: <table>: is also the sidecar of the --out output, exit 1,
+    before any input is read, and writes nothing."""
+    arguments = _stage_arguments(tmp_path, backends_config)["evaluate"]
+    monkeypatch.setattr(mtgender.cli, "iter_sentences", lambda *args: pytest.fail("read"))
+    out = arguments["--out"] = tmp_path / "r.json"
+    sidecar = tmp_path / "r.json.manifest.json"
+    table = arguments["--table"] = sidecar if via == "path" else tmp_path / "link"
+    if via == "symlink":
+        table.symlink_to(sidecar)
+    capsys.readouterr()
+    assert run(_argv("evaluate", arguments)) == EXIT_ABORTED
+    assert capsys.readouterr().err == f"error: {table}: is also the sidecar of the --out output\n"
+    assert not out.exists() and not sidecar.exists()
+
+
+@pytest.mark.parametrize("via", ["path", "symlink"])
+@pytest.mark.parametrize("option", ["--sentences", "--config", "replay_path"])
+def test_an_input_that_is_the_journal_is_refused(tmp_path, backends_config, capsys, option,
+                                                 via):
+    """translate's journal, <out>.partial, which it appends to as it reads and
+    deletes once the output is written, named as its --sentences, its
+    --config or its backend's replay_path, as typed or through a link, ends
+    in error: <journal>: is also the <option> input, exit 1, before the
+    sentences or the replay file is read, and every file keeps its bytes."""
+    arguments = _stage_arguments(tmp_path, backends_config)["translate"]
+    journal = Path(f"{arguments['--out']}.partial")
+    if option == "replay_path":
+        input_ = tmp_path / "tr.jsonl"  # a translations file serves as a replay file
+        arguments["--config"] = tmp_path / "replay.json"
+        arguments["--backend"] = "replay"
+        arguments["--config"].write_text(json.dumps({"backends": [
+            {"name": "replay", "kind": "file_replay", "replay_path": journal.name}]}),
+            encoding="utf-8")
+    else:
+        input_ = arguments[option]
+    if via == "path":
+        journal.write_bytes(input_.read_bytes())
+        if option != "replay_path":
+            arguments[option] = journal
+    else:
+        journal.symlink_to(input_)
+    files = {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+    capsys.readouterr()
+    assert run(_argv("translate", arguments)) == EXIT_ABORTED
+    assert capsys.readouterr().err == f"error: {journal}: is also the {option} input\n"
+    assert {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == files
+
+
 def _corrupt(good: bytes, other_suite: bytes | None, kind: str) -> bytes:
     """The bytes of a bad input of the given kind, made from a good file's
     bytes and from those of the same kind of file for another suite."""
@@ -1994,10 +2047,14 @@ def test_no_stage_memory_grows_with_the_sentence_list(tmp_path):
     """generate, translate and evaluate hold no sentence list: from n
     occupations to 4n, generate's peak RSS stays flat, and translate's and
     evaluate's grow only by what they keep of each sentence, its id's hash
-    above all, about 20 and 40 bytes a sentence. Holding the list, generate,
-    translate and evaluate grew by 9, 9 and 13 MB from 1,500 occupations to
-    6,000. An evaluate that names a stereotype-list error keeps no sentence
-    id: one that kept them grew by 3.7 MB."""
+    above all, about 20 and 40 bytes a sentence. Holding the list,
+    generate, translate and evaluate grew by 9, 9 and 13 MB from 1,500
+    occupations to 6,000. An evaluate that names a stereotype-list error
+    keeps no sentence id: one that kept them grew by 3.7 MB. A file_replay
+    translate of 500-character texts in sentence order holds no text: the
+    replay walk keeps a second table of id hashes, and grew by 24 to 39 bytes
+    a sentence more than the mock translate, and by about 700 holding the
+    map of the replay file."""
     src = str(Path(mtgender.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -2011,9 +2068,10 @@ def test_no_stage_memory_grows_with_the_sentence_list(tmp_path):
         return kib / 1024
 
     config = tmp_path / "backends.json"
-    config.write_text(json.dumps({"backends": [{"name": "coin", "kind": "mock",
-                                                "mock": {"spec": "coin_flip"}}]}),
-                      encoding="utf-8")
+    config.write_text(json.dumps({"backends": [
+        {"name": "coin", "kind": "mock", "mock": {"spec": "coin_flip"}},
+        {"name": "replay", "kind": "file_replay", "replay_path": "replay.jsonl"}]}),
+        encoding="utf-8")
     (tmp_path / "male.txt").write_text(f"{MALE_OCC}\n", encoding="utf-8")
     (tmp_path / "female.txt").write_text(f"{FEMALE_OCC}\n", encoding="utf-8")
     peaks = {}
@@ -2025,6 +2083,14 @@ def test_no_stage_memory_grows_with_the_sentence_list(tmp_path):
         translate = peak_mib("translate", "--sentences", str(sentences), "--config", str(config),
                              "--backend", "coin", "--out", str(tmp_path / f"coin-{n}.jsonl"),
                              "--fresh")
+        # a replay of 500-character texts, in sentence order
+        write_translations(tmp_path / "replay.jsonl", (
+            TranslationRecord.ok(f"otsc-{quadrant}-{i:05d}",
+                                 f"{('He', 'She')[i % 2]} came. {'x' * 490} {i}", "x")
+            for i in range(n) for quadrant in OTSC_QUADRANTS))
+        replay = peak_mib("translate", "--sentences", str(sentences), "--config", str(config),
+                          "--backend", "replay", "--out", str(tmp_path / f"replay-{n}.jsonl"),
+                          "--fresh")
         write_translations(translations, (
             TranslationRecord.ok(f"otsc-{quadrant}-{i:05d}", ("he", "she")[i % 2], "x")
             for i in range(n) for quadrant in OTSC_QUADRANTS))
@@ -2036,12 +2102,14 @@ def test_no_stage_memory_grows_with_the_sentence_list(tmp_path):
                               str(tmp_path / "male.txt"), "--female-stereotypes",
                               str(tmp_path / "female.txt"), "--out", str(tmp_path / "r.json"),
                               exit_code=EXIT_ABORTED)
-        peaks[n] = generate, translate, evaluate, list_error
-    (generate_n, translate_n, evaluate_n, list_error_n), (
-        generate_4n, translate_4n, evaluate_4n, list_error_4n) = peaks.values()
+        peaks[n] = generate, translate, replay, evaluate, list_error
+    (generate_n, translate_n, replay_n, evaluate_n, list_error_n), (
+        generate_4n, translate_4n, replay_4n, evaluate_4n, list_error_4n) = peaks.values()
     assert generate_4n - generate_n < 3
     # 75 bytes an added sentence
     assert translate_4n - translate_n < 4 * 4500 * 75 / 2**20
+    # and the replay walk as much again over the mock translate's sentence reader
+    assert (replay_4n - replay_n) - (translate_4n - translate_n) < 4 * 4500 * 75 / 2**20
     assert evaluate_4n - evaluate_n < 4 * 4500 * 75 / 2**20
     assert list_error_4n - list_error_n < 4 * 4500 * 75 / 2**20
 
